@@ -347,6 +347,11 @@ def write_map(cmap: CategoricalMap, header_path: Path | str) -> None:
     for e in cmap.legend:
         extra.append((f"legend.{e.label}.name", e.name))
         extra.append((f"legend.{e.label}.color", "#%02X%02X%02X" % e.color))
+    if cmap.labels.size and (cmap.labels.min() < 0 or cmap.labels.max() > 65535):
+        raise DataError(
+            f"labels span {cmap.labels.min()}..{cmap.labels.max()}; "
+            "a map file stores labels 0..65535"
+        )
     planes = cmap.labels[np.newaxis, :, :].astype("<u2")
     raster.write_raster(header_path, extra, planes, "u16")
 

@@ -250,7 +250,7 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         table = build_superpixel_table(cmap, seg, image, aura)
         recon = reconstruct(seg, table, image)
         rmse = rmse_map(image, recon)
-        conserved = sum(r.pixel_count for r in table)
+        conserved = int(table.counts.sum())
         if conserved != int(np.count_nonzero(seg.segment_ids)):
             raise SpecmapError("pixel-count conservation violated")
         paths = {

@@ -164,7 +164,19 @@ def read_header(path: Path | str) -> dict[str, str]:
     return out
 
 
+#: Characters ``str.splitlines`` (and so ``read_header``) ends a line at.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 def write_header(path: Path | str, entries: list[tuple[str, str]]) -> None:
+    """Write ``key = value`` lines; refuses text ``read_header`` would cut short."""
+    for key, value in entries:
+        for text in (key, value):
+            if "//" in text or any(c in text for c in _LINE_BREAKS):
+                raise FormatError(
+                    f"{path}: header entry {key!r} = {value!r} holds '//' or a "
+                    "line break, which the header format cannot carry"
+                )
     lines = [f"{k} = {v}" for k, v in entries]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -178,10 +190,8 @@ def _header_int(header: dict, key: str, path) -> int:
         raise FormatError(f"{path}: header key {key!r} is not an integer") from None
 
 
-def read_raster(header_path: Path | str) -> tuple[dict[str, str], np.ndarray]:
-    """Read any flat raster: returns (header dict, raw (bands, h, w) array)."""
-    header_path = Path(header_path)
-    header = read_header(header_path)
+def _payload_layout(header_path: Path, header: dict[str, str]):
+    """(payload path, dtype, bands, height, width), checked against the payload size."""
     width = _header_int(header, "width", header_path)
     height = _header_int(header, "height", header_path)
     nbands = _header_int(header, "bands", header_path)
@@ -201,6 +211,14 @@ def read_raster(header_path: Path | str) -> tuple[dict[str, str], np.ndarray]:
         raise FormatError(
             f"{ppath}: payload is {actual} bytes, header promises {expected}"
         )
+    return ppath, dt, nbands, height, width
+
+
+def read_raster(header_path: Path | str) -> tuple[dict[str, str], np.ndarray]:
+    """Read any flat raster: returns (header dict, raw (bands, h, w) array)."""
+    header_path = Path(header_path)
+    header = read_header(header_path)
+    ppath, dt, nbands, height, width = _payload_layout(header_path, header)
     raw = np.fromfile(ppath, dtype=dt).reshape(nbands, height, width)
     return header, raw
 
@@ -362,24 +380,14 @@ class ImageSource:
     def __init__(self, header_path: Path | str):
         self.header_path = Path(header_path)
         header = read_header(self.header_path)
-        self.width = _header_int(header, "width", self.header_path)
-        self.height = _header_int(header, "height", self.header_path)
-        nbands = _header_int(header, "bands", self.header_path)
-        if header.get("interleave", "bsq") != "bsq":
-            raise FormatError(f"{self.header_path}: only bsq interleave is supported")
+        self._ppath, self._dt, nbands, self.height, self.width = _payload_layout(
+            self.header_path, header
+        )
         self.dtype_name = header.get("dtype", "f64")
-        self._dt = _dtype_for(self.dtype_name)
         self.bands = tuple(
             _band_metadata_from_header(header, self.dtype_name, n)
             for n in range(1, nbands + 1)
         )
-        self._ppath = payload_path(self.header_path)
-        expected = self.width * self.height * nbands * self._dt.itemsize
-        actual = self._ppath.stat().st_size
-        if actual < expected:
-            raise TruncatedFileError(
-                f"{self._ppath}: payload is {actual} bytes, header promises {expected}"
-            )
 
     def read_rows(self, row0: int, row1: int) -> tuple[np.ndarray, np.ndarray]:
         """Read and calibrate rows [row0, row1).  Allocation is ledgered."""

@@ -1,21 +1,23 @@
-"""Deterministic two-pass connected components and superpixel description.
+"""Deterministic run-graph connected components and superpixel description.
 
-Pass 1 scans row-major, assigning provisional ids per run of equal labels
-and recording equivalences in a union-find forest; pass 2 resolves roots
-and relabels to dense final ids in row-major first-encounter order, which
-makes output maps reproducible byte for byte.  The labeler accepts rows
-incrementally, so strip-streamed labeling needs no overlap rows and merges
-across seams by construction.
+Pass 1 encodes every row as runs of equal labels and links each run to the
+same-label runs it touches in the row above (He, Chao & Suzuki's run-based
+two-scan labeling); pass 2 resolves those links with vectorized
+hook-and-compress rounds (Shiloach & Vishkin) and numbers the components in
+row-major first-encounter order, which makes output maps reproducible byte
+for byte.  The labeler accepts rows incrementally, so strip-streamed
+labeling needs no overlap rows and merges across seams by construction.
+
+The superpixel description is a columnar ``SuperpixelTable`` (one array per
+attribute, one entry per segment), filled with bincounts and scattered
+minima/maxima; the mean-view reconstruction is a single gather from it.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
-
 import numpy as np
 
 from . import raster
@@ -73,18 +75,34 @@ class CrossAuraMap:
     adjacency: int
 
 
-@dataclass
-class SuperpixelRecord:
-    segment_id: int
-    label: int  # with segment_id this forms the (segment, stratum) 2-tuple
-    pixel_count: int
-    min_row: int
-    min_col: int
-    max_row: int
-    max_col: int
-    perimeter: int
-    compactness: float
-    band_sums: tuple[float, ...]
+@dataclass(eq=False)
+class SuperpixelTable:
+    """Columnar superpixel description: row ``i`` describes segment ``i + 1``.
+
+    Every column has one entry per segment; ``label`` with the segment id
+    forms the (segment, stratum) 2-tuple.
+    """
+
+    counts: np.ndarray       # (n,) int64 pixel count
+    labels: np.ndarray       # (n,) int64 map label
+    min_row: np.ndarray      # (n,) int64 bounding box, inclusive
+    min_col: np.ndarray
+    max_row: np.ndarray
+    max_col: np.ndarray
+    perimeter: np.ndarray    # (n,) int64 sum of member cross-aura counts
+    compactness: np.ndarray  # (n,) float64 in (0, 1]
+    sums: np.ndarray         # (bands, n) float64 per-band sample sums
+
+    def __post_init__(self):
+        n = len(self.counts)
+        columns = (self.labels, self.min_row, self.min_col, self.max_row,
+                   self.max_col, self.perimeter, self.compactness)
+        if any(len(c) != n for c in columns) or self.sums.ndim != 2 \
+                or self.sums.shape[1] != n:
+            raise DataError("superpixel table columns differ in length")
+
+    def __len__(self) -> int:
+        return len(self.counts)
 
 
 @dataclass
@@ -110,63 +128,82 @@ class RmseMap:
 
 
 # ---------------------------------------------------------------------------
-# Union-find
+# Run-graph connected-component labeling
 # ---------------------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, stats: OpStats | None = None):
-        self.parent: list[int] = []
-        self.size: list[int] = []
-        self.stats = stats
+def _run_edges(adjacency: int, cur, up) -> tuple[np.ndarray, np.ndarray]:
+    """(run, run-above) id pairs between row blocks ``cur`` and ``up``.
 
-    def make(self) -> int:
-        idx = len(self.parent)
-        self.parent.append(idx)
-        self.size.append(1)
-        return idx
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        if self.stats is not None:
-            self.stats.union_find_ops += 1
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        if self.stats is not None:
-            self.stats.union_find_ops += 1
+    ``cur`` and ``up`` are (values, run starts, run ids) triples of
+    equal-shape row blocks, ``up`` holding the row above each ``cur`` row.
+    A (run, run-above) pair always exposes one of its two run starts inside
+    the overlap window, so the ``start | start-above`` mask yields every
+    connected pair at least once without listing each shared pixel.
+    """
+    vals, start, ids = cur
+    up_vals, up_start, up_ids = up
+    w = vals.shape[1]
+    valid = vals != NODATA  # equal values then make the pixel above valid too
+    heads, tails = [], []
+    for dc in (0, 1, -1) if adjacency == 8 else (0,):
+        c = slice(max(dc, 0), w + min(dc, 0))    # this row, column j
+        u = slice(max(-dc, 0), w + min(-dc, 0))  # row above, column j - dc
+        mask = valid[:, c] & (vals[:, c] == up_vals[:, u]) & (start[:, c] | up_start[:, u])
+        heads.append(ids[:, c][mask])
+        tails.append(up_ids[:, u][mask])
+    return np.concatenate(heads), np.concatenate(tails)
 
 
-# ---------------------------------------------------------------------------
-# Two-pass connected-component labeling
-# ---------------------------------------------------------------------------
+def _resolve_runs(n: int, heads: np.ndarray, tails: np.ndarray,
+                  stats: OpStats | None) -> np.ndarray:
+    """Root of every run: the smallest run id of its connected component.
+
+    Hook-and-compress rounds (Shiloach & Vishkin): each edge between two
+    trees hooks the larger root under the smaller, then pointer jumping
+    flattens every tree, so each round starts from roots.  Parents never
+    exceed their child, so no cycle can form; edges inside one tree are
+    dropped for good.
+    """
+    parent = np.arange(n, dtype=np.int64)
+    while heads.size:
+        if stats is not None:
+            stats.union_find_ops += int(heads.size)
+        rh, rt = parent[heads], parent[tails]
+        split = rh != rt
+        heads, tails, rh, rt = heads[split], tails[split], rh[split], rt[split]
+        if not heads.size:
+            break
+        np.minimum.at(parent, np.maximum(rh, rt), np.minimum(rh, rt))
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
+    return parent
 
 
 class TwoPassLabeler:
-    """Feed label rows top to bottom, then finalize to a SegmentationMap."""
+    """Feed label rows top to bottom, then finalize to a SegmentationMap.
+
+    Pass 1 (``feed``) encodes each row as runs of equal labels, numbered
+    consecutively in row-major order, and collects (run, run-above) edges
+    against the row fed before, so strips need no overlap rows.  Pass 2
+    (``finalize``) resolves the edges to components and numbers them by
+    their first run, which is their first pixel in row-major order.
+    """
 
     def __init__(self, width: int, adjacency: int = 8, stats: OpStats | None = None):
         _offsets(adjacency)
         self.width = width
         self.adjacency = adjacency
         self.stats = stats
-        self._uf = _UnionFind(stats)
-        self._prov_rows: list[np.ndarray] = []
-        self._prev_vals: np.ndarray | None = None
-        self._prev_prov: np.ndarray | None = None
-        self._prev_start: np.ndarray | None = None
+        self._n_runs = 0
+        self._starts: list[np.ndarray] = []
+        self._valids: list[np.ndarray] = []
+        self._heads: list[np.ndarray] = []
+        self._tails: list[np.ndarray] = []
+        self._prev = None  # (values, starts, run ids) of the last row fed
 
     def feed(self, rows: np.ndarray) -> None:
         rows = np.atleast_2d(np.asarray(rows, dtype=np.int32))
@@ -174,72 +211,50 @@ class TwoPassLabeler:
             raise DimensionMismatchError(
                 f"row width {rows.shape[1]} != labeler width {self.width}"
             )
-        for r in range(rows.shape[0]):
-            self._feed_row(rows[r])
-
-    def _feed_row(self, vals: np.ndarray) -> None:
-        valid = vals != NODATA
+        if rows.shape[0] == 0:
+            return
+        valid = rows != NODATA
         start = valid.copy()
-        if len(vals) > 1:
-            start[1:] &= (vals[1:] != vals[:-1]) | ~valid[:-1]
-        n_runs = int(start.sum())
-        prov = np.full(len(vals), -1, dtype=np.int64)
-        if n_runs:
-            run_ids = np.fromiter(
-                (self._uf.make() for _ in range(n_runs)), dtype=np.int64, count=n_runs
-            )
-            run_idx = np.cumsum(start) - 1
-            prov[valid] = run_ids[run_idx[valid]]
-        pv, pp, ps = self._prev_vals, self._prev_prov, self._prev_start
-        if pv is not None and n_runs:
-            prev_valid = pp >= 0
-            # North: a (run, run-above) pair always exposes one of its two
-            # run starts inside the overlap window, so this mask unions each
-            # pair exactly where needed.
-            mask = valid & prev_valid & (vals == pv) & (start | ps)
-            for c in np.nonzero(mask)[0]:
-                self._uf.union(int(prov[c]), int(pp[c]))
-            if self.adjacency == 8:
-                m = (
-                    valid[1:]
-                    & prev_valid[:-1]
-                    & (vals[1:] == pv[:-1])
-                    & (start[1:] | ps[:-1])
-                )
-                for c in np.nonzero(m)[0]:
-                    self._uf.union(int(prov[c + 1]), int(pp[c]))
-                m = (
-                    valid[:-1]
-                    & prev_valid[1:]
-                    & (vals[:-1] == pv[1:])
-                    & (start[:-1] | ps[1:])
-                )
-                for c in np.nonzero(m)[0]:
-                    self._uf.union(int(prov[c]), int(pp[c + 1]))
-        self._prov_rows.append(prov)
-        self._prev_vals, self._prev_prov, self._prev_start = vals, prov, start
+        start[:, 1:] &= (rows[:, 1:] != rows[:, :-1]) | ~valid[:, :-1]
+        # Runs never cross a row end, so one running count over the block
+        # numbers them; ids of nodata pixels are never read.
+        ids = np.cumsum(start, dtype=np.int64).reshape(rows.shape)
+        ids += self._n_runs - 1
+        self._n_runs = int(ids[-1, -1]) + 1
+        cur = (rows, start, ids)
+        pairs = [_run_edges(self.adjacency, tuple(a[1:] for a in cur),
+                            tuple(a[:-1] for a in cur))]
+        if self._prev is not None:
+            pairs.append(_run_edges(self.adjacency, tuple(a[:1] for a in cur),
+                                    self._prev))
+        for heads, tails in pairs:
+            self._heads.append(heads)
+            self._tails.append(tails)
+        self._starts.append(start)
+        self._valids.append(valid)
+        self._prev = tuple(a[-1:].copy() for a in cur)
         if self.stats is not None:
-            self.stats.pixel_visits += len(vals)
+            self.stats.pixel_visits += int(rows.size)
 
     def finalize(self) -> SegmentationMap:
-        if not self._prov_rows:
+        if not self._starts:
             raise DataError("no rows fed to the labeler")
-        prov = np.stack(self._prov_rows)
-        n = len(self._uf.parent)
-        if n == 0:
-            return SegmentationMap(np.zeros(prov.shape, dtype=np.int32), 0)
-        root = np.fromiter((self._uf.find(i) for i in range(n)), dtype=np.int64, count=n)
-        valid = prov >= 0
-        roots_px = np.where(valid, root[np.maximum(prov, 0)], -1)
-        flat = roots_px[valid]  # boolean indexing preserves row-major order
-        uniq, first_pos = np.unique(flat, return_index=True)
-        order = np.argsort(first_pos, kind="stable")
-        final_of_root = np.zeros(n, dtype=np.int32)
-        final_of_root[uniq[order]] = np.arange(1, len(uniq) + 1, dtype=np.int32)
-        seg = np.where(valid, final_of_root[np.maximum(roots_px, 0)], 0)
+        start = np.concatenate(self._starts)
+        valid = np.concatenate(self._valids)
         if self.stats is not None:
-            self.stats.pixel_visits += int(prov.size)  # second pass
-        return SegmentationMap(seg.astype(np.int32), int(len(uniq)))
+            self.stats.pixel_visits += int(start.size)  # second pass
+        n = self._n_runs
+        if n == 0:
+            return SegmentationMap(np.zeros(start.shape, dtype=np.int32), 0)
+        root = _resolve_runs(n, np.concatenate(self._heads),
+                             np.concatenate(self._tails), self.stats)
+        is_root = root == np.arange(n)
+        rank = np.cumsum(is_root, dtype=np.int32)
+        final_of_run = rank[root]
+        # Pixels before the first run start index -1; they are all nodata.
+        run_of_px = np.cumsum(start, dtype=np.int64).reshape(start.shape) - 1
+        seg = np.where(valid, final_of_run[run_of_px], 0).astype(np.int32, copy=False)
+        return SegmentationMap(seg, int(rank[-1]))
 
 
 def connected_components(
@@ -295,8 +310,8 @@ def build_superpixel_table(
     seg: SegmentationMap,
     image: MultiSpectralImage,
     aura: CrossAuraMap,
-) -> list[SuperpixelRecord]:
-    """One record per segment: area, bbox, per-band sums, perimeter, compactness."""
+) -> SuperpixelTable:
+    """Per segment: area, label, bbox, per-band sums, perimeter, compactness."""
     shape = cmap.labels.shape
     if seg.segment_ids.shape != shape or aura.counts.shape != shape:
         raise DimensionMismatchError("map, segmentation and aura shapes differ")
@@ -327,48 +342,57 @@ def build_superpixel_table(
     np.minimum.at(min_col, flat, cc)
     np.maximum.at(max_row, flat, rr)
     np.maximum.at(max_col, flat, cc)
-    records = []
-    for sid in range(1, n + 1):
-        p = float(perim[sid])
-        area = int(counts[sid])
-        if p > 0:
-            compactness = min(1.0, 4.0 * math.pi * area / (p * p))
-        else:
-            compactness = 1.0  # only an image-filling segment has no contour
-        records.append(
-            SuperpixelRecord(
-                segment_id=sid,
-                label=int(label_of[sid]),
-                pixel_count=area,
-                min_row=int(min_row[sid]),
-                min_col=int(min_col[sid]),
-                max_row=int(max_row[sid]),
-                max_col=int(max_col[sid]),
-                perimeter=int(p),
-                compactness=compactness,
-                band_sums=tuple(float(sums[b, sid]) for b in range(sums.shape[0])),
-            )
-        )
-    return records
+    area = counts[1:]
+    p = perim[1:]
+    # Evaluated left to right as ((4 pi) area) / (p p): another order can
+    # change the last bit and so the CSV's repr digits.  Only an
+    # image-filling segment has no contour; it counts as a disc.
+    compactness = np.ones(n, dtype=np.float64)
+    has_contour = p > 0
+    compactness[has_contour] = np.minimum(
+        1.0, 4.0 * math.pi * area[has_contour] / (p[has_contour] * p[has_contour])
+    )
+    return SuperpixelTable(
+        counts=area,
+        labels=label_of[1:],
+        min_row=min_row[1:],
+        min_col=min_col[1:],
+        max_row=max_row[1:],
+        max_col=max_col[1:],
+        perimeter=p.astype(np.int64),
+        compactness=compactness,
+        sums=sums[:, 1:],
+    )
 
 
-def write_superpixel_csv(records: Sequence[SuperpixelRecord], path: Path | str) -> None:
-    n_bands = len(records[0].band_sums) if records else 0
+#: Rows formatted per write; bounds the strings alive at once.
+_CSV_CHUNK_ROWS = 1 << 16
+
+
+def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
+    """Write the table as CSV: ints as ``str``, floats as ``repr``, CRLF rows.
+
+    The bytes equal ``csv.writer`` output of those strings: no field can
+    hold a delimiter, quote or line break, so none is quoted.
+    """
+    n = len(table)
+    n_bands = table.sums.shape[0] if n else 0
     header = [
         "segment_id", "label", "pixel_count", "min_row", "min_col",
         "max_row", "max_col", "perimeter", "compactness",
     ] + [f"sum_b{b + 1}" for b in range(n_bands)]
+    row_format = ",".join(["%d"] * 8 + ["%r"] * (1 + n_bands)) + "\r\n"
+    int_columns = (table.labels, table.counts, table.min_row, table.min_col,
+                   table.max_row, table.max_col, table.perimeter)
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for r in records:
-            writer.writerow(
-                [
-                    r.segment_id, r.label, r.pixel_count, r.min_row, r.min_col,
-                    r.max_row, r.max_col, r.perimeter, repr(r.compactness),
-                ]
-                + [repr(s) for s in r.band_sums]
-            )
+        f.write(",".join(header) + "\r\n")
+        for r0 in range(0, n, _CSV_CHUNK_ROWS):
+            r1 = min(r0 + _CSV_CHUNK_ROWS, n)
+            columns = [range(r0 + 1, r1 + 1)]
+            columns += [c[r0:r1].tolist() for c in int_columns]
+            columns.append(table.compactness[r0:r1].tolist())
+            columns += table.sums[:, r0:r1].tolist()
+            f.write("".join([row_format % row for row in zip(*columns)]))
 
 
 # ---------------------------------------------------------------------------
@@ -378,27 +402,25 @@ def write_superpixel_csv(records: Sequence[SuperpixelRecord], path: Path | str) 
 
 def reconstruct(
     seg: SegmentationMap,
-    table: Sequence[SuperpixelRecord],
+    table: SuperpixelTable,
     image: MultiSpectralImage,
 ) -> MultiSpectralImage:
     """Replace every pixel by its segment's per-band mean ("mean view")."""
     if len(table) != seg.segment_count:
         raise DataError(
-            f"table has {len(table)} records for {seg.segment_count} segments"
+            f"table has {len(table)} rows for {seg.segment_count} segments"
         )
     if image.samples.shape[1:] != seg.segment_ids.shape:
         raise DimensionMismatchError("image shape differs from segmentation shape")
-    n = seg.segment_count
-    nbands = len(image.bands)
-    means = np.zeros((n + 1, nbands), dtype=np.float64)
-    for rec in table:
-        if not 1 <= rec.segment_id <= n:
-            raise DataError(f"record segment_id {rec.segment_id} out of range")
-        means[rec.segment_id] = np.asarray(rec.band_sums) / rec.pixel_count
-    out = np.moveaxis(means[seg.segment_ids], -1, 0)
-    validity = seg.segment_ids > 0
-    out[:, ~validity] = 0.0
-    return MultiSpectralImage(image.bands, out, validity, image.dtype_name)
+    if table.sums.shape[0] != len(image.bands):
+        raise DimensionMismatchError(
+            f"table has {table.sums.shape[0]} bands, image has {len(image.bands)}"
+        )
+    # Column 0 stays zero: nodata pixels (segment id 0) gather it.
+    means = np.zeros((len(image.bands), len(table) + 1), dtype=np.float64)
+    np.divide(table.sums, table.counts, out=means[:, 1:])
+    out = means[:, seg.segment_ids]
+    return MultiSpectralImage(image.bands, out, seg.segment_ids > 0, image.dtype_name)
 
 
 def pixel_rmse(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -16,7 +16,7 @@ from specmap.classify import (
     read_map,
     write_map,
 )
-from specmap.errors import ConfigError, DataError, MappingError
+from specmap.errors import ConfigError, DataError, FormatError, MappingError
 from specmap.rules import parse_rules
 
 from helpers import (
@@ -172,6 +172,23 @@ class TestCategoricalMap:
         back = read_map(tmp_path / "m.hdr")
         assert np.array_equal(back.labels, cmap.labels)
         assert back.legend == cmap.legend
+
+    def test_labels_outside_u16_rejected_at_write(self, tmp_path):
+        for label in (70000, 65536, -1):
+            cmap = CategoricalMap(
+                np.array([[1, label]]),
+                (LegendEntry(1, "a", (0, 0, 0)), LegendEntry(label, "b", (0, 0, 0))),
+            )
+            with pytest.raises(DataError):
+                write_map(cmap, tmp_path / "m.hdr")
+        edge = CategoricalMap(np.array([[65535]]), (LegendEntry(65535, "top", (1, 2, 3)),))
+        write_map(edge, tmp_path / "m.hdr")
+        assert read_map(tmp_path / "m.hdr").labels.tolist() == [[65535]]
+
+    def test_legend_name_with_comment_marker_rejected_at_write(self, tmp_path):
+        cmap = CategoricalMap(np.array([[1]]), (LegendEntry(1, "Water // deep", (0, 0, 0)),))
+        with pytest.raises(FormatError):
+            write_map(cmap, tmp_path / "m.hdr")
 
 
 class TestAggregate:

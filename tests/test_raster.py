@@ -103,6 +103,15 @@ class TestImageIO:
         with pytest.raises(FormatError):
             read_image(hdr)
 
+    def test_open_image_rejects_oversized_payload(self, tmp_path):
+        hdr = _write_fixture(tmp_path, bytes(range(9)))
+        with pytest.raises(FormatError) as excinfo:
+            open_image(hdr)
+        assert not isinstance(excinfo.value, TruncatedFileError)
+        hdr = _write_fixture(tmp_path, bytes(range(7)))
+        with pytest.raises(TruncatedFileError):
+            open_image(hdr)
+
     def test_unknown_dtype(self, tmp_path):
         hdr = _write_fixture(tmp_path, bytes(range(8)), dtype="u13")
         with pytest.raises(FormatError):
@@ -153,6 +162,18 @@ class TestImageIO:
         write_image(read_image(tmp / "a.hdr"), tmp / "b.hdr")
         assert filecmp.cmp(tmp / "a.hdr", tmp / "b.hdr", shallow=False)
         assert filecmp.cmp(tmp / "a.bin", tmp / "b.bin", shallow=False)
+
+    def test_header_round_trip_and_unreadable_text_rejected(self, tmp_path):
+        p = tmp_path / "h.hdr"
+        entries = [("legend.1.name", "Water / deep = 1"), ("legend.2.name", "Ünïcode sea"),
+                   ("path", "a/b/c"), ("empty", "")]
+        write_header(p, entries)
+        assert read_header(p) == dict(entries)
+        for bad in ("Water // deep", "a\nb", "a\rb", "a\u2028b", "tail\n"):
+            with pytest.raises(FormatError):
+                write_header(p, [("legend.1.name", bad)])
+            with pytest.raises(FormatError):
+                write_header(p, [(bad, "x")])
 
     def test_header_rejects_non_key_value(self, tmp_path):
         p = tmp_path / "bad.hdr"

@@ -1,11 +1,16 @@
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 
 from specmap.classify import CategoricalMap
 from specmap.errors import DataError, DimensionMismatchError
 from specmap.segmentation import (
+    _CSV_CHUNK_ROWS,
     OpStats,
     SegmentationMap,
+    SuperpixelTable,
     TwoPassLabeler,
     build_superpixel_table,
     connected_components,
@@ -15,6 +20,7 @@ from specmap.segmentation import (
     reconstruct,
     rmse_map,
     write_segmentation,
+    write_superpixel_csv,
 )
 
 from helpers import image_from_planes, legend, random_image, random_map
@@ -128,6 +134,24 @@ class TestConnectedComponents:
             assert tiled.segment_count == whole.segment_count
             assert segmentations_bijective(tiled.segment_ids, whole.segment_ids)
 
+    def test_strip_fed_ids_identical_for_every_strip_height(self, rng):
+        for trial in range(8):
+            h = int(rng.integers(1, 14))
+            w = int(rng.integers(1, 14))
+            labels = rng.integers(1, 4, size=(h, w)).astype(np.int32)
+            labels[rng.random((h, w)) < 0.1] = 0
+            if trial == 0:
+                labels[0] = 0  # no run before the second row
+            for adjacency in (4, 8):
+                whole = connected_components(cat(labels, 3), adjacency)
+                for step in range(1, h + 1):
+                    labeler = TwoPassLabeler(w, adjacency)
+                    for r0 in range(0, h, step):
+                        labeler.feed(labels[r0 : r0 + step])
+                    strips = labeler.finalize()
+                    assert strips.segment_count == whole.segment_count
+                    assert np.array_equal(strips.segment_ids, whole.segment_ids)
+
     def test_visit_and_union_accounting(self, rng):
         labels = rng.integers(1, 4, size=(30, 30)).astype(np.int32)
         stats = OpStats()
@@ -227,14 +251,14 @@ class TestSuperpixelTable:
         aura = cross_aura(cmap, 8)
         planes = {"b1": np.full((4, 5), 0.25), "b2": np.full((4, 5), 0.5)}
         image = image_from_planes(planes)
-        records = build_superpixel_table(cmap, seg, image, aura)
-        assert len(records) == 1
-        rec = records[0]
-        assert rec.pixel_count == 20
-        assert rec.label == 1
-        assert (rec.min_row, rec.min_col, rec.max_row, rec.max_col) == (0, 0, 3, 4)
-        assert rec.perimeter == 0 and rec.compactness == 1.0
-        assert rec.band_sums == (pytest.approx(5.0), pytest.approx(10.0))
+        table = build_superpixel_table(cmap, seg, image, aura)
+        assert len(table) == 1
+        assert table.counts.tolist() == [20]
+        assert table.labels.tolist() == [1]
+        bbox = (table.min_row[0], table.min_col[0], table.max_row[0], table.max_col[0])
+        assert bbox == (0, 0, 3, 4)
+        assert table.perimeter[0] == 0 and table.compactness[0] == 1.0
+        assert tuple(table.sums[:, 0].tolist()) == (pytest.approx(5.0), pytest.approx(10.0))
 
     def test_two_segment_sums(self):
         labels = np.array([[1, 1, 2, 2]])
@@ -244,34 +268,44 @@ class TestSuperpixelTable:
         # band values 10 and 20 vs 30 and 30, on a 0-255 encoding
         b = np.array([[10.0, 20.0, 30.0, 30.0]]) / 255.0
         image = image_from_planes({"b1": b, "b2": b})
-        records = build_superpixel_table(cmap, seg, image, aura)
-        sums = [rec.band_sums[0] * 255.0 for rec in records]
+        table = build_superpixel_table(cmap, seg, image, aura)
+        sums = (table.sums[0] * 255.0).tolist()
         assert sums == [pytest.approx(30.0), pytest.approx(60.0)]
 
     def test_pixel_count_histogram_oracle(self, rng):
         cmap, seg, image, aura = _table_inputs(rng, nodata=0.08)
-        records = build_superpixel_table(cmap, seg, image, aura)
+        table = build_superpixel_table(cmap, seg, image, aura)
         histogram = np.bincount(
             seg.segment_ids[seg.segment_ids > 0], minlength=seg.segment_count + 1
         )
-        for rec in records:
-            assert rec.pixel_count == histogram[rec.segment_id]
-        assert sum(r.pixel_count for r in records) == int(
-            np.count_nonzero(cmap.labels)
-        )
+        assert len(table) == seg.segment_count
+        for sid in range(1, seg.segment_count + 1):
+            assert table.counts[sid - 1] == histogram[sid]
+        assert int(table.counts.sum()) == int(np.count_nonzero(cmap.labels))
 
     def test_perimeter_is_member_aura_sum(self, rng):
         cmap, seg, image, aura = _table_inputs(rng)
-        records = build_superpixel_table(cmap, seg, image, aura)
-        for rec in records:
-            member = seg.segment_ids == rec.segment_id
-            assert rec.perimeter == int(aura.counts[member].sum())
+        table = build_superpixel_table(cmap, seg, image, aura)
+        for sid in range(1, seg.segment_count + 1):
+            member = seg.segment_ids == sid
+            assert table.perimeter[sid - 1] == int(aura.counts[member].sum())
+
+    def test_bbox_and_label_per_segment_oracle(self, rng):
+        cmap, seg, image, aura = _table_inputs(rng, nodata=0.08)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        for sid in range(1, seg.segment_count + 1):
+            rr, cc = np.nonzero(seg.segment_ids == sid)
+            i = sid - 1
+            assert table.labels[i] == cmap.labels[rr[0], cc[0]]
+            got = (table.min_row[i], table.min_col[i], table.max_row[i], table.max_col[i])
+            assert got == (rr.min(), cc.min(), rr.max(), cc.max())
 
     def test_compactness_in_unit_interval(self, rng):
         cmap, seg, image, aura = _table_inputs(rng)
-        records = build_superpixel_table(cmap, seg, image, aura)
-        for rec in records:
-            assert 0.0 < rec.compactness <= 1.0
+        table = build_superpixel_table(cmap, seg, image, aura)
+        assert len(table) == seg.segment_count
+        for compactness in table.compactness:
+            assert 0.0 < compactness <= 1.0
 
     def test_dimension_mismatch_rejected(self, rng):
         cmap, seg, image, aura = _table_inputs(rng)
@@ -292,6 +326,66 @@ class TestSuperpixelTable:
             build_superpixel_table(wrong, seg, image, aura)
 
 
+def _reference_csv(table, path):
+    """The superpixel CSV written row by row with ``csv.writer`` and ``repr``."""
+    n_bands = table.sums.shape[0] if len(table) else 0
+    int_columns = (table.labels, table.counts, table.min_row, table.min_col,
+                   table.max_row, table.max_col, table.perimeter)
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(
+            ["segment_id", "label", "pixel_count", "min_row", "min_col",
+             "max_row", "max_col", "perimeter", "compactness"]
+            + [f"sum_b{b + 1}" for b in range(n_bands)]
+        )
+        for i in range(len(table)):
+            writer.writerow(
+                [i + 1] + [int(c[i]) for c in int_columns]
+                + [repr(float(table.compactness[i]))]
+                + [repr(float(v)) for v in table.sums[:, i]]
+            )
+
+
+def _random_table(rng, n, n_bands):
+    def ints(high):
+        return rng.integers(0, high, n)
+
+    compactness = rng.random(n)
+    compactness[::7] = 1.0
+    sums = rng.random((n_bands, n)) * 10.0 ** rng.integers(-9, 7, (n_bands, n))
+    sums[:, ::5] = 0.0
+    return SuperpixelTable(
+        counts=ints(10**6) + 1, labels=ints(65536), min_row=ints(5000),
+        min_col=ints(5000), max_row=ints(5000), max_col=ints(5000),
+        perimeter=ints(10**7), compactness=compactness, sums=sums,
+    )
+
+
+class TestSuperpixelCsv:
+    def test_bytes_match_csv_writer_reference(self, rng, tmp_path):
+        cmap, seg, image, aura = _table_inputs(rng, nodata=0.1)
+        constant = cat(np.ones((5, 6)))
+        whole = connected_components(constant, 8)
+        nodata = cat(np.zeros((3, 4)), 1)
+        tables = [
+            build_superpixel_table(cmap, seg, image, aura),
+            # one image-filling segment: perimeter 0, compactness 1.0
+            build_superpixel_table(constant, whole, random_image(rng, 2, 5, 6),
+                                   cross_aura(constant, 8)),
+            # an all-nodata map: no segments, header only
+            build_superpixel_table(nodata, connected_components(nodata, 8),
+                                   random_image(rng, 2, 3, 4), cross_aura(nodata, 8)),
+            _random_table(rng, _CSV_CHUNK_ROWS + 1234, 4),
+        ]
+        assert tables[1].compactness.tolist() == [1.0]
+        for table in tables:
+            write_superpixel_csv(table, tmp_path / "got.csv")
+            _reference_csv(table, tmp_path / "want.csv")
+            got = (tmp_path / "got.csv").read_bytes()
+            assert got == (tmp_path / "want.csv").read_bytes()
+            assert got.count(b"\r\n") == len(table) + 1
+
+
 class TestReconstructAndRmse:
     def test_piecewise_constant_fixed_point(self, rng):
         cmap = random_map(rng, 10, 10, 3)
@@ -302,8 +396,8 @@ class TestReconstructAndRmse:
         per_segment = rng.integers(0, 257, (seg.segment_count + 1, 2)) / 256.0
         samples = np.moveaxis(per_segment[seg.segment_ids], -1, 0)
         image = image_from_planes({"b1": samples[0], "b2": samples[1]})
-        records = build_superpixel_table(cmap, seg, image, aura)
-        recon = reconstruct(seg, records, image)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        recon = reconstruct(seg, table, image)
         assert np.array_equal(recon.samples, image.samples)
         rmse = rmse_map(image, recon)
         assert (rmse.values == 0).all()
@@ -317,14 +411,14 @@ class TestReconstructAndRmse:
         aura = cross_aura(cmap, 8)
         b = np.array([[10.0, 20.0]]) / 255.0
         image = image_from_planes({"b1": b, "b2": b})
-        records = build_superpixel_table(cmap, seg, image, aura)
-        recon = reconstruct(seg, records, image)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        recon = reconstruct(seg, table, image)
         assert np.allclose(recon.samples, 15.0 / 255.0)
 
     def test_group_by_oracle(self, rng):
         cmap, seg, image, aura = _table_inputs(rng, nodata=0.05)
-        records = build_superpixel_table(cmap, seg, image, aura)
-        recon = reconstruct(seg, records, image)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        recon = reconstruct(seg, table, image)
         means = group_by_means(seg.segment_ids, image.samples)
         for sid, mean in means.items():
             member = seg.segment_ids == sid
@@ -350,8 +444,8 @@ class TestReconstructAndRmse:
 
     def test_rmse_stats_match_scalar_reference(self, rng):
         cmap, seg, image, aura = _table_inputs(rng, nodata=0.05)
-        records = build_superpixel_table(cmap, seg, image, aura)
-        recon = reconstruct(seg, records, image)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        recon = reconstruct(seg, table, image)
         rmse = rmse_map(image, recon)
         stats = rmse.stats()
         lo, hi, mean, stdev = scalar_rmse_stats(
@@ -364,17 +458,22 @@ class TestReconstructAndRmse:
 
     def test_rmse_zero_iff_reconstruction_fixed_point(self, rng):
         cmap, seg, image, aura = _table_inputs(rng)
-        records = build_superpixel_table(cmap, seg, image, aura)
-        recon = reconstruct(seg, records, image)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        recon = reconstruct(seg, table, image)
         rmse = rmse_map(image, recon)
         fixed_point = np.allclose(recon.samples, image.samples, atol=1e-15)
         assert ((rmse.values == 0).all()) == fixed_point
 
     def test_table_mismatch_rejected(self, rng):
         cmap, seg, image, aura = _table_inputs(rng)
-        records = build_superpixel_table(cmap, seg, image, aura)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        short = SuperpixelTable(**{
+            f.name: getattr(table, f.name)[..., :-1] for f in dataclasses.fields(table)
+        })
         with pytest.raises(DataError):
-            reconstruct(seg, records[:-1], image)
+            reconstruct(seg, short, image)
+        with pytest.raises(DataError):  # one column shorter than the rest
+            dataclasses.replace(table, perimeter=table.perimeter[:-1])
 
     def test_rmse_dimension_mismatch(self, rng):
         a = random_image(rng, 2, 4, 4)
