@@ -46,7 +46,9 @@ from .compare import (
     write_relation_csv,
 )
 from .errors import SpecmapError
-from .evidence import combine, read_evidence_csv, write_scores_csv
+# ``combine`` is not called here; the benchmark's span tracer
+# (bench/traced.py) wraps ``specmap.cli.combine`` by name.
+from .evidence import combine, read_evidence_csv, score_table, write_scores_csv  # noqa: F401
 from .rules import parse_rules
 from .segmentation import (
     TwoPassLabeler,
@@ -442,15 +444,14 @@ def cmd_evidence(relation_path, vectors_path, output_path, as_json):
     })
     try:
         rel = read_relation_csv(relation_path)
-        vectors = read_evidence_csv(vectors_path, rel)
-        scored = [(vid, combine(ev, rel)) for vid, ev in vectors]
-        write_scores_csv(output_path, scored)
+        table = read_evidence_csv(vectors_path, rel)
+        write_scores_csv(output_path, table.ids, rel.ref_names, score_table(table, rel))
     except SpecmapError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     _write_manifest(output_path.with_suffix(".manifest.json"), config,
                     [relation_path, vectors_path], [output_path])
-    _emit({"out": str(output_path), "vectors": len(scored)}, as_json)
+    _emit({"out": str(output_path), "vectors": len(table)}, as_json)
 
 
 if __name__ == "__main__":

@@ -122,8 +122,11 @@ class MultiSpectralImage:
             raise DimensionMismatchError(
                 "validity mask shape differs from band planes"
             )
-        v = self.samples[:, self.validity]
-        if v.size and (v.min() < 0.0 or v.max() > 1.0):
+        # Masked reductions: no copy of the valid samples.  An empty mask
+        # passes, and NaN propagates to both ends and passes, as before.
+        low = np.min(self.samples, where=self.validity, initial=np.inf)
+        high = np.max(self.samples, where=self.validity, initial=-np.inf)
+        if low < 0.0 or high > 1.0:
             raise DataError("valid samples must lie in [0, 1]")
 
     @property
@@ -169,7 +172,11 @@ _LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def write_header(path: Path | str, entries: list[tuple[str, str]]) -> None:
-    """Write ``key = value`` lines; refuses text ``read_header`` would cut short."""
+    """Write ``key = value`` lines; refuses text ``read_header`` would change.
+
+    ``read_header`` cuts a line at ``//`` or a line break, strips whitespace
+    around keys and values, and splits at the first ``=``.
+    """
     for key, value in entries:
         for text in (key, value):
             if "//" in text or any(c in text for c in _LINE_BREAKS):
@@ -177,6 +184,16 @@ def write_header(path: Path | str, entries: list[tuple[str, str]]) -> None:
                     f"{path}: header entry {key!r} = {value!r} holds '//' or a "
                     "line break, which the header format cannot carry"
                 )
+            if text != text.strip():
+                raise FormatError(
+                    f"{path}: header entry {key!r} = {value!r} has leading or "
+                    "trailing whitespace, which reading would strip"
+                )
+        if not key or "=" in key:
+            raise FormatError(
+                f"{path}: header key {key!r} is empty or holds '=', "
+                "which reading would split differently"
+            )
     lines = [f"{k} = {v}" for k, v in entries]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -376,7 +376,7 @@ def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
     hold a delimiter, quote or line break, so none is quoted.
     """
     n = len(table)
-    n_bands = table.sums.shape[0] if n else 0
+    n_bands = table.sums.shape[0]
     header = [
         "segment_id", "label", "pixel_count", "min_row", "min_col",
         "max_row", "max_col", "perimeter", "compactness",

@@ -175,6 +175,23 @@ class TestImageIO:
             with pytest.raises(FormatError):
                 write_header(p, [(bad, "x")])
 
+    @pytest.mark.parametrize("key, value", [
+        ("legend.1.name", " Water "),   # read back as 'Water'
+        ("legend.1.name", "Water\t"),
+        (" width", "2"),
+        ("a=b", "c"),                   # read back as key 'a', value 'b = c'
+    ])
+    def test_header_refuses_text_reading_would_change(self, tmp_path, key, value):
+        p = tmp_path / "h.hdr"
+        p.write_text(f"{key} = {value}\n", encoding="utf-8")
+        assert read_header(p) != {key: value}
+        with pytest.raises(FormatError):
+            write_header(p, [(key, value)])
+
+    def test_header_refuses_empty_key(self, tmp_path):
+        with pytest.raises(FormatError):
+            write_header(tmp_path / "h.hdr", [("", "x")])
+
     def test_header_rejects_non_key_value(self, tmp_path):
         p = tmp_path / "bad.hdr"
         p.write_text("width 2\n")

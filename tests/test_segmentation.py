@@ -328,7 +328,7 @@ class TestSuperpixelTable:
 
 def _reference_csv(table, path):
     """The superpixel CSV written row by row with ``csv.writer`` and ``repr``."""
-    n_bands = table.sums.shape[0] if len(table) else 0
+    n_bands = table.sums.shape[0]
     int_columns = (table.labels, table.counts, table.min_row, table.min_col,
                    table.max_row, table.max_col, table.perimeter)
     with open(path, "w", newline="", encoding="utf-8") as f:
@@ -384,6 +384,11 @@ class TestSuperpixelCsv:
             got = (tmp_path / "got.csv").read_bytes()
             assert got == (tmp_path / "want.csv").read_bytes()
             assert got.count(b"\r\n") == len(table) + 1
+        # the all-nodata table still names its two bands
+        write_superpixel_csv(tables[2], tmp_path / "got.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (
+            b"segment_id,label,pixel_count,min_row,min_col,max_row,max_col,"
+            b"perimeter,compactness,sum_b1,sum_b2\r\n")
 
 
 class TestReconstructAndRmse:
