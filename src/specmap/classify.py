@@ -1,4 +1,4 @@
-"""Ordered-rule color naming: categorical maps, classification, aggregation.
+"""Ordered-rule color naming: categorical maps, classification, map I/O.
 
 Label 0 is reserved for nodata.  Every other label is a legend entry, and
 for maps produced by ``classify`` the labels are the rule indices.
@@ -6,7 +6,6 @@ for maps produced by ``classify`` the labels are the rule indices.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -14,7 +13,7 @@ from typing import Iterable
 import numpy as np
 
 from . import raster
-from .errors import ConfigError, DataError, FormatError, MappingError
+from .errors import ConfigError, DataError, FormatError
 from .raster import ImageSource, MultiSpectralImage, Strip, stream_strips
 from .rules import RuleSet, eval_expr
 
@@ -68,25 +67,6 @@ class CategoricalMap:
     @property
     def validity(self) -> np.ndarray:
         return self.labels != NODATA
-
-    def names(self) -> dict[int, str]:
-        return {e.label: e.name for e in self.legend}
-
-
-@dataclass
-class LegendAggregation:
-    """Total child-label to parent-label function between two legends."""
-
-    mapping: dict[int, int]
-    parent_legend: tuple[LegendEntry, ...]
-
-    def __post_init__(self):
-        parents = {e.label for e in self.parent_legend}
-        missing = set(self.mapping.values()) - parents
-        if missing:
-            raise ConfigError(
-                f"mapping targets missing from parent legend: {sorted(missing)}"
-            )
 
 
 @dataclass
@@ -234,7 +214,7 @@ def classify_streamed(
         if counter is not None:
             counter.visits += int(rows.size)
 
-    strips = stream_strips(source, strip_height, overlap=0)
+    strips = stream_strips(source, strip_height)
     if workers <= 1:
         for strip in strips:
             finish(strip.core_start, classify_strip(strip, ruleset, policy))
@@ -261,80 +241,6 @@ def legend_from_ruleset(ruleset: RuleSet) -> tuple[LegendEntry, ...]:
         LegendEntry(label, name, color)
         for label, name, color in ruleset.legend_entries()
     )
-
-
-# ---------------------------------------------------------------------------
-# Legend aggregation
-# ---------------------------------------------------------------------------
-
-
-def relabel(labels: np.ndarray, mapping: dict[int, int]) -> np.ndarray:
-    """Apply a label-to-label function, preserving nodata."""
-    present = set(np.unique(labels).tolist()) - {NODATA}
-    unmapped = present - set(mapping)
-    if unmapped:
-        raise MappingError(f"labels outside the mapping domain: {sorted(unmapped)}")
-    lut = np.zeros(max([NODATA, *mapping.keys()]) + 1, dtype=np.int32)
-    for child, parent in mapping.items():
-        lut[child] = parent
-    return lut[labels]
-
-
-def aggregate(cmap: CategoricalMap, agg: LegendAggregation) -> CategoricalMap:
-    """Merge child classes into parent classes through a total mapping."""
-    map_labels = {e.label for e in cmap.legend}
-    missing = map_labels - set(agg.mapping)
-    if missing:
-        raise MappingError(
-            f"aggregation is not total: no parent for labels {sorted(missing)}"
-        )
-    return CategoricalMap(relabel(cmap.labels, agg.mapping), agg.parent_legend)
-
-
-def compose_aggregations(
-    first: LegendAggregation, second: LegendAggregation
-) -> LegendAggregation:
-    """child -> parent1 -> parent2 collapsed into one mapping."""
-    mapping = {c: second.mapping[p] for c, p in first.mapping.items()}
-    return LegendAggregation(mapping, second.parent_legend)
-
-
-def auto_color(i: int) -> tuple[int, int, int]:
-    """Deterministic, well-spread colors for synthesized legend entries."""
-    import colorsys
-
-    hue = (i * 0.6180339887498949) % 1.0
-    r, g, b = colorsys.hsv_to_rgb(hue, 0.55, 0.92)
-    return (int(r * 255), int(g * 255), int(b * 255))
-
-
-def read_aggregation(
-    path: Path | str, parent_legend: tuple[LegendEntry, ...] | None = None
-) -> LegendAggregation:
-    """Read a ``child_label,parent_label`` CSV.
-
-    Without an explicit parent legend, entries are synthesized as
-    ``class-<label>`` with generated colors.
-    """
-    mapping: dict[int, int] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {
-            "child_label",
-            "parent_label",
-        } <= set(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns child_label,parent_label")
-        for row in reader:
-            child = int(row["child_label"])
-            if child in mapping:
-                raise FormatError(f"{path}: duplicate child_label {child}")
-            mapping[child] = int(row["parent_label"])
-    if parent_legend is None:
-        parents = sorted(set(mapping.values()))
-        parent_legend = tuple(
-            LegendEntry(p, f"class-{p}", auto_color(i)) for i, p in enumerate(parents)
-        )
-    return LegendAggregation(mapping, parent_legend)
 
 
 # ---------------------------------------------------------------------------

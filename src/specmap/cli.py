@@ -22,10 +22,8 @@ import numpy as np
 from . import __version__, raster
 from .classify import (
     PixelVisitCounter,
-    aggregate,
     classify,
     classify_streamed,
-    read_aggregation,
     read_map,
     write_map,
 )
@@ -35,6 +33,7 @@ from .compare import (
     build_translation,
     cvpai2,
     harmonize,
+    read_aggregation,
     read_contingency_csv,
     read_legend_mapping,
     read_overrides_csv,
@@ -190,7 +189,7 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
                 f"for {expected} pixels"
             )
         if aggregate_path is not None:
-            cmap = aggregate(cmap, read_aggregation(aggregate_path))
+            cmap = translate_legend(cmap, read_aggregation(aggregate_path))
         write_map(cmap, output_path)
     except SpecmapError as exc:
         click.echo(f"error: {exc}", err=True)

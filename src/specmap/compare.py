@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import NODATA, CategoricalMap, LegendEntry, auto_color, relabel
+from .classify import NODATA, CategoricalMap, LegendEntry
 from .errors import (
     AmbiguousMappingError,
     ConfigError,
@@ -214,9 +214,19 @@ def cvpai2(rel: LegendRelation) -> float:
 
 
 @dataclass
-class LegendTranslation:
+class LegendAggregation:
+    """Child-label to parent-label function between two legends."""
+
     mapping: dict[int, int]
     parent_legend: tuple[LegendEntry, ...]
+
+    def __post_init__(self):
+        parents = {e.label for e in self.parent_legend}
+        missing = set(self.mapping.values()) - parents
+        if missing:
+            raise ConfigError(
+                f"mapping targets missing from parent legend: {sorted(missing)}"
+            )
 
 
 @dataclass(frozen=True)
@@ -227,63 +237,124 @@ class MappingRow:
     parent_name: str
 
 
-def translate_legend(cmap: CategoricalMap, translation: LegendTranslation) -> CategoricalMap:
-    """Relabel a map onto the parent legend through a total function."""
-    return CategoricalMap(
-        relabel(cmap.labels, translation.mapping), translation.parent_legend
-    )
+def auto_color(i: int) -> tuple[int, int, int]:
+    """Deterministic, well-spread colors for synthesized legend entries."""
+    import colorsys
+
+    hue = (i * 0.6180339887498949) % 1.0
+    r, g, b = colorsys.hsv_to_rgb(hue, 0.55, 0.92)
+    return (int(r * 255), int(g * 255), int(b * 255))
+
+
+def translate_legend(cmap: CategoricalMap, agg: LegendAggregation) -> CategoricalMap:
+    """Relabel a map onto the parent legend, preserving nodata.
+
+    Every label of the map's legend must be in the mapping domain, whether
+    or not a pixel carries it.
+    """
+    missing = {e.label for e in cmap.legend} - set(agg.mapping)
+    if missing:
+        raise MappingError(
+            f"mapping is not total: no parent for labels {sorted(missing)}"
+        )
+    # Only the legend's labels enter the table: a child outside it, even a
+    # negative one that would index from the end, cannot change the result.
+    children = [e.label for e in cmap.legend]
+    lut = np.zeros(max([NODATA, *children]) + 1, dtype=np.int32)
+    for child in children:
+        lut[child] = agg.mapping[child]
+    return CategoricalMap(lut[cmap.labels], agg.parent_legend)
+
+
+def _csv_rows(
+    path: Path | str, columns: Sequence[str], ints: Sequence[str] = ()
+) -> list[tuple[int, dict]]:
+    """(line, row) for each data row of a CSV whose header names ``columns``.
+
+    A row with fewer or more fields than the header, or a field named in
+    ``ints`` that is not an integer, is a FormatError naming the line.
+    Fields in ``ints`` come back as ``int``.
+    """
+    out: list[tuple[int, dict]] = []
+    with open(path, newline="", encoding="utf-8") as f:
+        reader = csv.DictReader(f)
+        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
+            raise FormatError(f"{path}: expected columns {','.join(columns)}")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            if None in row or None in row.values():
+                raise FormatError(
+                    f"{where}: expected {len(reader.fieldnames)} fields"
+                )
+            for key in ints:
+                try:
+                    row[key] = int(row[key])
+                except ValueError:
+                    raise FormatError(
+                        f"{where}: {key} {row[key]!r} is not an integer"
+                    ) from None
+            out.append((reader.line_num, row))
+    return out
 
 
 def read_legend_mapping(path: Path | str) -> list[MappingRow]:
     """Read mapping rows; a child listed with several parents is ambiguous."""
-    rows: list[MappingRow] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        needed = {"child_label", "child_name", "parent_label", "parent_name"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise FormatError(
-                f"{path}: expected columns child_label,child_name,"
-                "parent_label,parent_name"
-            )
-        for row in reader:
-            rows.append(
-                MappingRow(
-                    int(row["child_label"]),
-                    row["child_name"],
-                    int(row["parent_label"]),
-                    row["parent_name"],
-                )
-            )
-    return rows
+    columns = ("child_label", "child_name", "parent_label", "parent_name")
+    return [
+        MappingRow(row["child_label"], row["child_name"],
+                   row["parent_label"], row["parent_name"])
+        for _, row in _csv_rows(path, columns, ints=("child_label", "parent_label"))
+    ]
 
 
 def read_resolution(path: Path | str) -> dict[int, int]:
-    out: dict[int, int] = {}
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {
-            "child_label",
-            "parent_label",
-        } <= set(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns child_label,parent_label")
-        for row in reader:
-            out[int(row["child_label"])] = int(row["parent_label"])
-    return out
+    """Read a ``child_label,parent_label`` CSV; a repeated child is a FormatError."""
+    columns = ("child_label", "parent_label")
+    mapping: dict[int, int] = {}
+    for line, row in _csv_rows(path, columns, ints=columns):
+        child = row["child_label"]
+        if child in mapping:
+            raise FormatError(f"{path}: line {line}: duplicate child_label {child}")
+        mapping[child] = row["parent_label"]
+    return mapping
+
+
+def read_aggregation(
+    path: Path | str, parent_legend: tuple[LegendEntry, ...] | None = None
+) -> LegendAggregation:
+    """Read a ``child_label,parent_label`` CSV as an aggregation.
+
+    Without an explicit parent legend, entries are synthesized as
+    ``class-<label>`` with generated colors.
+    """
+    mapping = read_resolution(path)
+    if parent_legend is None:
+        parents = sorted(set(mapping.values()))
+        parent_legend = tuple(
+            LegendEntry(p, f"class-{p}", auto_color(i)) for i, p in enumerate(parents)
+        )
+    return LegendAggregation(mapping, parent_legend)
 
 
 def build_translation(
     rows: Iterable[MappingRow], resolution: dict[int, int] | None = None
-) -> LegendTranslation:
-    """Collapse mapping rows into a total function.
+) -> LegendAggregation:
+    """Collapse mapping rows into a function over the listed children.
 
     Children with several candidate parents must be decided by the
-    resolution; otherwise AmbiguousMappingError lists them.
+    resolution; otherwise AmbiguousMappingError lists them.  A parent label
+    listed under two different names is a MappingError.
     """
     candidates: dict[int, dict[int, str]] = {}
     parent_names: dict[int, str] = {}
     for row in rows:
         candidates.setdefault(row.child_label, {})[row.parent_label] = row.parent_name
-        parent_names[row.parent_label] = row.parent_name
+        known = parent_names.setdefault(row.parent_label, row.parent_name)
+        if known != row.parent_name:
+            raise MappingError(
+                f"parent label {row.parent_label} is named both {known!r} "
+                f"and {row.parent_name!r}"
+            )
     mapping: dict[int, int] = {}
     unresolved: list[int] = []
     for child, parents in candidates.items():
@@ -305,7 +376,7 @@ def build_translation(
         LegendEntry(label, parent_names[label], auto_color(i))
         for i, label in enumerate(sorted(parent_names))
     )
-    return LegendTranslation(mapping, legend)
+    return LegendAggregation(mapping, legend)
 
 
 # ---------------------------------------------------------------------------
@@ -331,16 +402,31 @@ def write_matrix_csv(
 
 
 def read_matrix_csv(path: Path | str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Read a named matrix; every row needs the header's field count, every
+    cell a number, and test and reference names must each be distinct."""
     with open(path, newline="", encoding="utf-8") as f:
         reader = csv.reader(f)
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if len(rows) < 2:
         raise FormatError(f"{path}: matrix CSV needs a header and one row")
-    ref_names = tuple(name for name in rows[0][1:])
-    test_names = tuple(row[0] for row in rows[1:])
-    values = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-    if values.shape[1] != len(ref_names):
-        raise FormatError(f"{path}: ragged matrix CSV")
+    header_line, header = rows[0]
+    ref_names = tuple(header[1:])
+    if len(set(ref_names)) < len(ref_names):
+        raise FormatError(f"{path}: line {header_line}: repeated reference names")
+    test_names = tuple(row[0] for _, row in rows[1:])
+    values = np.empty((len(test_names), len(ref_names)))
+    for i, (line, row) in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise FormatError(
+                f"{path}: line {line}: ragged matrix CSV, {len(row)} fields "
+                f"where the header has {len(header)}"
+            )
+        if row[0] in test_names[:i]:
+            raise FormatError(f"{path}: line {line}: repeated test name {row[0]!r}")
+        try:
+            values[i] = [float(v) for v in row[1:]]
+        except ValueError:
+            raise FormatError(f"{path}: line {line}: non-numeric cell") from None
     return test_names, ref_names, values
 
 
@@ -368,21 +454,8 @@ def write_relation_csv(path: Path | str, rel: LegendRelation) -> None:
 
 
 def read_overrides_csv(path: Path | str) -> list[Override]:
-    out: list[Override] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        needed = {"test_label", "reference_label", "value", "note"}
-        if reader.fieldnames is None or not needed <= set(reader.fieldnames):
-            raise FormatError(
-                f"{path}: expected columns test_label,reference_label,value,note"
-            )
-        for row in reader:
-            out.append(
-                Override(
-                    row["test_label"],
-                    row["reference_label"],
-                    int(row["value"]),
-                    row["note"],
-                )
-            )
-    return out
+    columns = ("test_label", "reference_label", "value", "note")
+    return [
+        Override(row["test_label"], row["reference_label"], row["value"], row["note"])
+        for _, row in _csv_rows(path, columns, ints=("value",))
+    ]

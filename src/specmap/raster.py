@@ -137,12 +137,6 @@ class MultiSpectralImage:
     def height(self) -> int:
         return self.samples.shape[1]
 
-    def band_plane(self, band_id: int) -> np.ndarray:
-        for i, b in enumerate(self.bands):
-            if b.band_id == band_id:
-                return self.samples[i]
-        raise ConfigError(f"no band with id {band_id}")
-
 
 # ---------------------------------------------------------------------------
 # Header / payload I/O
@@ -354,41 +348,13 @@ strip_ledger = BufferLedger()
 
 
 @dataclass
-class StripCursor:
-    """Iteration state for strip streaming."""
-
-    strip_height: int
-    overlap: int = 0
-    current_row: int = 0  # absolute row where the next strip's core begins
-
-    def __post_init__(self):
-        if self.strip_height < 1:
-            raise ConfigError("strip_height must be >= 1")
-        if self.overlap < 0:
-            raise ConfigError("overlap must be >= 0")
-
-
-@dataclass
 class Strip:
-    """A view of consecutive image rows.  ``core_*`` excludes overlap rows."""
+    """Consecutive image rows, the first at absolute row ``core_start``."""
 
-    row_start: int      # absolute row of samples[:, 0, :]
-    core_start: int     # absolute row of the first non-overlap row
+    core_start: int
     bands: tuple[BandMetadata, ...]
-    samples: np.ndarray
-    validity: np.ndarray
-
-    @property
-    def nrows(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def core_samples(self) -> np.ndarray:
-        return self.samples[:, self.core_start - self.row_start :, :]
-
-    @property
-    def core_validity(self) -> np.ndarray:
-        return self.validity[self.core_start - self.row_start :, :]
+    core_samples: np.ndarray   # (nbands, rows, width)
+    core_validity: np.ndarray  # (rows, width)
 
 
 class ImageSource:
@@ -441,30 +407,27 @@ class ImageSource:
 def stream_strips(
     source: MultiSpectralImage | ImageSource,
     strip_height: int,
-    overlap: int = 0,
 ) -> Iterator[Strip]:
     """Yield strips covering the image top to bottom.
 
-    The concatenation of core rows reproduces the full image exactly.  For a
-    file-backed source, held memory stays O(strip_height x width x bands)
+    The concatenation of the strips reproduces the full image exactly.  For
+    a file-backed source, held memory stays O(strip_height x width x bands)
     regardless of image height; in-memory sources yield zero-copy views.
     """
-    cursor = StripCursor(strip_height, overlap)
+    if strip_height < 1:
+        raise ConfigError("strip_height must be >= 1")
     height = source.height
     file_backed = isinstance(source, ImageSource)
-    while cursor.current_row < height:
-        core_start = cursor.current_row
-        core_end = min(core_start + cursor.strip_height, height)
-        row0 = max(0, core_start - cursor.overlap) if core_start > 0 else 0
+    for row0 in range(0, height, strip_height):
+        row1 = min(row0 + strip_height, height)
         if file_backed:
-            samples, validity = source.read_rows(row0, core_end)
+            samples, validity = source.read_rows(row0, row1)
         else:
-            samples = source.samples[:, row0:core_end, :]
-            validity = source.validity[row0:core_end, :]
-        yield Strip(row0, core_start, tuple(source.bands), samples, validity)
+            samples = source.samples[:, row0:row1, :]
+            validity = source.validity[row0:row1, :]
+        yield Strip(row0, tuple(source.bands), samples, validity)
         if file_backed:
-            source.release_rows(row0, core_end)
-        cursor.current_row = core_end
+            source.release_rows(row0, row1)
 
 
 def open_image(header_path: Path | str) -> ImageSource:

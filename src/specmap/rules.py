@@ -333,10 +333,6 @@ class RuleSet:
                     + ", ".join(sorted(unknown))
                 )
 
-    @property
-    def band_map(self) -> dict[str, float]:
-        return dict(self.declared_bands)
-
     def required_bands(self) -> frozenset[str]:
         out: set[str] = set()
         for rule in self.rules:

@@ -1,21 +1,16 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from specmap.classify import (
     CategoricalMap,
-    LegendAggregation,
     LegendEntry,
     PixelVisitCounter,
-    aggregate,
     classify,
     classify_streamed,
-    compose_aggregations,
-    read_aggregation,
     read_map,
     write_map,
 )
+from specmap.compare import LegendAggregation, translate_legend
 from specmap.errors import ConfigError, DataError, FormatError, MappingError
 from specmap.rules import parse_rules
 
@@ -157,6 +152,32 @@ class TestClassify:
         assert parse_rules(header + permuted).rules[1].name == "broad"
 
 
+class TestAggregate:
+    """Legend aggregation of a classified map, applied by translate_legend."""
+
+    def test_identity(self, rng):
+        cmap = random_map(rng, 8, 8, 4)
+        agg = LegendAggregation({i: i for i in range(1, 5)}, cmap.legend)
+        assert np.array_equal(translate_legend(cmap, agg).labels, cmap.labels)
+
+    def test_lookup_oracle(self, rng):
+        cmap = random_map(rng, 16, 16, 6, nodata_fraction=0.05)
+        mapping = {i: int(rng.integers(1, 4)) for i in range(1, 7)}
+        agg = LegendAggregation(mapping, legend(3))
+        out = translate_legend(cmap, agg)
+        for r in range(16):
+            for c in range(16):
+                child = int(cmap.labels[r, c])
+                expected = 0 if child == 0 else mapping[child]
+                assert out.labels[r, c] == expected
+
+    def test_partial_mapping_rejected(self, rng):
+        cmap = random_map(rng, 4, 4, 3)
+        agg = LegendAggregation({1: 1, 2: 1}, legend(1))
+        with pytest.raises(MappingError):
+            translate_legend(cmap, agg)
+
+
 class TestCategoricalMap:
     def test_labels_must_be_in_legend(self):
         with pytest.raises(DataError):
@@ -189,56 +210,3 @@ class TestCategoricalMap:
         cmap = CategoricalMap(np.array([[1]]), (LegendEntry(1, "Water // deep", (0, 0, 0)),))
         with pytest.raises(FormatError):
             write_map(cmap, tmp_path / "m.hdr")
-
-
-class TestAggregate:
-    def test_identity(self, rng):
-        cmap = random_map(rng, 8, 8, 4)
-        agg = LegendAggregation({i: i for i in range(1, 5)}, cmap.legend)
-        assert np.array_equal(aggregate(cmap, agg).labels, cmap.labels)
-
-    def test_constant_collapse(self, rng):
-        cmap = random_map(rng, 8, 8, 4)
-        agg = LegendAggregation({i: 1 for i in range(1, 5)}, legend(1))
-        out = aggregate(cmap, agg)
-        assert (out.labels == 1).all()
-
-    def test_lookup_oracle(self, rng):
-        cmap = random_map(rng, 16, 16, 6, nodata_fraction=0.05)
-        mapping = {i: int(rng.integers(1, 4)) for i in range(1, 7)}
-        agg = LegendAggregation(mapping, legend(3))
-        out = aggregate(cmap, agg)
-        for r in range(16):
-            for c in range(16):
-                child = int(cmap.labels[r, c])
-                expected = 0 if child == 0 else mapping[child]
-                assert out.labels[r, c] == expected
-
-    def test_partial_mapping_rejected(self, rng):
-        cmap = random_map(rng, 4, 4, 3)
-        agg = LegendAggregation({1: 1, 2: 1}, legend(1))
-        with pytest.raises(MappingError):
-            aggregate(cmap, agg)
-
-    @given(seed=st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_composition(self, seed):
-        rng = np.random.default_rng(seed)
-        cmap = random_map(rng, 6, 6, 6)
-        f = LegendAggregation(
-            {i: int(rng.integers(1, 5)) for i in range(1, 7)}, legend(4)
-        )
-        g = LegendAggregation(
-            {i: int(rng.integers(1, 3)) for i in range(1, 5)}, legend(2)
-        )
-        left = aggregate(aggregate(cmap, f), g)
-        right = aggregate(cmap, compose_aggregations(f, g))
-        assert np.array_equal(left.labels, right.labels)
-        assert left.legend == right.legend
-
-    def test_read_aggregation_csv(self, tmp_path):
-        p = tmp_path / "agg.csv"
-        p.write_text("child_label,parent_label\n1,1\n2,1\n3,2\n")
-        agg = read_aggregation(p)
-        assert agg.mapping == {1: 1, 2: 1, 3: 2}
-        assert [e.label for e in agg.parent_legend] == [1, 2]

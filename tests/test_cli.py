@@ -285,6 +285,18 @@ class TestCompareCommand:
         assert report["cvpai2"] == 1.0
 
 
+    def test_malformed_resolution_exits_1_without_traceback(self, runner, tmp_path):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("child_label,parent_label\n21\n")
+        result = runner.invoke(main, ["compare", "--counts", COUNTS_PATH,
+                                      "--resolution", str(bad),
+                                      "--out-dir", str(tmp_path / "cmp")])
+        assert result.exit_code == 1
+        assert "error:" in result.output and "line 2" in result.output
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)
+
+
 class TestEvidenceCommand:
     def test_round_trip(self, runner, tmp_path):
         rel = tmp_path / "rel.csv"

@@ -8,15 +8,19 @@ from hypothesis import strategies as st
 from specmap.classify import CategoricalMap
 from specmap.compare import (
     ContingencyTable,
+    LegendAggregation,
     LegendRelation,
+    MappingRow,
     Override,
     apply_overrides,
     build_contingency,
     build_translation,
     cvpai2,
     harmonize,
+    read_aggregation,
     read_contingency_csv,
     read_legend_mapping,
+    read_matrix_csv,
     read_overrides_csv,
     read_relation_csv,
     read_resolution,
@@ -29,6 +33,7 @@ from specmap.errors import (
     ConfigError,
     DataError,
     DimensionMismatchError,
+    FormatError,
     MappingError,
 )
 
@@ -365,34 +370,110 @@ class TestTranslateLegend:
 
     def test_identity_translation(self, rng):
         cmap = random_map(rng, 6, 6, 3)
-        from specmap.compare import LegendTranslation
-
-        translation = LegendTranslation({1: 1, 2: 2, 3: 3}, cmap.legend)
-        out = translate_legend(cmap, translation)
+        agg = LegendAggregation({1: 1, 2: 2, 3: 3}, cmap.legend)
+        out = translate_legend(cmap, agg)
         assert np.array_equal(out.labels, cmap.labels)
 
-    def test_lookup_oracle(self, rng):
-        from specmap.compare import LegendTranslation
+    def test_constant_collapse(self, rng):
+        cmap = random_map(rng, 8, 8, 4)
+        agg = LegendAggregation({i: 1 for i in range(1, 5)}, legend(1))
+        out = translate_legend(cmap, agg)
+        assert (out.labels == 1).all()
 
+    def test_lookup_oracle(self, rng):
         cmap = random_map(rng, 12, 12, 5, nodata_fraction=0.1)
         mapping = {i: int(rng.integers(1, 4)) for i in range(1, 6)}
-        translation = LegendTranslation(mapping, legend(3))
-        out = translate_legend(cmap, translation)
+        agg = LegendAggregation(mapping, legend(3))
+        out = translate_legend(cmap, agg)
         for r in range(12):
             for c in range(12):
                 child = int(cmap.labels[r, c])
                 assert out.labels[r, c] == (0 if child == 0 else mapping[child])
 
     def test_unmapped_label_rejected(self, rng):
-        from specmap.compare import LegendTranslation
-
         cmap = random_map(rng, 4, 4, 3)
-        translation = LegendTranslation({1: 1, 2: 1}, legend(1))
+        agg = LegendAggregation({1: 1, 2: 1}, legend(1))
         with pytest.raises(MappingError):
-            translate_legend(cmap, translation)
+            translate_legend(cmap, agg)
+
+    def test_legend_entry_without_pixels_still_needs_a_parent(self):
+        cmap = CategoricalMap(np.array([[1, 2], [2, 0]]), legend(3))
+        agg = LegendAggregation({1: 1, 2: 1}, legend(1))
+        with pytest.raises(MappingError, match=r"\[3\]"):
+            translate_legend(cmap, agg)
+
+    def test_children_outside_the_legend_are_ignored(self):
+        cmap = CategoricalMap(np.array([[1, 2]]), legend(2))
+        agg = LegendAggregation({1: 1, 2: 2, -1: 1}, legend(2))
+        assert translate_legend(cmap, agg).labels.tolist() == [[1, 2]]
+
+    def test_mapping_target_outside_parent_legend_rejected(self):
+        with pytest.raises(ConfigError):
+            LegendAggregation({1: 1, 2: 3}, legend(2))
+
+    def test_parent_label_with_two_names_rejected(self):
+        rows = [MappingRow(1, "a", 1, "Forest"), MappingRow(2, "b", 1, "Woods")]
+        with pytest.raises(MappingError, match="Forest"):
+            build_translation(rows)
+
+    def test_read_aggregation_csv(self, tmp_path):
+        p = tmp_path / "agg.csv"
+        p.write_text("child_label,parent_label\n1,1\n2,1\n3,2\n")
+        agg = read_aggregation(p)
+        assert agg.mapping == {1: 1, 2: 1, 3: 2}
+        assert [e.label for e in agg.parent_legend] == [1, 2]
+
+    @pytest.mark.parametrize("reader", [read_resolution, read_aggregation])
+    def test_repeated_child_rejected(self, tmp_path, reader):
+        p = tmp_path / "res.csv"
+        p.write_text("child_label,parent_label\n1,1\n2,1\n1,2\n")
+        with pytest.raises(FormatError, match="line 4"):
+            reader(p)
+
+
+#: (reader, header, one good row, an integer column) for each row reader.
+ROW_READERS = [
+    (read_resolution, ["child_label", "parent_label"], ["1", "2"], "parent_label"),
+    (read_aggregation, ["child_label", "parent_label"], ["1", "2"], "child_label"),
+    (read_legend_mapping, ["child_label", "child_name", "parent_label", "parent_name"],
+     ["1", "a", "2", "b"], "child_label"),
+    (read_overrides_csv, ["test_label", "reference_label", "value", "note"],
+     ["t", "r", "1", "why"], "value"),
+]
+
+
+@pytest.mark.parametrize("fault", ["short", "long", "not_integer"])
+@pytest.mark.parametrize("reader, header, good, int_column", ROW_READERS,
+                         ids=[r[0].__name__ for r in ROW_READERS])
+def test_malformed_row_is_format_error_naming_line(tmp_path, reader, header, good,
+                                                   int_column, fault):
+    bad = list(good)
+    if fault == "short":
+        bad.pop()
+    elif fault == "long":
+        bad.append("extra")
+    else:
+        bad[header.index(int_column)] = "1.5"
+    p = tmp_path / "in.csv"
+    p.write_text("\n".join(",".join(r) for r in (header, good, bad)) + "\n")
+    with pytest.raises(FormatError, match=r"in\.csv: line 3"):
+        reader(p)
 
 
 class TestCsvIO:
+    @pytest.mark.parametrize("text, fault", [
+        (",a,b\nx,1,0\ny,0\n", "line 3: ragged"),
+        (",a,b\nx,1,0\ny,0,1,1\n", "line 3: ragged"),
+        (",a,b\nx,1,zero\n", "line 2: non-numeric"),
+        (",a,b\nx,1,0\nx,0,1\n", "line 3: repeated test name 'x'"),
+        (",a,a\nx,1,0\ny,0,1\n", "line 1: repeated reference names"),
+    ])
+    def test_malformed_matrix_rejected(self, tmp_path, text, fault):
+        p = tmp_path / "m.csv"
+        p.write_text(text)
+        with pytest.raises(FormatError, match=fault):
+            read_matrix_csv(p)
+
     def test_contingency_round_trip(self, tmp_path):
         table = example_table()
         write_contingency_csv(tmp_path / "t.csv", table)

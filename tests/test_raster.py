@@ -252,16 +252,6 @@ class TestStreaming:
         rebuilt = np.concatenate([s.core_samples for s in strips], axis=1)
         assert np.array_equal(rebuilt, image.samples)
 
-    def test_overlap_rows_carry_previous_strip(self):
-        image = self._image()
-        strips = list(stream_strips(image, 4, overlap=1))
-        assert strips[0].row_start == 0
-        assert strips[1].row_start == 3 and strips[1].core_start == 4
-        rebuilt = np.concatenate([s.core_samples for s in strips], axis=1)
-        assert np.array_equal(rebuilt, image.samples)
-        # the overlap row repeats the previous strip's last core row
-        assert np.array_equal(strips[1].samples[:, 0, :], image.samples[:, 3, :])
-
     def test_file_backed_reassembly_matches_whole_read(self, tmp_path):
         image = synth_scene(50, 12, seed=7, block=5, nodata_fraction=0.03)
         write_image(image, tmp_path / "scene.hdr")
