@@ -6,6 +6,7 @@ for maps produced by ``classify`` the labels are the rule indices.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -15,9 +16,12 @@ import numpy as np
 from . import raster
 from .errors import ConfigError, DataError, FormatError
 from .raster import ImageSource, MultiSpectralImage, Strip, stream_strips
-from .rules import RuleSet, eval_expr
+from .rules import MATCH_POLICIES, RuleSet, eval_expr
 
 NODATA = 0
+
+#: Largest legend label; a map file stores labels as u16.
+MAX_LABEL = 65535
 
 #: Maximal wavelength distance (micrometers) for binding a rule-file band
 #: symbol to an image band.  Neighboring optical band centers sit much
@@ -47,6 +51,9 @@ class CategoricalMap:
         known = {e.label for e in self.legend}
         if NODATA in known:
             raise ConfigError("label 0 is reserved for nodata")
+        outside = sorted(label for label in known if not 1 <= label <= MAX_LABEL)
+        if outside:
+            raise DataError(f"legend labels outside 1..{MAX_LABEL}: {outside}")
         present = set(np.unique(self.labels).tolist()) - {NODATA}
         unknown = present - known
         if unknown:
@@ -126,25 +133,25 @@ def _classify_planes(
     counter: PixelVisitCounter | None,
 ) -> np.ndarray:
     labels = np.full(validity.shape, ruleset.fallback_index, dtype=np.int32)
-    if policy == "last-match":
-        for rule in ruleset.rules:  # ascending index: later matches override
-            mask = eval_expr(rule.expr, planes)
-            if mask is None:
-                continue
-            labels[np.logical_and(mask, validity)] = rule.index
-    else:
-        unassigned = np.ones(validity.shape, dtype=bool)
-        for rule in ruleset.rules:
-            mask = eval_expr(rule.expr, planes)
-            if mask is None:
-                continue
-            hit = np.logical_and(np.logical_and(mask, validity), unassigned)
-            labels[hit] = rule.index
-            unassigned &= ~hit
+    # Later writes win, so first-match writes the rules in reverse order.
+    rules = ruleset.rules if policy == "last-match" else reversed(ruleset.rules)
+    for rule in rules:
+        mask = eval_expr(rule.expr, planes)
+        if mask is None:
+            continue
+        labels[np.logical_and(mask, validity)] = rule.index
     labels[~validity] = NODATA
     if counter is not None:
         counter.visits += int(validity.size)
     return labels
+
+
+def _resolve_policy(ruleset: RuleSet, policy: str | None) -> str:
+    """``policy``, or the rule set's own when None; must be a known policy."""
+    policy = policy or ruleset.match_policy
+    if policy not in MATCH_POLICIES:
+        raise ConfigError(f"unknown match policy {policy!r}")
+    return policy
 
 
 def _planes_for(
@@ -173,9 +180,7 @@ def classify(
     satisfied index wins, under first-match the lowest.  Pixels satisfying
     no rule get the fallback class; invalid pixels get nodata.
     """
-    policy = policy or ruleset.match_policy
-    if policy not in ("last-match", "first-match"):
-        raise ConfigError(f"unknown match policy {policy!r}")
+    policy = _resolve_policy(ruleset, policy)
     planes = _planes_for(ruleset, image.bands, image.samples)
     labels = _classify_planes(planes, image.validity, ruleset, policy, counter)
     return CategoricalMap(labels, legend_from_ruleset(ruleset))
@@ -188,6 +193,7 @@ def classify_strip(
     counter: PixelVisitCounter | None = None,
 ) -> np.ndarray:
     """Label the core rows of one strip; classification is context-free."""
+    policy = _resolve_policy(ruleset, policy)
     planes = _planes_for(ruleset, strip.bands, strip.core_samples)
     return _classify_planes(planes, strip.core_validity, ruleset, policy, counter)
 
@@ -206,7 +212,7 @@ def classify_streamed(
     strips are in flight at once so file-backed sources keep their fixed
     memory footprint.  Visit accounting stays in the calling thread.
     """
-    policy = policy or ruleset.match_policy
+    policy = _resolve_policy(ruleset, policy)
     labels = np.empty((source.height, source.width), dtype=np.int32)
 
     def finish(start: int, rows: np.ndarray) -> None:
@@ -253,11 +259,6 @@ def write_map(cmap: CategoricalMap, header_path: Path | str) -> None:
     for e in cmap.legend:
         extra.append((f"legend.{e.label}.name", e.name))
         extra.append((f"legend.{e.label}.color", "#%02X%02X%02X" % e.color))
-    if cmap.labels.size and (cmap.labels.min() < 0 or cmap.labels.max() > 65535):
-        raise DataError(
-            f"labels span {cmap.labels.min()}..{cmap.labels.max()}; "
-            "a map file stores labels 0..65535"
-        )
     planes = cmap.labels[np.newaxis, :, :].astype("<u2")
     raster.write_raster(header_path, extra, planes, "u16")
 
@@ -269,9 +270,17 @@ def read_map(header_path: Path | str) -> CategoricalMap:
     legend = []
     for key, value in header.items():
         if key.startswith("legend.") and key.endswith(".name"):
-            label = int(key.split(".")[1])
-            color_text = header.get(f"legend.{label}.color", "#000000")
-            v = int(color_text.lstrip("#"), 16)
+            label_text = key[len("legend."):-len(".name")]
+            if not re.fullmatch(r"[0-9]+", label_text):
+                raise FormatError(f"{header_path}: {key}: legend label is not digits 0-9")
+            label = int(label_text)
+            color_key = f"legend.{label_text}.color"
+            color_text = header.get(color_key, "#000000")
+            if not re.fullmatch(r"#[0-9A-Fa-f]{6}", color_text):
+                raise FormatError(
+                    f"{header_path}: {color_key}: color {color_text!r} is not #RRGGBB"
+                )
+            v = int(color_text[1:], 16)
             color = ((v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
             legend.append(LegendEntry(label, value, color))
     legend.sort(key=lambda e: e.label)

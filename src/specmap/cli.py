@@ -62,9 +62,6 @@ from .segmentation import (
     write_superpixel_csv,
 )
 
-WORKERS_ENV = "SPECMAP_WORKERS"
-
-
 @dataclass
 class RunConfig:
     """Validated invocation parameters; paths checked before any processing."""
@@ -74,16 +71,6 @@ class RunConfig:
 
     def as_json(self) -> dict:
         return {"command": self.command, **self.params}
-
-
-def _default_workers() -> int:
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def _fail_missing(path: Path, what: str) -> None:
@@ -154,8 +141,8 @@ def main() -> None:
               help="Process in strips of this many rows.")
 @click.option("--aggregate", "aggregate_path", type=click.Path(path_type=Path),
               default=None, help="child_label,parent_label CSV applied after classify.")
-@click.option("--workers", type=int, default=None,
-              help=f"Strip workers (default: {WORKERS_ENV} or CPU count).")
+@click.option("--workers", type=int, default=os.cpu_count() or 1, show_default=True,
+              help="Strip workers.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
                  aggregate_path, workers, as_json) -> None:
@@ -175,10 +162,9 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
         counter = PixelVisitCounter()
         if strip_height:
             source = raster.open_image(input_path)
-            nworkers = workers if workers is not None else _default_workers()
             cmap = classify_streamed(source, ruleset, strip_height,
                                      policy=policy, counter=counter,
-                                     workers=nworkers)
+                                     workers=workers)
         else:
             image = raster.read_image(input_path)
             cmap = classify(image, ruleset, policy=policy, counter=counter)
@@ -381,10 +367,10 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
         write_contingency_csv(outputs["contingency"], table)
         write_matrix_csv(outputs["step2_joint"], t, r, trace.joint)
         write_matrix_csv(outputs["step3_ref_given_test"], t, r, trace.ref_given_test)
-        write_matrix_csv(outputs["step4_kept_by_row"], t, r, trace.kept_by_row, "int")
+        write_matrix_csv(outputs["step4_kept_by_row"], t, r, trace.kept_by_row)
         write_matrix_csv(outputs["step5_test_given_ref"], t, r, trace.test_given_ref)
-        write_matrix_csv(outputs["step6_kept_by_col"], t, r, trace.kept_by_col, "int")
-        write_matrix_csv(outputs["step7_temporary"], t, r, trace.temporary, "int")
+        write_matrix_csv(outputs["step6_kept_by_col"], t, r, trace.kept_by_col)
+        write_matrix_csv(outputs["step7_temporary"], t, r, trace.temporary)
         write_relation_csv(outputs["step8_final"], relation)
         report = {
             "cvpai2": index,

@@ -389,16 +389,15 @@ def write_matrix_csv(
     test_names: Sequence[str],
     ref_names: Sequence[str],
     matrix: np.ndarray,
-    fmt: str = "repr",
 ) -> None:
+    """Named matrix CSV: integer cells as ``str(int)``, others as ``repr(float)``."""
+    matrix = np.asarray(matrix)
+    cell = int if np.issubdtype(matrix.dtype, np.integer) else float
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow([""] + list(ref_names))
-        for name, row in zip(test_names, np.asarray(matrix)):
-            if fmt == "int":
-                writer.writerow([name] + [str(int(v)) for v in row])
-            else:
-                writer.writerow([name] + [repr(float(v)) for v in row])
+        for name, row in zip(test_names, matrix):
+            writer.writerow([name] + [repr(cell(v)) for v in row])
 
 
 def read_matrix_csv(path: Path | str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -431,7 +430,7 @@ def read_matrix_csv(path: Path | str) -> tuple[tuple[str, ...], tuple[str, ...],
 
 
 def write_contingency_csv(path: Path | str, table: ContingencyTable) -> None:
-    write_matrix_csv(path, table.test_names, table.ref_names, table.counts, fmt="int")
+    write_matrix_csv(path, table.test_names, table.ref_names, table.counts)
 
 
 def read_contingency_csv(path: Path | str) -> ContingencyTable:
@@ -450,7 +449,7 @@ def read_relation_csv(path: Path | str) -> LegendRelation:
 
 
 def write_relation_csv(path: Path | str, rel: LegendRelation) -> None:
-    write_matrix_csv(path, rel.test_names, rel.ref_names, rel.matrix, fmt="int")
+    write_matrix_csv(path, rel.test_names, rel.ref_names, rel.matrix)
 
 
 def read_overrides_csv(path: Path | str) -> list[Override]:

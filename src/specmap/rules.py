@@ -27,8 +27,9 @@ whose whole body drops out never fires.
 
 from __future__ import annotations
 
+import functools
 import importlib.resources
-import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -112,29 +113,26 @@ class RequiresBand:
 BoolExpr = Union[Cmp, And, Or, RequiresBand]
 
 
-def make_and(children: Iterable) -> BoolExpr:
-    """Conjunction with nested-And flattening; a single child collapses."""
+def _flatten(kind, children: Iterable) -> BoolExpr:
+    """``kind`` (And or Or) over ``children``, splicing in nested nodes of
+    the same kind; a single child collapses."""
     flat = []
     for c in children:
-        if isinstance(c, And):
+        if isinstance(c, kind):
             flat.extend(c.children)
         else:
             flat.append(c)
     if len(flat) == 1:
         return flat[0]
-    return And(tuple(flat))
+    return kind(tuple(flat))
+
+
+def make_and(children: Iterable) -> BoolExpr:
+    return _flatten(And, children)
 
 
 def make_or(children: Iterable) -> BoolExpr:
-    flat = []
-    for c in children:
-        if isinstance(c, Or):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    return _flatten(Or, children)
 
 
 def referenced_bands(expr) -> frozenset[str]:
@@ -154,15 +152,10 @@ def required_bands(expr) -> frozenset[str]:
 def _walk_bands(node, out: set, required_only: bool) -> None:
     if isinstance(node, BandRef):
         out.add(node.symbol)
-    elif isinstance(node, (Ratio,)):
-        _walk_bands(node.num, out, required_only)
-        _walk_bands(node.den, out, required_only)
-    elif isinstance(node, (Sum, Diff)):
-        _walk_bands(node.left, out, required_only)
-        _walk_bands(node.right, out, required_only)
-    elif isinstance(node, Cmp):
-        _walk_bands(node.left, out, required_only)
-        _walk_bands(node.right, out, required_only)
+    elif isinstance(node, (Ratio, Sum, Diff, Cmp)):
+        pair = (node.num, node.den) if isinstance(node, Ratio) else (node.left, node.right)
+        for child in pair:
+            _walk_bands(child, out, required_only)
     elif isinstance(node, (And, Or)):
         for c in node.children:
             _walk_bands(c, out, required_only)
@@ -170,22 +163,6 @@ def _walk_bands(node, out: set, required_only: bool) -> None:
         if not required_only:
             out.add(node.symbol)
             _walk_bands(node.child, out, required_only)
-
-
-def guard_bands(expr) -> frozenset[str]:
-    """Band symbols appearing as requires() guards anywhere in the expression."""
-    out: set[str] = set()
-
-    def walk(node):
-        if isinstance(node, RequiresBand):
-            out.add(node.symbol)
-            walk(node.child)
-        elif isinstance(node, (And, Or)):
-            for c in node.children:
-                walk(c)
-
-    walk(expr)
-    return frozenset(out)
 
 
 # ---------------------------------------------------------------------------
@@ -202,15 +179,12 @@ def _eval_num(node, bands: Mapping[str, object]):
         except KeyError:
             raise ConfigError(f"band {node.symbol} not supplied") from None
     if isinstance(node, Ratio):
-        num = _eval_num(node.num, bands)
-        den = _eval_num(node.den, bands)
-        if isinstance(den, np.ndarray) or isinstance(num, np.ndarray):
-            den = np.asarray(den, dtype=np.float64)
-            ok = np.abs(den) >= DIV_EPS
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = np.asarray(num, dtype=np.float64) / np.where(ok, den, 1.0)
-            return np.where(ok, q, np.nan)
-        return num / den if abs(den) >= DIV_EPS else math.nan
+        num = np.asarray(_eval_num(node.num, bands), dtype=np.float64)
+        den = np.asarray(_eval_num(node.den, bands), dtype=np.float64)
+        ok = np.abs(den) >= DIV_EPS
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = num / np.where(ok, den, 1.0)
+        return np.where(ok, q, np.nan)
     if isinstance(node, Sum):
         return _eval_num(node.left, bands) + _eval_num(node.right, bands)
     if isinstance(node, Diff):
@@ -218,12 +192,7 @@ def _eval_num(node, bands: Mapping[str, object]):
     raise ConfigError(f"not a numeric expression node: {node!r}")
 
 
-_CMP_FUNCS = {
-    "<=": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-}
+_CMP_FUNCS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
 
 
 def eval_expr(node, bands: Mapping[str, object]):
@@ -235,39 +204,21 @@ def eval_expr(node, bands: Mapping[str, object]):
     if isinstance(node, Cmp):
         left = _eval_num(node.left, bands)
         right = _eval_num(node.right, bands)
+        # NaN operands (guarded ratios) fail the comparison.
         with np.errstate(invalid="ignore"):
-            result = _CMP_FUNCS[node.op](left, right)
-        # NaN operands (guarded ratios) must fail the comparison.
-        if not isinstance(result, np.ndarray):
-            return bool(result)
-        return result
-    if isinstance(node, And):
+            return _CMP_FUNCS[node.op](left, right)
+    if isinstance(node, (And, Or)):
         parts = [eval_expr(c, bands) for c in node.children]
         parts = [p for p in parts if p is not None]
         if not parts:
             return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.logical_and(out, p) if _anyarray(out, p) else (out and p)
-        return out
-    if isinstance(node, Or):
-        parts = [eval_expr(c, bands) for c in node.children]
-        parts = [p for p in parts if p is not None]
-        if not parts:
-            return None
-        out = parts[0]
-        for p in parts[1:]:
-            out = np.logical_or(out, p) if _anyarray(out, p) else (out or p)
-        return out
+        fold = np.logical_and if isinstance(node, And) else np.logical_or
+        return functools.reduce(fold, parts)
     if isinstance(node, RequiresBand):
         if node.symbol not in bands:
             return None
         return eval_expr(node.child, bands)
     raise ConfigError(f"not a boolean expression node: {node!r}")
-
-
-def _anyarray(a, b) -> bool:
-    return isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
 
 
 def eval_rule(expr, pixel: Mapping[str, float]) -> bool:
@@ -289,10 +240,6 @@ class Rule:
     name: str
     expr: BoolExpr
     pseudo_color: tuple[int, int, int]
-
-    @property
-    def optional_bands(self) -> frozenset[str]:
-        return guard_bands(self.expr)
 
 
 @dataclass(frozen=True)
@@ -715,6 +662,10 @@ def format_rules(ruleset: RuleSet) -> str:
 # ---------------------------------------------------------------------------
 
 
+#: Rule 8's corrected b3 clause; the "printed" variant swaps its constant.
+_RULE8_CORRECTED = "b3 >= 0.08"
+
+
 def load_specl(variant: str = "corrected") -> RuleSet:
     """Load the packaged 19-class SPECL rule set.
 
@@ -729,43 +680,8 @@ def load_specl(variant: str = "corrected") -> RuleSet:
         .joinpath("data/specl.rules")
         .read_text(encoding="utf-8")
     )
-    ruleset = parse_rules(text)
     if variant == "printed":
-        ruleset = _patch_rule8_printed(ruleset)
-    return ruleset
-
-
-def _patch_rule8_printed(ruleset: RuleSet) -> RuleSet:
-    corrected = Cmp(BandRef("b3"), ">=", Const(0.08))
-    swapped = 0
-
-    def swap(node):
-        nonlocal swapped
-        if isinstance(node, Cmp):
-            if node == corrected:
-                swapped += 1
-                return Cmp(BandRef("b3"), ">=", Const(8.0))
-            return node
-        if isinstance(node, And):
-            return And(tuple(swap(c) for c in node.children))
-        if isinstance(node, Or):
-            return Or(tuple(swap(c) for c in node.children))
-        if isinstance(node, RequiresBand):
-            return RequiresBand(node.symbol, swap(node.child))
-        return node
-
-    rules = tuple(
-        Rule(r.index, r.name, swap(r.expr), r.pseudo_color) if r.index == 8 else r
-        for r in ruleset.rules
-    )
-    if swapped != 1:
-        raise ConfigError("printed-variant patch did not find rule 8's b3 clause")
-    return RuleSet(
-        ruleset.declared_bands,
-        rules,
-        ruleset.ruleless,
-        ruleset.fallback_index,
-        ruleset.fallback_name,
-        ruleset.fallback_color,
-        ruleset.match_policy,
-    )
+        if text.count(_RULE8_CORRECTED) != 1:
+            raise ConfigError(f"printed variant needs one {_RULE8_CORRECTED!r} clause")
+        text = text.replace(_RULE8_CORRECTED, "b3 >= 8.0")
+    return parse_rules(text)

@@ -7,11 +7,13 @@ from specmap.classify import (
     PixelVisitCounter,
     classify,
     classify_streamed,
+    classify_strip,
     read_map,
     write_map,
 )
 from specmap.compare import LegendAggregation, translate_legend
 from specmap.errors import ConfigError, DataError, FormatError, MappingError
+from specmap.raster import stream_strips
 from specmap.rules import parse_rules
 
 from helpers import (
@@ -53,6 +55,18 @@ class TestClassify:
             expected = [specl_reference(v, policy) for v in vectors]
             assert got.labels[0].tolist() == expected
         assert cmap.cardinality == 19
+
+    def test_unknown_policy_rejected_by_every_entry_point(self, specl):
+        image = synth_scene(8, 6, seed=2, block=3)
+        strip = next(stream_strips(image, 4))
+        calls = (
+            lambda: classify(image, specl, policy="bogus"),
+            lambda: classify_streamed(image, specl, 4, policy="bogus"),
+            lambda: classify_strip(strip, specl, "bogus"),
+        )
+        for call in calls:
+            with pytest.raises(ConfigError, match="bogus"):
+                call()
 
     def test_one_pass_visit_counter(self, specl):
         image = synth_scene(24, 16, seed=3, block=6)
@@ -196,15 +210,35 @@ class TestCategoricalMap:
 
     def test_labels_outside_u16_rejected_at_write(self, tmp_path):
         for label in (70000, 65536, -1):
-            cmap = CategoricalMap(
-                np.array([[1, label]]),
-                (LegendEntry(1, "a", (0, 0, 0)), LegendEntry(label, "b", (0, 0, 0))),
-            )
             with pytest.raises(DataError):
+                cmap = CategoricalMap(
+                    np.array([[1, label]]),
+                    (LegendEntry(1, "a", (0, 0, 0)), LegendEntry(label, "b", (0, 0, 0))),
+                )
                 write_map(cmap, tmp_path / "m.hdr")
         edge = CategoricalMap(np.array([[65535]]), (LegendEntry(65535, "top", (1, 2, 3)),))
         write_map(edge, tmp_path / "m.hdr")
         assert read_map(tmp_path / "m.hdr").labels.tolist() == [[65535]]
+
+    def test_legend_label_outside_u16_rejected_without_pixels(self):
+        for label in (-1, 65536):
+            with pytest.raises(DataError, match=str(label)):
+                CategoricalMap(np.array([[1]]), legend(1) + (LegendEntry(label, "b", (0, 0, 0)),))
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("legend.2.name", "legend.x.name", "legend.x.name"),
+        ("legend.2.name", "legend.-2.name", "legend.-2.name"),
+        ("#4A76A6", "#zz", "legend.2.color"),
+        ("#4A76A6", "#4A76A", "legend.2.color"),
+    ])
+    def test_malformed_legend_entry_is_format_error(self, tmp_path, old, new, key):
+        path = tmp_path / "m.hdr"
+        write_map(CategoricalMap(np.array([[1, 2]]), legend(2)), path)
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(FormatError, match=f"m.hdr: {key}"):
+            read_map(path)
 
     def test_legend_name_with_comment_marker_rejected_at_write(self, tmp_path):
         cmap = CategoricalMap(np.array([[1]]), (LegendEntry(1, "Water // deep", (0, 0, 0)),))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmap.classify import CategoricalMap
+from specmap.classify import CategoricalMap, LegendEntry
 from specmap.compare import (
     ContingencyTable,
     LegendAggregation,
@@ -86,6 +86,15 @@ class TestContingency:
         b = random_map(rng, 5, 4, 2)
         with pytest.raises(DimensionMismatchError):
             build_contingency(a, b)
+
+    def test_negative_label_never_reaches_the_tally(self):
+        # a legend label of -1 would index the lookup tables from their end
+        ref = CategoricalMap(np.ones((1, 2), dtype=np.int32), legend(1))
+        with pytest.raises(DataError, match="-1"):
+            test = CategoricalMap(
+                np.array([[-1, 2]]), (LegendEntry(-1, "neg", (0, 0, 0)),) + legend(2)[1:]
+            )
+            build_contingency(test, ref)
 
     def test_empty_overlap_rejected(self):
         a = CategoricalMap(np.zeros((3, 3), dtype=np.int32), legend(2))

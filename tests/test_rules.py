@@ -1,3 +1,6 @@
+import dataclasses
+import importlib.resources
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,6 +27,8 @@ from specmap.rules import (
     make_and,
     make_or,
     parse_rules,
+    referenced_bands,
+    required_bands,
 )
 
 HEADER = "bands: b1@0.48, b2@0.56, b3@0.66, b4@0.83, b5@1.6, b7@2.2\n"
@@ -187,7 +192,8 @@ class TestSpecl:
     def test_required_vs_optional_bands(self, specl):
         assert specl.required_bands() == frozenset({"b1", "b2", "b3", "b4", "b5"})
         assert "b7" not in specl.required_bands()
-        assert "b5" in specl.rules[14].optional_bands  # rule 15 guard
+        rule15 = specl.rules[14].expr  # b5 only under its guard
+        assert "b5" in referenced_bands(rule15) - required_bands(rule15)
 
     def test_printed_variant_rule8_unsatisfiable(self, rng):
         printed = load_specl("printed")
@@ -201,6 +207,37 @@ class TestSpecl:
         for _ in range(200):
             pixel = {s: float(rng.random()) for s in ("b1", "b2", "b3", "b4", "b5", "b7")}
             assert eval_rule(rule8p.expr, pixel) is False
+
+    def test_printed_variant_differs_only_in_rule8_constant(self):
+        corrected = load_specl("corrected")
+        rule8 = corrected.rules[7]
+        swapped = tuple(
+            Cmp(BandRef("b3"), ">=", Const(8.0))
+            if c == Cmp(BandRef("b3"), ">=", Const(0.08)) else c
+            for c in rule8.expr.children
+        )
+        assert swapped != rule8.expr.children
+        rules = list(corrected.rules)
+        rules[7] = dataclasses.replace(rule8, expr=And(swapped))
+        assert load_specl("printed") == dataclasses.replace(corrected, rules=tuple(rules))
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_printed_variant_needs_one_rule8_clause(self, monkeypatch, count):
+        text = HEADER + "".join(
+            f'rule {i} "r" color #000000 {{ b3 >= 0.08 }}\n' for i in range(1, count + 1)
+        ) + 'rule 9 "s" color #000000 { b3 >= 0.5 }\nfallback 19 "f"\n'
+
+        class Packaged:
+            def joinpath(self, name):
+                return self
+
+            def read_text(self, encoding):
+                return text
+
+        monkeypatch.setattr(importlib.resources, "files", lambda package: Packaged())
+        load_specl("corrected")
+        with pytest.raises(ConfigError, match="b3 >= 0.08"):
+            load_specl("printed")
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
