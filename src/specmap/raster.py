@@ -80,17 +80,20 @@ def apply_calibration(raw: np.ndarray, meta: BandMetadata) -> CalibrationResult:
     negatives after offset are routine sensor noise.
     """
     raw = np.asarray(raw)
+    nodata = meta.nodata_value
+    nan_nodata = nodata is not None and math.isnan(nodata)
     if raw.dtype.kind == "f":
-        bad = ~np.isfinite(raw)
+        # A NaN sample is nodata, not corruption, when nodata is NaN.
+        bad = np.isinf(raw) if nan_nodata else ~np.isfinite(raw)
         if bad.any():
             r, c = np.argwhere(bad)[0]
             raise DataError(f"non-finite raw sample at row {r}, col {c}")
-    if meta.nodata_value is None:
+    if nodata is None:
         valid = np.ones(raw.shape, dtype=bool)
-    elif isinstance(meta.nodata_value, float) and math.isnan(meta.nodata_value):
+    elif nan_nodata:
         valid = ~np.isnan(raw)
     else:
-        valid = raw != meta.nodata_value
+        valid = raw != nodata
     out = raw.astype(np.float64) * meta.gain + meta.offset
     clamped = int(np.count_nonzero(valid & ((out < 0.0) | (out > 1.0))))
     np.clip(out, 0.0, 1.0, out=out)

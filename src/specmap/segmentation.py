@@ -365,15 +365,35 @@ def build_superpixel_table(
     )
 
 
-#: Rows formatted per write; bounds the strings alive at once.
+#: Rows joined per write; bounds the strings alive at once.
 _CSV_CHUNK_ROWS = 1 << 16
+
+
+def _encode_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return a column's distinct field strings and each row's index into them.
+
+    Each distinct value is formatted once: ints with ``str``, floats with
+    ``repr``.  Floats are keyed on their bit pattern, so ``-0.0`` and ``0.0``
+    (whose ``repr``s differ) stay apart; every member of a bit-pattern group
+    formats the same.
+    """
+    if column.dtype.kind == "f":
+        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
+        keys, codes = np.unique(bits, return_inverse=True)
+        strings = np.frompyfunc(repr, 1, 1)(keys.view(np.float64))
+    else:
+        keys, codes = np.unique(column, return_inverse=True)
+        strings = np.frompyfunc(str, 1, 1)(keys)
+    return strings, codes.astype(np.uint32)
 
 
 def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
     """Write the table as CSV: ints as ``str``, floats as ``repr``, CRLF rows.
 
     The bytes equal ``csv.writer`` output of those strings: no field can
-    hold a delimiter, quote or line break, so none is quoted.
+    hold a delimiter, quote or line break, so none is quoted.  Values
+    repeat across segments, so each column is dictionary-encoded once and
+    every chunk of rows is a gather of ready strings plus one join.
     """
     n = len(table)
     n_bands = table.sums.shape[0]
@@ -381,18 +401,18 @@ def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
         "segment_id", "label", "pixel_count", "min_row", "min_col",
         "max_row", "max_col", "perimeter", "compactness",
     ] + [f"sum_b{b + 1}" for b in range(n_bands)]
-    row_format = ",".join(["%d"] * 8 + ["%r"] * (1 + n_bands)) + "\r\n"
-    int_columns = (table.labels, table.counts, table.min_row, table.min_col,
-                   table.max_row, table.max_col, table.perimeter)
+    encoded = [_encode_column(c) for c in (
+        table.labels, table.counts, table.min_row, table.min_col,
+        table.max_row, table.max_col, table.perimeter, table.compactness,
+        *table.sums,
+    )]
     with open(path, "w", newline="", encoding="utf-8") as f:
         f.write(",".join(header) + "\r\n")
         for r0 in range(0, n, _CSV_CHUNK_ROWS):
             r1 = min(r0 + _CSV_CHUNK_ROWS, n)
-            columns = [range(r0 + 1, r1 + 1)]
-            columns += [c[r0:r1].tolist() for c in int_columns]
-            columns.append(table.compactness[r0:r1].tolist())
-            columns += table.sums[:, r0:r1].tolist()
-            f.write("".join([row_format % row for row in zip(*columns)]))
+            columns = [map(str, range(r0 + 1, r1 + 1))]
+            columns += [strings[codes[r0:r1]].tolist() for strings, codes in encoded]
+            f.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
 
 
 # ---------------------------------------------------------------------------

@@ -72,6 +72,18 @@ class TestCalibration:
         with pytest.raises(DataError, match="row 2, col 1"):
             apply_calibration(raw, meta)
 
+    def test_nan_nodata_exempts_only_nan_samples(self):
+        meta = BandMetadata(1, 0.5, nodata_value=float("nan"))
+        out = apply_calibration(np.array([[0.2, np.nan]], np.float32), meta)
+        assert out.valid.tolist() == [[True, False]]
+        assert out.values[0, 1] == 0.0 and out.clamped == 0
+        for inf in (np.inf, -np.inf):
+            with pytest.raises(DataError, match="row 0, col 1"):
+                apply_calibration(np.array([[0.2, inf]], np.float32), meta)
+        # NaN is still corruption when nodata is a number
+        with pytest.raises(DataError, match="row 0, col 1"):
+            apply_calibration(np.array([[0.2, np.nan]]), BandMetadata(1, 0.5, nodata_value=0.0))
+
 
 def _write_fixture(tmp_path, payload: bytes, **overrides):
     entries = {
@@ -152,6 +164,30 @@ class TestImageIO:
         back = read_image(tmp_path / "a.hdr")
         assert np.array_equal(back.validity, image.validity)
         assert np.array_equal(back.samples, image.samples)
+
+    @pytest.mark.parametrize("dtype_name", ["f32", "f64"])
+    def test_nan_nodata_float_image_round_trips(self, tmp_path, dtype_name):
+        rng = np.random.default_rng(9)
+        samples = rng.random((2, 5, 4)).astype(np.float32).astype(np.float64)
+        validity = np.ones((5, 4), dtype=bool)
+        validity[1, 2] = validity[4, 0] = False
+        samples[:, ~validity] = 0.0
+        nan = float("nan")
+        bands = (BandMetadata(1, 0.48, nodata_value=nan),
+                 BandMetadata(2, 0.56, nodata_value=nan))
+        write_image(MultiSpectralImage(bands, samples, validity, dtype_name),
+                    tmp_path / "a.hdr")
+        raw = np.fromfile(tmp_path / "a.bin", dtype=np.float64 if dtype_name == "f64"
+                          else np.float32).reshape(2, 5, 4)
+        assert np.isnan(raw[:, ~validity]).all()
+        back = read_image(tmp_path / "a.hdr")
+        assert np.array_equal(back.validity, validity)
+        assert np.array_equal(back.samples, samples)
+        strips = list(stream_strips(open_image(tmp_path / "a.hdr"), 2))
+        assert np.array_equal(np.concatenate([s.core_validity for s in strips]), validity)
+        write_image(back, tmp_path / "b.hdr")
+        assert filecmp.cmp(tmp_path / "a.hdr", tmp_path / "b.hdr", shallow=False)
+        assert filecmp.cmp(tmp_path / "a.bin", tmp_path / "b.bin", shallow=False)
 
     @given(seed=st.integers(0, 2**16), h=st.integers(2, 9), w=st.integers(2, 9))
     @settings(max_examples=25, deadline=None)

@@ -361,6 +361,28 @@ def _random_table(rng, n, n_bands):
     )
 
 
+def _special_values_table(rng):
+    """Values a per-value string table could mix up, across a chunk boundary."""
+    table = _random_table(rng, _CSV_CHUNK_ROWS + 300, 3)
+    # -0.0 and 0.0 share a value but not a repr
+    table.sums[0, ::2] = -0.0
+    table.sums[0, 1::2] = 0.0
+    # two NaN payloads and both infinities
+    nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
+                    dtype=np.uint64).view(np.float64)
+    table.sums[1, 0::4] = nans[0]
+    table.sums[1, 1::4] = nans[1]
+    table.sums[1, 2::4] = np.inf
+    table.sums[1, 3::4] = -np.inf
+    # one float value on both sides of a chunk boundary
+    edge = slice(_CSV_CHUNK_ROWS - 5, _CSV_CHUNK_ROWS + 5)
+    table.compactness[edge] = 0.1 + 0.2
+    table.sums[2, edge] = 1.0 / 3.0
+    # an int column holding a single repeated value
+    table.labels[:] = 7
+    return table
+
+
 class TestSuperpixelCsv:
     def test_bytes_match_csv_writer_reference(self, rng, tmp_path):
         cmap, seg, image, aura = _table_inputs(rng, nodata=0.1)
@@ -376,6 +398,7 @@ class TestSuperpixelCsv:
             build_superpixel_table(nodata, connected_components(nodata, 8),
                                    random_image(rng, 2, 3, 4), cross_aura(nodata, 8)),
             _random_table(rng, _CSV_CHUNK_ROWS + 1234, 4),
+            _special_values_table(rng),
         ]
         assert tables[1].compactness.tolist() == [1.0]
         for table in tables:
