@@ -15,8 +15,20 @@ import numpy as np
 
 from . import raster
 from .errors import ConfigError, DataError, FormatError
-from .raster import ImageSource, MultiSpectralImage, Strip, stream_strips
-from .rules import MATCH_POLICIES, RuleSet, eval_expr
+from .raster import (
+    ImageSource,
+    MultiSpectralImage,
+    Strip,
+    read_strip,
+    release_strip,
+    strip_bounds,
+    stream_strips,
+)
+from .rules import RuleProgram, RuleSet, compile_rules
+
+# ``eval_expr`` is the reference evaluator the compiled program is tested
+# against; the benchmark's tracer wraps it under this module's name.
+from .rules import eval_expr  # noqa: F401
 
 NODATA = 0
 
@@ -125,47 +137,36 @@ def bind_bands(
 # ---------------------------------------------------------------------------
 
 
-def _classify_planes(
-    planes: dict[str, np.ndarray],
-    validity: np.ndarray,
-    ruleset: RuleSet,
-    policy: str,
-    counter: PixelVisitCounter | None,
-) -> np.ndarray:
-    labels = np.full(validity.shape, ruleset.fallback_index, dtype=np.int32)
-    # Later writes win, so first-match writes the rules in reverse order.
-    rules = ruleset.rules if policy == "last-match" else reversed(ruleset.rules)
-    for rule in rules:
-        mask = eval_expr(rule.expr, planes)
-        if mask is None:
-            continue
-        labels[np.logical_and(mask, validity)] = rule.index
-    labels[~validity] = NODATA
-    if counter is not None:
-        counter.visits += int(validity.size)
-    return labels
-
-
-def _resolve_policy(ruleset: RuleSet, policy: str | None) -> str:
-    """``policy``, or the rule set's own when None; must be a known policy."""
-    policy = policy or ruleset.match_policy
-    if policy not in MATCH_POLICIES:
-        raise ConfigError(f"unknown match policy {policy!r}")
-    return policy
-
-
-def _planes_for(
+def _compile_for(
     ruleset: RuleSet,
     bands: Iterable[raster.BandMetadata],
-    samples: np.ndarray,
-) -> dict[str, np.ndarray]:
+    policy: str | None,
+) -> tuple[dict[str, int], RuleProgram]:
+    """(symbol -> band index, program) for images with these ``bands``.
+
+    ``policy`` None means the rule set's own.
+    """
     binding = bind_bands(ruleset, bands)
     missing = ruleset.required_bands() - set(binding)
     if missing:
         raise ConfigError(
             "image does not supply required band(s): " + ", ".join(sorted(missing))
         )
-    return {symbol: samples[idx] for symbol, idx in binding.items()}
+    return binding, compile_rules(ruleset, binding, policy or ruleset.match_policy)
+
+
+def _label(
+    binding: dict[str, int],
+    program: RuleProgram,
+    samples: np.ndarray,
+    validity: np.ndarray,
+    counter: PixelVisitCounter | None,
+) -> np.ndarray:
+    planes = {symbol: samples[idx] for symbol, idx in binding.items()}
+    labels = program.label(planes, validity)
+    if counter is not None:
+        counter.visits += int(labels.size)
+    return labels
 
 
 def classify(
@@ -180,9 +181,8 @@ def classify(
     satisfied index wins, under first-match the lowest.  Pixels satisfying
     no rule get the fallback class; invalid pixels get nodata.
     """
-    policy = _resolve_policy(ruleset, policy)
-    planes = _planes_for(ruleset, image.bands, image.samples)
-    labels = _classify_planes(planes, image.validity, ruleset, policy, counter)
+    binding, program = _compile_for(ruleset, image.bands, policy)
+    labels = _label(binding, program, image.samples, image.validity, counter)
     return CategoricalMap(labels, legend_from_ruleset(ruleset))
 
 
@@ -193,9 +193,8 @@ def classify_strip(
     counter: PixelVisitCounter | None = None,
 ) -> np.ndarray:
     """Label the core rows of one strip; classification is context-free."""
-    policy = _resolve_policy(ruleset, policy)
-    planes = _planes_for(ruleset, strip.bands, strip.core_samples)
-    return _classify_planes(planes, strip.core_validity, ruleset, policy, counter)
+    binding, program = _compile_for(ruleset, strip.bands, policy)
+    return _label(binding, program, strip.core_samples, strip.core_validity, counter)
 
 
 def classify_streamed(
@@ -208,37 +207,45 @@ def classify_streamed(
 ) -> CategoricalMap:
     """Strip-streamed classify; pixel-identical to whole-image classify.
 
+    The rule set is compiled once, since every strip binds the same bands.
     With workers > 1 strips go to a thread pool, but at most ``workers``
-    strips are in flight at once so file-backed sources keep their fixed
-    memory footprint.  Visit accounting stays in the calling thread.
+    strips are read and not yet labeled at once, so file-backed sources keep
+    their fixed memory footprint; a strip's buffers are released when its
+    labels are stored.  Visit accounting stays in the calling thread.
     """
-    policy = _resolve_policy(ruleset, policy)
+    binding, program = _compile_for(ruleset, source.bands, policy)
     labels = np.empty((source.height, source.width), dtype=np.int32)
 
-    def finish(start: int, rows: np.ndarray) -> None:
-        labels[start : start + rows.shape[0]] = rows
+    def finish(strip: Strip, rows: np.ndarray) -> None:
+        labels[strip.core_start : strip.core_start + rows.shape[0]] = rows
         if counter is not None:
             counter.visits += int(rows.size)
 
-    strips = stream_strips(source, strip_height)
+    def work(strip: Strip) -> np.ndarray:
+        return _label(binding, program, strip.core_samples, strip.core_validity, None)
+
     if workers <= 1:
-        for strip in strips:
-            finish(strip.core_start, classify_strip(strip, ruleset, policy))
+        for strip in stream_strips(source, strip_height):
+            finish(strip, work(strip))
     else:
         from collections import deque
         from concurrent.futures import ThreadPoolExecutor
 
-        def work(strip: Strip):
-            return strip.core_start, classify_strip(strip, ruleset, policy)
+        pending = deque()
+
+        def finish_oldest() -> None:
+            strip, future = pending.popleft()
+            finish(strip, future.result())
+            release_strip(source, strip)
 
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending = deque()
-            for strip in strips:
-                pending.append(pool.submit(work, strip))
-                if len(pending) > workers:
-                    finish(*pending.popleft().result())
+            for row0, row1 in strip_bounds(source.height, strip_height):
+                if len(pending) == workers:
+                    finish_oldest()
+                strip = read_strip(source, row0, row1)
+                pending.append((strip, pool.submit(work, strip)))
             while pending:
-                finish(*pending.popleft().result())
+                finish_oldest()
     return CategoricalMap(labels, legend_from_ruleset(ruleset))
 
 

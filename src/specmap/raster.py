@@ -302,6 +302,15 @@ def write_image(image: MultiSpectralImage, header_path: Path | str) -> None:
         if dt.kind in "ui":
             info = np.iinfo(dt)
             enc = np.clip(np.rint(enc), info.min, info.max)
+            nodata = meta.nodata_value
+            # A nodata value the dtype cannot hold would lose the mask.
+            if nodata is not None and not (
+                float(nodata).is_integer() and info.min <= nodata <= info.max
+            ):
+                raise ConfigError(
+                    f"band {meta.band_id}: nodata value {nodata!r} is not an "
+                    f"integer in the {image.dtype_name} range {info.min}..{info.max}"
+                )
         plane = enc.astype(dt)
         if invalid.any():
             if meta.nodata_value is None:
@@ -389,14 +398,18 @@ class ImageSource:
         with open(self._ppath, "rb") as f:
             for i, meta in enumerate(self.bands):
                 f.seek(i * plane_bytes + row0 * row_bytes)
-                strip_ledger.allocate(raw_bytes)
-                raw = np.fromfile(f, dtype=self._dt, count=nrows * self.width)
-                raw = raw.reshape(nrows, self.width)
-                values, valid, _ = apply_calibration(raw, meta)
+                # The raw rows land in the band's own output plane, which the
+                # calibrated values then overwrite: no second buffer.
+                raw = samples[i].reshape(-1).view(np.uint8)[:raw_bytes]
+                if f.readinto(raw) != raw_bytes:
+                    raise TruncatedFileError(
+                        f"{self._ppath}: payload ends inside row {row1 - 1}"
+                    )
+                values, valid, _ = apply_calibration(
+                    raw.view(self._dt).reshape(nrows, self.width), meta
+                )
                 samples[i] = values
                 validity &= valid
-                del raw
-                strip_ledger.release(raw_bytes)
         samples[:, ~validity] = 0.0
         return samples, validity
 
@@ -407,6 +420,29 @@ class ImageSource:
         )
 
 
+def strip_bounds(height: int, strip_height: int) -> list[tuple[int, int]]:
+    """``(row0, row1)`` of each strip covering ``height`` rows top to bottom."""
+    if strip_height < 1:
+        raise ConfigError("strip_height must be >= 1")
+    return [(r0, min(r0 + strip_height, height)) for r0 in range(0, height, strip_height)]
+
+
+def read_strip(source: MultiSpectralImage | ImageSource, row0: int, row1: int) -> Strip:
+    """Rows [row0, row1); a file-backed read is ledgered until ``release_strip``."""
+    if isinstance(source, ImageSource):
+        samples, validity = source.read_rows(row0, row1)
+    else:
+        samples = source.samples[:, row0:row1, :]
+        validity = source.validity[row0:row1, :]
+    return Strip(row0, tuple(source.bands), samples, validity)
+
+
+def release_strip(source: MultiSpectralImage | ImageSource, strip: Strip) -> None:
+    """Return a strip's buffers to the ledger; its arrays are no longer used."""
+    if isinstance(source, ImageSource):
+        source.release_rows(strip.core_start, strip.core_start + strip.core_validity.shape[0])
+
+
 def stream_strips(
     source: MultiSpectralImage | ImageSource,
     strip_height: int,
@@ -415,22 +451,13 @@ def stream_strips(
 
     The concatenation of the strips reproduces the full image exactly.  For
     a file-backed source, held memory stays O(strip_height x width x bands)
-    regardless of image height; in-memory sources yield zero-copy views.
+    regardless of image height; in-memory sources yield zero-copy views.  A
+    strip is released to the ledger when the generator resumes.
     """
-    if strip_height < 1:
-        raise ConfigError("strip_height must be >= 1")
-    height = source.height
-    file_backed = isinstance(source, ImageSource)
-    for row0 in range(0, height, strip_height):
-        row1 = min(row0 + strip_height, height)
-        if file_backed:
-            samples, validity = source.read_rows(row0, row1)
-        else:
-            samples = source.samples[:, row0:row1, :]
-            validity = source.validity[row0:row1, :]
-        yield Strip(row0, tuple(source.bands), samples, validity)
-        if file_backed:
-            source.release_rows(row0, row1)
+    for row0, row1 in strip_bounds(source.height, strip_height):
+        strip = read_strip(source, row0, row1)
+        yield strip
+        release_strip(source, strip)
 
 
 def open_image(header_path: Path | str) -> ImageSource:

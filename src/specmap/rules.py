@@ -23,6 +23,18 @@ A ``requires(bK, clause)`` guard marks a clause as in use only when band bK
 is supplied.  When the band is absent the clause drops out of its enclosing
 conjunction (contributes true) or disjunction (contributes false); a rule
 whose whole body drops out never fires.
+
+``compile_rules`` turns a rule set, the set of bound band symbols and a match
+policy into a ``RuleProgram``: a flat step list in which every distinct
+numeric and boolean node has one slot, so a ratio or comparison shared by
+several rules is computed once.  ``requires`` guards are resolved at compile
+time.  ``RuleProgram.label`` runs the steps over blocks of about
+``_BLOCK_PIXELS`` pixels, dropping each value after its last use, and picks
+the winning rule without branches: each rule has a position (its stored order
+under last-match, reversed under first-match), the winner is the largest
+``mask * position`` and one lookup table maps positions to labels.
+``eval_expr``/``eval_rule`` walk the AST directly; they are the reference the
+compiled program is tested against, and serve one-pixel evaluation.
 """
 
 from __future__ import annotations
@@ -292,6 +304,178 @@ class RuleSet:
         entries += [(c.index, c.name, c.pseudo_color) for c in self.ruleless]
         entries.append((self.fallback_index, self.fallback_name, self.fallback_color))
         return tuple(sorted(entries))
+
+
+# ---------------------------------------------------------------------------
+# Compiled rule program
+# ---------------------------------------------------------------------------
+
+#: Pixels per evaluation block: a block's live intermediates stay cache-sized.
+_BLOCK_PIXELS = 1 << 16
+
+
+def _ratio(num, den):
+    """``num / den`` in float64, NaN where ``|den| < DIV_EPS``: as ``_eval_num``."""
+    num = np.asarray(num, dtype=np.float64)
+    den = np.asarray(den, dtype=np.float64)
+    out = np.full(np.broadcast_shapes(num.shape, den.shape), np.nan)
+    return np.divide(num, den, out=out, where=np.abs(den) >= DIV_EPS)
+
+
+def _fold(ufunc):
+    """``functools.reduce(ufunc, parts)``, in place after the first call."""
+
+    def fold(*parts):
+        acc = ufunc(parts[0], parts[1])
+        for part in parts[2:]:
+            # A scalar from a constant-only clause cannot take ``out=``; it
+            # broadcasts against an array ``part`` into a new array.
+            if isinstance(acc, np.ndarray) and acc.shape == np.broadcast_shapes(
+                acc.shape, np.shape(part)
+            ):
+                ufunc(acc, part, out=acc)
+            else:
+                acc = ufunc(acc, part)
+        return acc
+
+    return fold
+
+
+_NUM_FUNCS = {Ratio: _ratio, Sum: operator.add, Diff: operator.sub}
+_FOLDS = {And: _fold(np.logical_and), Or: _fold(np.logical_or)}
+
+
+@dataclass(frozen=True, eq=False)
+class RuleProgram:
+    """A rule set compiled for one band binding and one match policy.
+
+    ``steps`` are ``(func, out, args, drop)``: ``values[out] =
+    func(*values[args])``, then every slot in ``drop`` is freed, because that
+    step was its last use.  A step whose ``func`` is None is a winner step:
+    ``out`` is the rule's position and ``args`` holds its mask slot.
+    """
+
+    steps: tuple[tuple, ...]
+    initial: tuple  # per-slot value before a block runs: constants, else None
+    bands: tuple[tuple[int, str], ...]  # (slot, band symbol)
+    lut: np.ndarray  # position -> label; position 0 is the fallback
+
+    def label(self, planes: Mapping[str, np.ndarray], validity: np.ndarray) -> np.ndarray:
+        """int32 labels of 2-D ``planes``; invalid pixels get label 0 (nodata)."""
+        height, width = validity.shape
+        labels = np.empty((height, width), dtype=np.int32)
+        rows = max(1, _BLOCK_PIXELS // max(width, 1))
+        win_dtype = np.min_scalar_type(len(self.lut) - 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for r0 in range(0, height, rows):
+                block = labels[r0 : r0 + rows]
+                win = np.zeros(block.shape, dtype=win_dtype)
+                hit = np.empty_like(win)
+                values = list(self.initial)
+                for slot, symbol in self.bands:
+                    values[slot] = planes[symbol][r0 : r0 + rows]
+                for func, out, args, drop in self.steps:
+                    if func is None:
+                        np.multiply(values[args[0]], out, out=hit)
+                        np.maximum(win, hit, out=win)
+                    else:
+                        values[out] = func(*[values[a] for a in args])
+                    for slot in drop:
+                        values[slot] = None
+                np.take(self.lut, win, out=block)
+                # Label 0 is nodata.
+                np.multiply(block, validity[r0 : r0 + rows], out=block)
+        return labels
+
+
+def compile_rules(ruleset: RuleSet, symbols: Iterable[str], policy: str) -> RuleProgram:
+    """Compile ``ruleset`` for the band ``symbols`` bound to an image.
+
+    Each distinct (structurally equal) node gets one slot.  A ``requires``
+    guard on an unbound band drops its clause here, and a rule whose whole
+    body drops out gets no winner step.  An unguarded unbound band is a
+    ``ConfigError``, as in ``eval_expr``.
+    """
+    if policy not in MATCH_POLICIES:
+        raise ConfigError(f"unknown match policy {policy!r}")
+    symbols = frozenset(symbols)
+    slots: dict[object, int | None] = {}
+    initial: list = []
+    bands: list[tuple[int, str]] = []
+    steps: list[list] = []
+
+    def new_slot(value=None) -> int:
+        initial.append(value)
+        return len(initial) - 1
+
+    def emit(func, args) -> int:
+        args = tuple(args)  # compiles the operands, so their steps come first
+        out = new_slot()
+        steps.append([func, out, args])
+        return out
+
+    def num(node) -> int:
+        if node in slots:
+            return slots[node]
+        if isinstance(node, Const):
+            slot = new_slot(node.value)
+        elif isinstance(node, BandRef):
+            if node.symbol not in symbols:
+                raise ConfigError(f"band {node.symbol} not supplied")
+            slot = new_slot()
+            bands.append((slot, node.symbol))
+        elif isinstance(node, (Ratio, Sum, Diff)):
+            pair = (node.num, node.den) if isinstance(node, Ratio) else (node.left, node.right)
+            slot = emit(_NUM_FUNCS[type(node)], map(num, pair))
+        else:
+            raise ConfigError(f"not a numeric expression node: {node!r}")
+        slots[node] = slot
+        return slot
+
+    def boolean(node) -> int | None:
+        """The node's slot, or None when its guards drop it entirely."""
+        if node in slots:
+            return slots[node]
+        if isinstance(node, Cmp):
+            slot = emit(_CMP_FUNCS[node.op], (num(node.left), num(node.right)))
+        elif isinstance(node, (And, Or)):
+            parts = [p for p in map(boolean, node.children) if p is not None]
+            if len(parts) > 1:
+                slot = emit(_FOLDS[type(node)], parts)
+            else:
+                slot = parts[0] if parts else None
+        elif isinstance(node, RequiresBand):
+            slot = boolean(node.child) if node.symbol in symbols else None
+        else:
+            raise ConfigError(f"not a boolean expression node: {node!r}")
+        slots[node] = slot
+        return slot
+
+    n = len(ruleset.rules)
+    win_type = np.min_scalar_type(n).type
+    lut = np.empty(n + 1, dtype=np.int32)
+    lut[0] = ruleset.fallback_index
+    for i, rule in enumerate(ruleset.rules):
+        # The largest matching position wins.
+        position = i + 1 if policy == "last-match" else n - i
+        lut[position] = rule.index
+        root = boolean(rule.expr)
+        if root is not None:
+            steps.append([None, win_type(position), (root,)])
+
+    last_use: dict[int, int] = {}
+    for k, (_, _, args) in enumerate(steps):
+        for slot in args:
+            last_use[slot] = k
+    drops: list[list[int]] = [[] for _ in steps]
+    for slot, k in last_use.items():
+        drops[k].append(slot)
+    return RuleProgram(
+        steps=tuple((f, out, args, tuple(d)) for (f, out, args), d in zip(steps, drops)),
+        initial=tuple(initial),
+        bands=tuple(bands),
+        lut=lut,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,24 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import strategies as st
 
 from specmap.classify import CategoricalMap, LegendEntry
 from specmap.raster import BandMetadata, MultiSpectralImage, write_image
+from specmap.rules import (
+    BandRef,
+    Cmp,
+    Const,
+    Diff,
+    Ratio,
+    RequiresBand,
+    Rule,
+    RuleSet,
+    RulelessClass,
+    Sum,
+    make_and,
+    make_or,
+)
 
 SPECL_WAVELENGTHS = {
     "b1": 0.48, "b2": 0.56, "b3": 0.66, "b4": 0.83, "b5": 1.6, "b7": 2.2,
@@ -106,3 +121,64 @@ def write_scene(path, height: int, width: int, seed: int = 0, **kw):
     image = synth_scene(height, width, seed, **kw)
     write_image(image, path)
     return image
+
+
+# -- random rule sets --------------------------------------------------------
+
+_numbers = st.integers(0, 8000).map(lambda n: float(n) / 1000.0)
+_num_leaf = st.one_of(
+    _numbers.map(Const),
+    st.sampled_from(SPECL_ORDER).map(BandRef),
+)
+_num_expr = st.recursive(
+    _num_leaf,
+    lambda children: st.one_of(
+        st.tuples(children, children).map(lambda t: Ratio(*t)),
+        st.tuples(children, children).map(lambda t: Sum(*t)),
+        st.tuples(children, children).map(lambda t: Diff(*t)),
+    ),
+    max_leaves=6,
+)
+_cmp = st.tuples(_num_expr, st.sampled_from(("<=", ">=", "<", ">")), _num_expr).map(
+    lambda t: Cmp(*t)
+)
+_bool_expr = st.recursive(
+    _cmp,
+    lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(make_and),
+        st.lists(children, min_size=2, max_size=3).map(make_or),
+        st.tuples(st.sampled_from(SPECL_ORDER), children).map(
+            lambda t: RequiresBand(*t)
+        ),
+    ),
+    max_leaves=8,
+)
+_names = st.text(
+    alphabet="abcdefghij /()-", min_size=1, max_size=12
+)
+_colors = st.tuples(
+    st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)
+)
+
+
+@st.composite
+def rulesets(draw):
+    """Random rule sets of 1-4 rules over the SPECL band symbols."""
+    n_rules = draw(st.integers(1, 4))
+    exprs = [draw(_bool_expr) for _ in range(n_rules)]
+    rules = tuple(
+        Rule(i + 1, draw(_names), expr, draw(_colors))
+        for i, expr in enumerate(exprs)
+    )
+    ruleless = ()
+    if draw(st.booleans()):
+        ruleless = (RulelessClass(n_rules + 1, draw(_names), draw(_colors)),)
+    return RuleSet(
+        declared_bands=tuple(SPECL_WAVELENGTHS.items()),
+        rules=rules,
+        ruleless=ruleless,
+        fallback_index=n_rules + 2,
+        fallback_name=draw(_names),
+        fallback_color=draw(_colors),
+        match_policy=draw(st.sampled_from(("last-match", "first-match"))),
+    )

@@ -105,6 +105,21 @@ class TestClassify:
         # 15 strips the image is made of
         assert strip_ledger.peak <= 3 * strip_bytes
 
+    def test_threaded_streaming_ledgers_each_strip_until_stored(self, specl, tmp_path):
+        from specmap.raster import open_image, strip_ledger, write_image
+
+        image = synth_scene(120, 16, seed=9, block=8)
+        write_image(image, tmp_path / "scene.hdr")
+        strip_ledger.reset()
+        streamed = classify_streamed(
+            open_image(tmp_path / "scene.hdr"), specl, strip_height=8, workers=2
+        )
+        assert np.array_equal(streamed.labels, classify(image, specl).labels)
+        strip_bytes = 6 * 8 * 16 * 8 + 8 * 16
+        # one strip being labeled while the next is read, never a third
+        assert strip_ledger.peak == 2 * strip_bytes
+        assert strip_ledger.current == 0
+
     def test_invalid_pixels_get_nodata(self, specl):
         validity = np.ones((1, 3), dtype=bool)
         validity[0, 1] = False

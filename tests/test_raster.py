@@ -165,6 +165,20 @@ class TestImageIO:
         assert np.array_equal(back.validity, image.validity)
         assert np.array_equal(back.samples, image.samples)
 
+    @pytest.mark.parametrize("nodata", [0.5, float("nan"), 70000.0, -1.0])
+    def test_nodata_outside_integer_dtype_rejected(self, tmp_path, nodata):
+        validity = np.array([[True, False]])
+        samples = np.array([[[0.5, 0.0]], [[0.5, 0.0]]])
+        gain = 1 / 65535
+        bands = (BandMetadata(1, 0.48, gain=gain, nodata_value=0.0),
+                 BandMetadata(2, 0.56, gain=gain, nodata_value=nodata))
+        image = MultiSpectralImage(bands, samples, validity, "u16")
+        with pytest.raises(ConfigError, match="band 2: nodata value"):
+            write_image(image, tmp_path / "a.hdr")
+        edge = (bands[0], BandMetadata(2, 0.56, gain=gain, nodata_value=65535.0))
+        write_image(MultiSpectralImage(edge, samples, validity, "u16"), tmp_path / "b.hdr")
+        assert np.array_equal(read_image(tmp_path / "b.hdr").validity, validity)
+
     @pytest.mark.parametrize("dtype_name", ["f32", "f64"])
     def test_nan_nodata_float_image_round_trips(self, tmp_path, dtype_name):
         rng = np.random.default_rng(9)
@@ -309,6 +323,14 @@ class TestStreaming:
             s.core_samples.mean(axis=0) for s in stream_strips(source, 7)
         ]
         assert np.array_equal(np.concatenate(parts, axis=0), expected)
+
+    def test_payload_cut_after_open_is_truncated_error(self, tmp_path):
+        write_image(synth_scene(8, 4, seed=2, block=2), tmp_path / "a.hdr")
+        source = open_image(tmp_path / "a.hdr")
+        with open(tmp_path / "a.bin", "r+b") as f:
+            f.truncate(5 * 8 * 4 * 2 + 3)
+        with pytest.raises(TruncatedFileError, match="a.bin"):
+            source.read_rows(0, 8)
 
     def test_ledger_bounds_file_backed_buffers(self, tmp_path):
         image = synth_scene(96, 16, seed=9, block=8)

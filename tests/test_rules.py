@@ -1,12 +1,14 @@
 import dataclasses
 import importlib.resources
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmap.errors import ConfigError, RuleSyntaxError
 from specmap.rules import (
+    _BLOCK_PIXELS,
     And,
     BandRef,
     Cmp,
@@ -17,19 +19,19 @@ from specmap.rules import (
     RequiresBand,
     Rule,
     RuleSet,
-    RulelessClass,
     Sum,
+    compile_rules,
     eval_expr,
     eval_rule,
     format_expr,
     format_rules,
     load_specl,
-    make_and,
-    make_or,
     parse_rules,
     referenced_bands,
     required_bands,
 )
+
+from helpers import SPECL_ORDER, rulesets
 
 HEADER = "bands: b1@0.48, b2@0.56, b3@0.66, b4@0.83, b5@1.6, b7@2.2\n"
 
@@ -276,68 +278,158 @@ class TestFormatter:
 
 # -- random rule sets round-trip -------------------------------------------
 
-_SYMBOLS = ("b1", "b2", "b3", "b4", "b5", "b7")
 
-_numbers = st.integers(0, 8000).map(lambda n: float(n) / 1000.0)
-_num_leaf = st.one_of(
-    _numbers.map(Const),
-    st.sampled_from(_SYMBOLS).map(BandRef),
-)
-_num_expr = st.recursive(
-    _num_leaf,
-    lambda children: st.one_of(
-        st.tuples(children, children).map(lambda t: Ratio(*t)),
-        st.tuples(children, children).map(lambda t: Sum(*t)),
-        st.tuples(children, children).map(lambda t: Diff(*t)),
-    ),
-    max_leaves=6,
-)
-_cmp = st.tuples(_num_expr, st.sampled_from(("<=", ">=", "<", ">")), _num_expr).map(
-    lambda t: Cmp(*t)
-)
-_bool_expr = st.recursive(
-    _cmp,
-    lambda children: st.one_of(
-        st.lists(children, min_size=2, max_size=3).map(make_and),
-        st.lists(children, min_size=2, max_size=3).map(make_or),
-        st.tuples(st.sampled_from(_SYMBOLS), children).map(
-            lambda t: RequiresBand(*t)
-        ),
-    ),
-    max_leaves=8,
-)
-_names = st.text(
-    alphabet="abcdefghij /()-", min_size=1, max_size=12
-)
-_colors = st.tuples(
-    st.integers(0, 255), st.integers(0, 255), st.integers(0, 255)
-)
-
-
-@st.composite
-def _rulesets(draw):
-    n_rules = draw(st.integers(1, 4))
-    exprs = [draw(_bool_expr) for _ in range(n_rules)]
-    rules = tuple(
-        Rule(i + 1, draw(_names), expr, draw(_colors))
-        for i, expr in enumerate(exprs)
-    )
-    ruleless = ()
-    if draw(st.booleans()):
-        ruleless = (RulelessClass(n_rules + 1, draw(_names), draw(_colors)),)
-    return RuleSet(
-        declared_bands=tuple((s, w) for s, w in
-                             zip(_SYMBOLS, (0.48, 0.56, 0.66, 0.83, 1.6, 2.2))),
-        rules=rules,
-        ruleless=ruleless,
-        fallback_index=n_rules + 2,
-        fallback_name=draw(_names),
-        fallback_color=draw(_colors),
-        match_policy=draw(st.sampled_from(("last-match", "first-match"))),
-    )
-
-
-@given(_rulesets())
+@given(rulesets())
 @settings(max_examples=150, deadline=None)
 def test_random_ruleset_round_trip(ruleset):
     assert parse_rules(format_rules(ruleset)) == ruleset
+
+
+# -- compiled rule programs --------------------------------------------------
+
+
+def _reference_labels(ruleset, planes, validity, policy):
+    """The per-rule match loop: ``eval_expr`` per rule, masked label writes."""
+    labels = np.full(validity.shape, ruleset.fallback_index, dtype=np.int32)
+    # Later writes win, so first-match writes the rules in reverse order.
+    rules = ruleset.rules if policy == "last-match" else reversed(ruleset.rules)
+    for rule in rules:
+        mask = eval_expr(rule.expr, planes)
+        if mask is None:
+            continue
+        labels[np.logical_and(mask, validity)] = rule.index
+    labels[~validity] = 0
+    return labels
+
+
+def _assert_program_matches_reference(ruleset, planes, validity):
+    for policy in ("last-match", "first-match"):
+        try:
+            _reference_labels(ruleset, planes, validity, policy)
+        except ConfigError:
+            # A band read under another band's guard, with only that one
+            # bound; the two may name different unbound bands.
+            with pytest.raises(ConfigError, match=r"^band b\d not supplied$"):
+                compile_rules(ruleset, planes, policy)
+            continue
+        program = compile_rules(ruleset, planes, policy)
+        got = program.label(planes, validity)
+        assert got.dtype == np.int32
+        assert np.array_equal(got, _reference_labels(ruleset, planes, validity, policy))
+
+
+#: (height, width): one pixel, one block, blocks of 65 rows over a height
+#: that is no multiple of 65, and one-row blocks of rows wider than a block.
+_SHAPES = ((1, 1), (4, 9), (131, 1000), (3, _BLOCK_PIXELS + 3))
+
+
+@st.composite
+def _planes(draw, ruleset):
+    """Planes for every required band and some optional ones, ~10 % zeros."""
+    required = ruleset.required_bands()
+    optional = [s for s in SPECL_ORDER if s not in required]
+    bound = set(required) | set(draw(st.sets(st.sampled_from(optional))) if optional else ())
+    shape = draw(st.sampled_from(_SHAPES))
+    dtype = draw(st.sampled_from((np.float32, np.float64)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    planes = {}
+    for symbol in sorted(bound):
+        plane = rng.random(shape).astype(dtype)
+        plane[rng.random(shape) < 0.1] = 0.0
+        planes[symbol] = plane
+    validity = rng.random(shape) >= 0.1
+    return planes, validity
+
+
+class TestCompiledProgram:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_rule_reference(self, data):
+        ruleset = data.draw(rulesets())
+        planes, validity = data.draw(_planes(ruleset))
+        _assert_program_matches_reference(ruleset, planes, validity)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_specl_matches_reference_across_blocks(self, specl, rng, dtype):
+        shape = (2 * (_BLOCK_PIXELS // 700) + 5, 700)
+        planes = {s: rng.random(shape).astype(dtype) for s in SPECL_ORDER}
+        planes["b3"][rng.random(shape) < 0.1] = 0.0
+        validity = rng.random(shape) >= 0.05
+        _assert_program_matches_reference(specl, planes, validity)
+        del planes["b7"]
+        _assert_program_matches_reference(specl, planes, validity)
+
+    def test_constant_only_conjunction(self):
+        expr = parse_expr("0.0 <= 0.0 AND 0.0 <= 0.0 AND 0.0 <= 0.0")
+        ruleset = RuleSet(
+            (("b4", 0.83),), (Rule(1, "all", expr, (0, 0, 0)),), (), 2, "f", (0, 0, 0)
+        )
+        planes = {"b4": np.array([[0.1, 0.2, 0.3]])}
+        validity = np.array([[True, False, True]])
+        _assert_program_matches_reference(ruleset, planes, validity)
+        labels = compile_rules(ruleset, planes, "last-match").label(planes, validity)
+        assert labels.tolist() == [[1, 0, 1]]
+
+    def test_same_operands_other_operator_is_another_comparison(self):
+        header = "bands: b3@0.66, b4@0.83\n"
+        ruleset = parse_rules(
+            header
+            + 'rule 1 "low" color #000000 { b4/b3 <= 1.3 }\n'
+            + 'rule 2 "high" color #111111 { b4/b3 >= 1.3 AND b3 > 0.5 }\n'
+            + 'fallback 3 "f"\n'
+        )
+        planes = {"b3": np.array([[0.4, 0.6, 0.6]]), "b4": np.array([[0.2, 0.9, 0.3]])}
+        validity = np.ones((1, 3), dtype=bool)
+        labels = compile_rules(ruleset, planes, "last-match").label(planes, validity)
+        assert labels.tolist() == [[1, 2, 1]]
+        _assert_program_matches_reference(ruleset, planes, validity)
+
+    def test_unbound_unguarded_band_is_config_error(self):
+        ruleset = parse_rules(
+            HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 AND b5 <= 0.5 }\nfallback 9 "f"\n'
+        )
+        with pytest.raises(ConfigError, match="band b5 not supplied"):
+            compile_rules(ruleset, {"b4"}, "last-match")
+
+    def test_wholly_guarded_rule_never_fires(self):
+        ruleset = parse_rules(
+            HEADER
+            + 'rule 1 "x" color #000000 { b4 <= 0.5 }\n'
+            + 'rule 2 "y" color #000000 { requires(b7, b7 <= 0.5) OR requires(b5, b5 <= 0.5) }\n'
+            + 'fallback 9 "f"\n'
+        )
+        program = compile_rules(ruleset, {"b4"}, "last-match")
+        assert sum(func is None for func, *_ in program.steps) == 1
+        planes = {"b4": np.array([[0.1, 0.9]])}
+        assert program.label(planes, np.ones((1, 2), bool)).tolist() == [[1, 9]]
+
+    def test_unknown_policy_rejected(self, specl):
+        with pytest.raises(ConfigError, match="bogus"):
+            compile_rules(specl, SPECL_ORDER, "bogus")
+
+    def test_specl_computes_each_distinct_node_once(self, specl):
+        seen = {"num": set(), "cmp": set(), "bool": set()}
+
+        def walk(node):
+            if isinstance(node, RequiresBand):
+                return walk(node.child)
+            if isinstance(node, (And, Or)):
+                kind, children = "bool", node.children
+            elif isinstance(node, Cmp):
+                kind, children = "cmp", (node.left, node.right)
+            elif isinstance(node, Ratio):
+                kind, children = "num", (node.num, node.den)
+            elif isinstance(node, (Sum, Diff)):
+                kind, children = "num", (node.left, node.right)
+            else:
+                return
+            seen[kind].add(node)
+            for child in children:
+                walk(child)
+
+        for rule in specl.rules:
+            walk(rule.expr)
+        assert (len(seen["num"]), len(seen["cmp"])) == (7, 47)
+        program = compile_rules(specl, SPECL_ORDER, "last-match")
+        expected = sum(map(len, seen.values())) + len(specl.rules)
+        assert len(program.steps) == expected
