@@ -141,8 +141,8 @@ def main() -> None:
               help="Process in strips of this many rows.")
 @click.option("--aggregate", "aggregate_path", type=click.Path(path_type=Path),
               default=None, help="child_label,parent_label CSV applied after classify.")
-@click.option("--workers", type=int, default=os.cpu_count() or 1, show_default=True,
-              help="Strip workers.")
+@click.option("--workers", type=click.IntRange(min=1), default=os.cpu_count() or 1,
+              show_default=True, help="Strip workers.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
                  aggregate_path, workers, as_json) -> None:

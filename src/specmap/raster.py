@@ -4,7 +4,9 @@ The on-disk format is a plain-text sidecar header (``key = value`` lines,
 ``//`` comments) next to a raw little-endian band-sequential payload with the
 same stem and a ``.bin`` suffix.  Samples are calibrated to reflectance in
 [0, 1] at read time; the original storage encoding is remembered so that
-``write_image(read_image(p))`` is byte-identical.
+``write_image(read_image(p))`` is byte-identical.  ``read_image`` and strip
+reads share ``ImageSource``'s one row decoder; ``strip_ledger`` counts a
+file-backed strip's bytes from ``read_strip`` to ``release_strip``.
 """
 
 from __future__ import annotations
@@ -275,21 +277,10 @@ def _band_metadata_from_header(header: dict, dtype_name: str, n: int) -> BandMet
 
 
 def read_image(header_path: Path | str) -> MultiSpectralImage:
-    """Decode a band-sequential image and calibrate every plane to [0, 1]."""
-    header, raw = read_raster(header_path)
-    dtype_name = header.get("dtype", "f64")
-    nbands = raw.shape[0]
-    bands = tuple(
-        _band_metadata_from_header(header, dtype_name, n) for n in range(1, nbands + 1)
-    )
-    samples = np.empty(raw.shape, dtype=np.float64)
-    validity = np.ones(raw.shape[1:], dtype=bool)
-    for i, meta in enumerate(bands):
-        values, valid, _ = apply_calibration(raw[i], meta)
-        samples[i] = values
-        validity &= valid
-    samples[:, ~validity] = 0.0
-    return MultiSpectralImage(bands, samples, validity, dtype_name)
+    """Decode every row through ``ImageSource``'s decoder; ledgers no strip bytes."""
+    source = ImageSource(header_path)
+    samples, validity = source._decode_rows(0, source.height)
+    return MultiSpectralImage(source.bands, samples, validity, source.dtype_name)
 
 
 def write_image(image: MultiSpectralImage, header_path: Path | str) -> None:
@@ -298,11 +289,11 @@ def write_image(image: MultiSpectralImage, header_path: Path | str) -> None:
     invalid = ~image.validity
     raw = np.empty(image.samples.shape, dtype=dt)
     for i, meta in enumerate(image.bands):
+        nodata = meta.nodata_value
         enc = (image.samples[i] - meta.offset) / meta.gain
         if dt.kind in "ui":
             info = np.iinfo(dt)
             enc = np.clip(np.rint(enc), info.min, info.max)
-            nodata = meta.nodata_value
             # A nodata value the dtype cannot hold would lose the mask.
             if nodata is not None and not (
                 float(nodata).is_integer() and info.min <= nodata <= info.max
@@ -312,13 +303,23 @@ def write_image(image: MultiSpectralImage, header_path: Path | str) -> None:
                     f"integer in the {image.dtype_name} range {info.min}..{info.max}"
                 )
         plane = enc.astype(dt)
+        if nodata is not None:
+            # Reading marks a raw nodata value invalid; a valid sample must not be it.
+            clash = np.isnan(plane) if math.isnan(nodata) else plane == nodata
+            clash &= image.validity
+            if clash.any():
+                r, c = np.argwhere(clash)[0]
+                raise DataError(
+                    f"band {meta.band_id}: valid sample at row {r}, col {c} "
+                    f"encodes to the nodata value {nodata!r}"
+                )
         if invalid.any():
-            if meta.nodata_value is None:
+            if nodata is None:
                 raise ConfigError(
                     f"band {meta.band_id}: invalid pixels present but no "
                     "nodata value to encode them with"
                 )
-            plane[invalid] = dt.type(meta.nodata_value)
+            plane[invalid] = dt.type(nodata)
         raw[i] = plane
     extra: list[tuple[str, str]] = []
     for n, meta in enumerate(image.bands, start=1):
@@ -370,7 +371,7 @@ class Strip:
 
 
 class ImageSource:
-    """Lazily reads calibrated rows from disk without loading the full image."""
+    """Reads calibrated rows from disk; the one image decoder."""
 
     def __init__(self, header_path: Path | str):
         self.header_path = Path(header_path)
@@ -385,14 +386,16 @@ class ImageSource:
         )
 
     def read_rows(self, row0: int, row1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read and calibrate rows [row0, row1).  Allocation is ledgered."""
+        """Read and calibrate rows [row0, row1)."""
+        return self._decode_rows(row0, row1)
+
+    def _decode_rows(self, row0: int, row1: int) -> tuple[np.ndarray, np.ndarray]:
+        # The one decoder.  ``read_image`` calls it directly, not through
+        # ``read_rows``, so a traced whole-image read is not also a row read.
         nrows = row1 - row0
-        nbands = len(self.bands)
         plane_bytes = self.width * self.height * self._dt.itemsize
         row_bytes = self.width * self._dt.itemsize
-        out_bytes = nbands * nrows * self.width * 8 + nrows * self.width
-        strip_ledger.allocate(out_bytes)
-        samples = np.empty((nbands, nrows, self.width), dtype=np.float64)
+        samples = np.empty((len(self.bands), nrows, self.width), dtype=np.float64)
         validity = np.ones((nrows, self.width), dtype=bool)
         raw_bytes = nrows * row_bytes
         with open(self._ppath, "rb") as f:
@@ -413,12 +416,6 @@ class ImageSource:
         samples[:, ~validity] = 0.0
         return samples, validity
 
-    def release_rows(self, row0: int, row1: int) -> None:
-        nrows = row1 - row0
-        strip_ledger.release(
-            len(self.bands) * nrows * self.width * 8 + nrows * self.width
-        )
-
 
 def strip_bounds(height: int, strip_height: int) -> list[tuple[int, int]]:
     """``(row0, row1)`` of each strip covering ``height`` rows top to bottom."""
@@ -428,9 +425,10 @@ def strip_bounds(height: int, strip_height: int) -> list[tuple[int, int]]:
 
 
 def read_strip(source: MultiSpectralImage | ImageSource, row0: int, row1: int) -> Strip:
-    """Rows [row0, row1); a file-backed read is ledgered until ``release_strip``."""
+    """Rows [row0, row1); a file-backed strip is ledgered until ``release_strip``."""
     if isinstance(source, ImageSource):
         samples, validity = source.read_rows(row0, row1)
+        strip_ledger.allocate(samples.nbytes + validity.nbytes)
     else:
         samples = source.samples[:, row0:row1, :]
         validity = source.validity[row0:row1, :]
@@ -438,9 +436,9 @@ def read_strip(source: MultiSpectralImage | ImageSource, row0: int, row1: int) -
 
 
 def release_strip(source: MultiSpectralImage | ImageSource, strip: Strip) -> None:
-    """Return a strip's buffers to the ledger; its arrays are no longer used."""
+    """Take a file-backed strip's bytes back from the ledger; its arrays are done."""
     if isinstance(source, ImageSource):
-        source.release_rows(strip.core_start, strip.core_start + strip.core_validity.shape[0])
+        strip_ledger.release(strip.core_samples.nbytes + strip.core_validity.nbytes)
 
 
 def stream_strips(
@@ -452,7 +450,8 @@ def stream_strips(
     The concatenation of the strips reproduces the full image exactly.  For
     a file-backed source, held memory stays O(strip_height x width x bands)
     regardless of image height; in-memory sources yield zero-copy views.  A
-    strip is released to the ledger when the generator resumes.
+    strip stays on the ledger from its ``read_strip`` until the generator
+    resumes and calls ``release_strip``.
     """
     for row0, row1 in strip_bounds(source.height, strip_height):
         strip = read_strip(source, row0, row1)

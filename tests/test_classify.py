@@ -110,15 +110,24 @@ class TestClassify:
 
         image = synth_scene(120, 16, seed=9, block=8)
         write_image(image, tmp_path / "scene.hdr")
-        strip_ledger.reset()
-        streamed = classify_streamed(
-            open_image(tmp_path / "scene.hdr"), specl, strip_height=8, workers=2
-        )
-        assert np.array_equal(streamed.labels, classify(image, specl).labels)
         strip_bytes = 6 * 8 * 16 * 8 + 8 * 16
-        # one strip being labeled while the next is read, never a third
-        assert strip_ledger.peak == 2 * strip_bytes
-        assert strip_ledger.current == 0
+        for workers in (1, 2):
+            strip_ledger.reset()
+            streamed = classify_streamed(
+                open_image(tmp_path / "scene.hdr"), specl, strip_height=8,
+                workers=workers,
+            )
+            assert np.array_equal(streamed.labels, classify(image, specl).labels)
+            # with 2 workers, one strip is labeled while the next is read,
+            # never a third; with 1, a strip is stored before the next read
+            assert strip_ledger.peak == workers * strip_bytes
+            assert strip_ledger.current == 0
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_streaming_needs_a_worker(self, specl, workers):
+        image = synth_scene(8, 4, seed=3, block=2)
+        with pytest.raises(ConfigError, match="workers must be >= 1"):
+            classify_streamed(image, specl, strip_height=4, workers=workers)
 
     def test_invalid_pixels_get_nodata(self, specl):
         validity = np.ones((1, 3), dtype=bool)

@@ -80,6 +80,16 @@ class TestClassifyCommand:
                "--stream", 16, "--workers", 2)
         assert np.array_equal(read_map(whole).labels, read_map(streamed).labels)
 
+    def test_zero_workers_is_usage_error(self, runner, tmp_path):
+        write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
+        result = runner.invoke(main, [
+            "classify", "--rules", SPECL_PATH, "--in", str(tmp_path / "scene.hdr"),
+            "--out", str(tmp_path / "map.hdr"), "--stream", "4", "--workers", "0",
+        ])
+        assert result.exit_code == 2
+        assert "--workers" in result.output
+        assert not (tmp_path / "map.hdr").exists()
+
     def test_manifest_hashes_inputs_and_outputs(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=13, block=4)
         out = tmp_path / "map.hdr"

@@ -179,6 +179,27 @@ class TestImageIO:
         write_image(MultiSpectralImage(edge, samples, validity, "u16"), tmp_path / "b.hdr")
         assert np.array_equal(read_image(tmp_path / "b.hdr").validity, validity)
 
+    def test_valid_sample_encoding_to_nodata_rejected(self, tmp_path):
+        # Reflectance 0.0 encodes to raw 0 in u16, band 1's nodata value;
+        # written, it would read back invalid.
+        validity = np.array([[True, True]])
+        samples = np.array([[[0.0, 0.5]], [[0.5, 0.5]]])
+        gain = 1 / 65535
+        bands = (BandMetadata(1, 0.48, gain=gain, nodata_value=0.0),
+                 BandMetadata(2, 0.56, gain=gain, nodata_value=0.0))
+        image = MultiSpectralImage(bands, samples, validity, "u16")
+        with pytest.raises(DataError, match="band 1: valid sample at row 0, col 0"):
+            write_image(image, tmp_path / "a.hdr")
+        samples[0, 0, 0] = 0.25
+        write_image(MultiSpectralImage(bands, samples, validity, "u16"), tmp_path / "b.hdr")
+        assert np.array_equal(read_image(tmp_path / "b.hdr").validity, validity)
+
+    def test_whole_image_read_ledgers_no_strip_bytes(self, tmp_path):
+        write_image(synth_scene(16, 8, seed=4, block=4), tmp_path / "a.hdr")
+        strip_ledger.reset()
+        read_image(tmp_path / "a.hdr")
+        assert strip_ledger.peak == strip_ledger.current == 0
+
     @pytest.mark.parametrize("dtype_name", ["f32", "f64"])
     def test_nan_nodata_float_image_round_trips(self, tmp_path, dtype_name):
         rng = np.random.default_rng(9)
