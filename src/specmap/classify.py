@@ -198,7 +198,7 @@ def classify_strip(
 
 
 def classify_streamed(
-    source: MultiSpectralImage | ImageSource,
+    source: ImageSource,
     ruleset: RuleSet,
     strip_height: int,
     policy: str | None = None,
@@ -209,10 +209,10 @@ def classify_streamed(
 
     The rule set is compiled once, since every strip binds the same bands.
     Strips go to a pool of ``workers`` threads, but at most ``workers``
-    strips are read and not yet labeled at once, so file-backed sources keep
-    their fixed memory footprint; a strip's buffers are released when its
-    labels are stored.  Reads, releases and visit accounting stay in the
-    calling thread.
+    strips are read and not yet labeled at once, so memory stays fixed; a
+    strip's buffers are released when its labels are stored, or when the
+    run fails.  Reads, releases and visit accounting stay in the calling
+    thread.
     """
     # Imported here: concurrent.futures loads logging, which would add
     # 10-20 ms to the start of every subcommand.
@@ -225,23 +225,32 @@ def classify_streamed(
     pending: deque = deque()
 
     def finish_oldest() -> None:
-        strip, future = pending.popleft()
+        # The strip stays pending until its labels are stored, so the
+        # ``finally`` below releases it if its label fails.
+        strip, future = pending[0]
         rows = future.result()
         labels[strip.core_start : strip.core_start + rows.shape[0]] = rows
         if counter is not None:
             counter.visits += int(rows.size)
-        release_strip(source, strip)
+        pending.popleft()
+        release_strip(strip)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for row0, row1 in strip_bounds(source.height, strip_height):
-            if len(pending) == workers:
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for row0, row1 in strip_bounds(source.height, strip_height):
+                if len(pending) == workers:
+                    finish_oldest()
+                strip = read_strip(source, row0, row1)
+                pending.append((strip, pool.submit(
+                    _label, binding, program, strip.core_samples,
+                    strip.core_validity, None
+                )))
+            while pending:
                 finish_oldest()
-            strip = read_strip(source, row0, row1)
-            pending.append((strip, pool.submit(
-                _label, binding, program, strip.core_samples, strip.core_validity, None
-            )))
-        while pending:
-            finish_oldest()
+    finally:
+        # Left only by a failed read or label; the pool has joined its threads.
+        for strip, _ in pending:
+            release_strip(strip)
     return CategoricalMap(labels, legend_from_ruleset(ruleset))
 
 

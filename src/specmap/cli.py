@@ -20,9 +20,12 @@ import click
 import numpy as np
 
 from . import __version__, raster
+# ``classify``, ``connected_components`` and ``combine`` are not called here;
+# the benchmark's span tracer (bench/traced.py) wraps them by name in this
+# module.
 from .classify import (
     PixelVisitCounter,
-    classify,
+    classify,  # noqa: F401
     classify_streamed,
     read_map,
     write_map,
@@ -45,14 +48,12 @@ from .compare import (
     write_relation_csv,
 )
 from .errors import SpecmapError
-# ``combine`` is not called here; the benchmark's span tracer
-# (bench/traced.py) wraps ``specmap.cli.combine`` by name.
 from .evidence import combine, read_evidence_csv, score_table, write_scores_csv  # noqa: F401
 from .rules import parse_rules
 from .segmentation import (
     TwoPassLabeler,
     build_superpixel_table,
-    connected_components,
+    connected_components,  # noqa: F401
     cross_aura,
     reconstruct,
     rmse_map,
@@ -137,12 +138,13 @@ def main() -> None:
 @click.option("--out", "output_path", required=True, type=click.Path(path_type=Path))
 @click.option("--policy", type=click.Choice(["last-match", "first-match"]), default=None,
               help="Override the rule file's match policy.")
-@click.option("--stream", "strip_height", type=int, default=None,
-              help="Process in strips of this many rows.")
+@click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
+              help="Rows per strip (default: about 131 072 pixels per strip). "
+                   "Every run reads in strips, so memory stays bounded.")
 @click.option("--aggregate", "aggregate_path", type=click.Path(path_type=Path),
               default=None, help="child_label,parent_label CSV applied after classify.")
 @click.option("--workers", type=click.IntRange(min=1), default=os.cpu_count() or 1,
-              show_default=True, help="Strip workers.")
+              show_default=True, help="Threads labeling strips, in every run.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
 def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
                  aggregate_path, workers, as_json) -> None:
@@ -160,14 +162,10 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
     try:
         ruleset = parse_rules(rules_path.read_text(encoding="utf-8"))
         counter = PixelVisitCounter()
-        if strip_height:
-            source = raster.open_image(input_path)
-            cmap = classify_streamed(source, ruleset, strip_height,
-                                     policy=policy, counter=counter,
-                                     workers=workers)
-        else:
-            image = raster.read_image(input_path)
-            cmap = classify(image, ruleset, policy=policy, counter=counter)
+        source = raster.open_image(input_path)
+        cmap = classify_streamed(source, ruleset,
+                                 _strip_rows(strip_height, source.width),
+                                 policy=policy, counter=counter, workers=workers)
         expected = cmap.labels.size
         if counter.visits != expected:
             raise SpecmapError(
@@ -206,8 +204,10 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
               help="Calibrated image the map was classified from.")
 @click.option("--out-prefix", "out_prefix", required=True, type=click.Path(path_type=Path))
 @click.option("--adjacency", type=click.Choice(["4", "8"]), default="8")
-@click.option("--stream", "strip_height", type=int, default=None,
-              help="Feed labeling and band sums in strips of this many rows.")
+@click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
+              help="Rows per strip for labeling and image reads (default: about "
+                   "131 072 pixels per strip). The whole calibrated image is "
+                   "still held.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_json):
     """Segment a categorical map and describe, rebuild and score it."""
@@ -224,15 +224,12 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
     try:
         cmap = read_map(map_path)
-        if strip_height:
-            labeler = TwoPassLabeler(cmap.width, adjacency)
-            for r0 in range(0, cmap.height, strip_height):
-                labeler.feed(cmap.labels[r0 : r0 + strip_height])
-            seg = labeler.finalize()
-            image = _read_image_streamed(image_path, strip_height)
-        else:
-            seg = connected_components(cmap, adjacency)
-            image = raster.read_image(image_path)
+        rows = _strip_rows(strip_height, cmap.width)
+        labeler = TwoPassLabeler(cmap.width, adjacency)
+        for r0, r1 in raster.strip_bounds(cmap.height, rows):
+            labeler.feed(cmap.labels[r0:r1])
+        seg = labeler.finalize()
+        image = _read_image_streamed(image_path, rows)
         aura = cross_aura(cmap, adjacency)
         table = build_superpixel_table(cmap, seg, image, aura)
         recon = reconstruct(seg, table, image)
@@ -266,6 +263,11 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         "rmse_stdev": stats.stdev,
         **{k: str(v) for k, v in paths.items()},
     }, as_json)
+
+
+def _strip_rows(strip_height: int | None, width: int) -> int:
+    """``--stream`` if given, else the rows of about ``STRIP_PIXELS`` pixels."""
+    return strip_height or max(1, raster.STRIP_PIXELS // max(1, width))
 
 
 def _read_image_streamed(image_path: Path, strip_height: int) -> raster.MultiSpectralImage:

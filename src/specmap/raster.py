@@ -5,8 +5,9 @@ The on-disk format is a plain-text sidecar header (``key = value`` lines,
 same stem and a ``.bin`` suffix.  Samples are calibrated to reflectance in
 [0, 1] at read time; the original storage encoding is remembered so that
 ``write_image(read_image(p))`` is byte-identical.  ``read_image`` and strip
-reads share ``ImageSource``'s one row decoder; ``strip_ledger`` counts a
-file-backed strip's bytes from ``read_strip`` to ``release_strip``.
+reads share ``ImageSource``'s one row decoder; strips come only from files,
+and ``strip_ledger`` counts a strip's bytes from ``read_strip`` to
+``release_strip``.
 """
 
 from __future__ import annotations
@@ -336,6 +337,11 @@ def write_image(image: MultiSpectralImage, header_path: Path | str) -> None:
 # ---------------------------------------------------------------------------
 
 
+#: Pixels per strip when a run does not set the strip height: 64 rows at
+#: width 2048.
+STRIP_PIXELS = 1 << 17
+
+
 class BufferLedger:
     """Accounting of strip buffer bytes; lets tests pin the streaming bound."""
 
@@ -386,7 +392,12 @@ class ImageSource:
         )
 
     def read_rows(self, row0: int, row1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read and calibrate rows [row0, row1)."""
+        """Read and calibrate rows [row0, row1); needs ``0 <= row0 < row1 <= height``."""
+        if not 0 <= row0 < row1 <= self.height:
+            raise ConfigError(
+                f"{self.header_path}: cannot read rows [{row0}, {row1}) "
+                f"of a {self.height}-row image"
+            )
         return self._decode_rows(row0, row1)
 
     def _decode_rows(self, row0: int, row1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -424,39 +435,32 @@ def strip_bounds(height: int, strip_height: int) -> list[tuple[int, int]]:
     return [(r0, min(r0 + strip_height, height)) for r0 in range(0, height, strip_height)]
 
 
-def read_strip(source: MultiSpectralImage | ImageSource, row0: int, row1: int) -> Strip:
-    """Rows [row0, row1); a file-backed strip is ledgered until ``release_strip``."""
-    if isinstance(source, ImageSource):
-        samples, validity = source.read_rows(row0, row1)
-        strip_ledger.allocate(samples.nbytes + validity.nbytes)
-    else:
-        samples = source.samples[:, row0:row1, :]
-        validity = source.validity[row0:row1, :]
-    return Strip(row0, tuple(source.bands), samples, validity)
+def read_strip(source: ImageSource, row0: int, row1: int) -> Strip:
+    """Rows [row0, row1), ledgered until ``release_strip``."""
+    samples, validity = source.read_rows(row0, row1)
+    strip_ledger.allocate(samples.nbytes + validity.nbytes)
+    return Strip(row0, source.bands, samples, validity)
 
 
-def release_strip(source: MultiSpectralImage | ImageSource, strip: Strip) -> None:
-    """Take a file-backed strip's bytes back from the ledger; its arrays are done."""
-    if isinstance(source, ImageSource):
-        strip_ledger.release(strip.core_samples.nbytes + strip.core_validity.nbytes)
+def release_strip(strip: Strip) -> None:
+    """Take a strip's bytes back from the ledger; its arrays are done."""
+    strip_ledger.release(strip.core_samples.nbytes + strip.core_validity.nbytes)
 
 
-def stream_strips(
-    source: MultiSpectralImage | ImageSource,
-    strip_height: int,
-) -> Iterator[Strip]:
+def stream_strips(source: ImageSource, strip_height: int) -> Iterator[Strip]:
     """Yield strips covering the image top to bottom.
 
-    The concatenation of the strips reproduces the full image exactly.  For
-    a file-backed source, held memory stays O(strip_height x width x bands)
-    regardless of image height; in-memory sources yield zero-copy views.  A
-    strip stays on the ledger from its ``read_strip`` until the generator
-    resumes and calls ``release_strip``.
+    The concatenation of the strips reproduces the full image exactly, and
+    held memory stays O(strip_height x width x bands) regardless of image
+    height.  A strip stays on the ledger from its ``read_strip`` until the
+    generator resumes or is closed.
     """
     for row0, row1 in strip_bounds(source.height, strip_height):
         strip = read_strip(source, row0, row1)
-        yield strip
-        release_strip(source, strip)
+        try:
+            yield strip
+        finally:
+            release_strip(strip)
 
 
 def open_image(header_path: Path | str) -> ImageSource:

@@ -183,6 +183,13 @@ def _resolve_runs(n: int, heads: np.ndarray, tails: np.ndarray,
     return parent
 
 
+def _drain(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate ``parts`` and empty the list, freeing the parts."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
+
+
 class TwoPassLabeler:
     """Feed label rows top to bottom, then finalize to a SegmentationMap.
 
@@ -190,7 +197,8 @@ class TwoPassLabeler:
     consecutively in row-major order, and collects (run, run-above) edges
     against the row fed before, so strips need no overlap rows.  Pass 2
     (``finalize``) resolves the edges to components and numbers them by
-    their first run, which is their first pixel in row-major order.
+    their first run, which is their first pixel in row-major order; it
+    hands the fed rows over, so the labeler then holds none.
     """
 
     def __init__(self, width: int, adjacency: int = 8, stats: OpStats | None = None):
@@ -211,7 +219,7 @@ class TwoPassLabeler:
             raise DimensionMismatchError(
                 f"row width {rows.shape[1]} != labeler width {self.width}"
             )
-        if rows.shape[0] == 0:
+        if rows.size == 0:
             return
         valid = rows != NODATA
         start = valid.copy()
@@ -238,16 +246,17 @@ class TwoPassLabeler:
 
     def finalize(self) -> SegmentationMap:
         if not self._starts:
-            raise DataError("no rows fed to the labeler")
-        start = np.concatenate(self._starts)
-        valid = np.concatenate(self._valids)
+            raise DataError("cannot segment an empty map: no pixels fed to the labeler")
+        start = _drain(self._starts)
+        valid = _drain(self._valids)
+        heads = _drain(self._heads)
+        tails = _drain(self._tails)
+        n, self._n_runs, self._prev = self._n_runs, 0, None
         if self.stats is not None:
             self.stats.pixel_visits += int(start.size)  # second pass
-        n = self._n_runs
         if n == 0:
             return SegmentationMap(np.zeros(start.shape, dtype=np.int32), 0)
-        root = _resolve_runs(n, np.concatenate(self._heads),
-                             np.concatenate(self._tails), self.stats)
+        root = _resolve_runs(n, heads, tails, self.stats)
         is_root = root == np.arange(n)
         rank = np.cumsum(is_root, dtype=np.int32)
         final_of_run = rank[root]

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,14 @@ from specmap.classify import (
     write_map,
 )
 from specmap.compare import LegendAggregation, translate_legend
-from specmap.errors import ConfigError, DataError, FormatError, MappingError
-from specmap.raster import stream_strips
+from specmap.errors import (
+    ConfigError,
+    DataError,
+    FormatError,
+    MappingError,
+    TruncatedFileError,
+)
+from specmap.raster import open_image, stream_strips, strip_ledger, write_image
 from specmap.rules import parse_rules
 
 from helpers import (
@@ -22,6 +30,7 @@ from helpers import (
     legend,
     random_map,
     synth_scene,
+    write_scene,
 )
 from oracles import specl_reference
 
@@ -56,12 +65,13 @@ class TestClassify:
             assert got.labels[0].tolist() == expected
         assert cmap.cardinality == 19
 
-    def test_unknown_policy_rejected_by_every_entry_point(self, specl):
-        image = synth_scene(8, 6, seed=2, block=3)
-        strip = next(stream_strips(image, 4))
+    def test_unknown_policy_rejected_by_every_entry_point(self, specl, tmp_path):
+        image = write_scene(tmp_path / "scene.hdr", 8, 6, seed=2, block=3)
+        source = open_image(tmp_path / "scene.hdr")
+        strip = next(stream_strips(source, 4))
         calls = (
             lambda: classify(image, specl, policy="bogus"),
-            lambda: classify_streamed(image, specl, 4, policy="bogus"),
+            lambda: classify_streamed(source, specl, 4, policy="bogus"),
             lambda: classify_strip(strip, specl, "bogus"),
         )
         for call in calls:
@@ -74,24 +84,25 @@ class TestClassify:
         classify(image, specl, counter=counter)
         assert counter.visits == 24 * 16
 
-    def test_streamed_visits_sum_to_pixels(self, specl):
-        image = synth_scene(30, 10, seed=4, block=5)
+    def test_streamed_visits_sum_to_pixels(self, specl, tmp_path):
+        write_scene(tmp_path / "scene.hdr", 30, 10, seed=4, block=5)
         counter = PixelVisitCounter()
-        classify_streamed(image, specl, strip_height=7, counter=counter)
+        classify_streamed(open_image(tmp_path / "scene.hdr"), specl,
+                          strip_height=7, counter=counter)
         assert counter.visits == 30 * 10
 
-    def test_streamed_equals_whole(self, specl):
-        image = synth_scene(40, 12, seed=5, block=8, nodata_fraction=0.02)
+    def test_streamed_equals_whole(self, specl, tmp_path):
+        image = write_scene(tmp_path / "scene.hdr", 40, 12, seed=5, block=8,
+                            nodata_fraction=0.02)
         whole = classify(image, specl)
         for workers in (1, 3):
             streamed = classify_streamed(
-                image, specl, strip_height=9, workers=workers
+                open_image(tmp_path / "scene.hdr"), specl, strip_height=9,
+                workers=workers
             )
             assert np.array_equal(streamed.labels, whole.labels)
 
     def test_threaded_file_streaming_stays_bounded(self, specl, tmp_path):
-        from specmap.raster import open_image, strip_ledger, write_image
-
         image = synth_scene(120, 16, seed=9, block=8)
         write_image(image, tmp_path / "scene.hdr")
         whole = classify(image, specl)
@@ -106,8 +117,6 @@ class TestClassify:
         assert strip_ledger.peak <= 3 * strip_bytes
 
     def test_threaded_streaming_ledgers_each_strip_until_stored(self, specl, tmp_path):
-        from specmap.raster import open_image, strip_ledger, write_image
-
         image = synth_scene(120, 16, seed=9, block=8)
         write_image(image, tmp_path / "scene.hdr")
         strip_bytes = 6 * 8 * 16 * 8 + 8 * 16
@@ -124,10 +133,43 @@ class TestClassify:
             assert strip_ledger.current == 0
 
     @pytest.mark.parametrize("workers", [0, -1])
-    def test_streaming_needs_a_worker(self, specl, workers):
-        image = synth_scene(8, 4, seed=3, block=2)
+    def test_streaming_needs_a_worker(self, specl, tmp_path, workers):
+        write_scene(tmp_path / "scene.hdr", 8, 4, seed=3, block=2)
         with pytest.raises(ConfigError, match="workers must be >= 1"):
-            classify_streamed(image, specl, strip_height=4, workers=workers)
+            classify_streamed(open_image(tmp_path / "scene.hdr"), specl,
+                              strip_height=4, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_read_releases_every_strip(self, specl, tmp_path, workers):
+        write_scene(tmp_path / "scene.hdr", 64, 16, seed=6, block=4)
+        source = open_image(tmp_path / "scene.hdr")
+        with open(tmp_path / "scene.bin", "r+b") as f:
+            f.truncate((5 * 64 + 40) * 16 * 2)  # last band cut at row 40
+        strip_ledger.reset()
+        with pytest.raises(TruncatedFileError):
+            classify_streamed(source, specl, strip_height=8, workers=workers)
+        assert strip_ledger.current == 0
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_label_releases_every_strip(self, specl, tmp_path, monkeypatch,
+                                               workers):
+        # The package's ``classify`` function hides the module attribute.
+        module = importlib.import_module("specmap.classify")
+        write_scene(tmp_path / "scene.hdr", 64, 16, seed=6, block=4)
+        label, calls = module._label, []
+
+        def fail_third_call(*args):
+            calls.append(args)
+            if len(calls) == 3:
+                raise DataError("labeling failed")
+            return label(*args)
+
+        monkeypatch.setattr(module, "_label", fail_third_call)
+        strip_ledger.reset()
+        with pytest.raises(DataError, match="labeling failed"):
+            classify_streamed(open_image(tmp_path / "scene.hdr"), specl,
+                              strip_height=8, workers=workers)
+        assert strip_ledger.current == 0
 
     def test_invalid_pixels_get_nodata(self, specl):
         validity = np.ones((1, 3), dtype=bool)

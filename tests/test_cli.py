@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from specmap.classify import CategoricalMap, read_map, write_map
 from specmap.cli import main
-from specmap.raster import write_image
+from specmap.raster import STRIP_PIXELS, read_image, strip_ledger, write_image
 from specmap.rules import load_specl
 from specmap.classify import classify
 from specmap.segmentation import read_segmentation
@@ -80,6 +80,20 @@ class TestClassifyCommand:
                "--stream", 16, "--workers", 2)
         assert np.array_equal(read_map(whole).labels, read_map(streamed).labels)
 
+    def test_default_run_streams_fixed_size_strips(self, runner, tmp_path):
+        width = 512
+        rows = STRIP_PIXELS // width
+        write_scene(tmp_path / "scene.hdr", 2 * rows + 88, width, seed=16, block=16)
+        out = tmp_path / "map.hdr"
+        strip_ledger.reset()
+        result = invoke(runner, "classify", "--rules", SPECL_PATH,
+                        "--in", tmp_path / "scene.hdr", "--out", out, "--workers", 2)
+        assert result.exit_code == 0, result.output
+        expected = classify(read_image(tmp_path / "scene.hdr"), load_specl())
+        assert np.array_equal(read_map(out).labels, expected.labels)
+        strip_bytes = 6 * rows * width * 8 + rows * width
+        assert strip_ledger.peak == 2 * strip_bytes  # two of the three strips
+
     def test_zero_workers_is_usage_error(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
         result = runner.invoke(main, [
@@ -120,6 +134,24 @@ class TestClassifyCommand:
         assert result.exit_code == 0
         got = read_map(out)
         assert set(np.unique(got.labels)) <= {0, 1}
+
+
+@pytest.mark.parametrize("command", ["classify", "segment"])
+@pytest.mark.parametrize("stream", ["0", "-1"])
+def test_stream_below_one_is_usage_error(runner, tmp_path, command, stream):
+    image = write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
+    write_map(classify(image, load_specl()), tmp_path / "map.hdr")
+    inputs = {
+        "classify": ["--rules", SPECL_PATH, "--in", tmp_path / "scene.hdr",
+                     "--out", tmp_path / "out.hdr"],
+        "segment": ["--in", tmp_path / "map.hdr", "--image", tmp_path / "scene.hdr",
+                    "--out-prefix", tmp_path / "out"],
+    }[command]
+    result = runner.invoke(main, [command] + [str(a) for a in inputs]
+                           + ["--stream", stream])
+    assert result.exit_code == 2
+    assert "--stream" in result.output
+    assert not list(tmp_path.glob("out*"))
 
 
 class TestSegmentCommand:

@@ -18,6 +18,7 @@ from specmap.raster import (
     open_image,
     read_header,
     read_image,
+    read_strip,
     stream_strips,
     strip_ledger,
     write_header,
@@ -292,34 +293,36 @@ class TestImageModel:
 
 
 class TestStreaming:
-    def _image(self, height=10, width=6):
+    def _image(self, tmp_path, height=10, width=6):
         rng = np.random.default_rng(1)
         planes = {
             "b1": rng.random((height, width)),
             "b2": rng.random((height, width)),
         }
-        return image_from_planes(planes)
+        image = image_from_planes(planes)
+        write_image(image, tmp_path / "a.hdr")
+        return image, open_image(tmp_path / "a.hdr")
 
-    def test_partition_4_4_2(self):
-        strips = list(stream_strips(self._image(), 4))
+    def test_partition_4_4_2(self, tmp_path):
+        strips = list(stream_strips(self._image(tmp_path)[1], 4))
         assert [s.core_samples.shape[1] for s in strips] == [4, 4, 2]
         assert [s.core_start for s in strips] == [0, 4, 8]
 
-    def test_whole_image_single_strip(self):
-        assert len(list(stream_strips(self._image(), 10))) == 1
+    def test_whole_image_single_strip(self, tmp_path):
+        assert len(list(stream_strips(self._image(tmp_path)[1], 10))) == 1
 
-    def test_oversized_strip_single_strip(self):
-        strips = list(stream_strips(self._image(), 64))
+    def test_oversized_strip_single_strip(self, tmp_path):
+        strips = list(stream_strips(self._image(tmp_path)[1], 64))
         assert len(strips) == 1
         assert strips[0].core_samples.shape[1] == 10
 
-    def test_zero_strip_height_rejected(self):
+    def test_zero_strip_height_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
-            list(stream_strips(self._image(), 0))
+            list(stream_strips(self._image(tmp_path)[1], 0))
 
-    def test_reassembly_exact_in_memory(self):
-        image = self._image()
-        strips = list(stream_strips(image, 3))
+    def test_reassembly_equals_written_image(self, tmp_path):
+        image, source = self._image(tmp_path)
+        strips = list(stream_strips(source, 3))
         rebuilt = np.concatenate([s.core_samples for s in strips], axis=1)
         assert np.array_equal(rebuilt, image.samples)
 
@@ -352,6 +355,27 @@ class TestStreaming:
             f.truncate(5 * 8 * 4 * 2 + 3)
         with pytest.raises(TruncatedFileError, match="a.bin"):
             source.read_rows(0, 8)
+
+    @pytest.mark.parametrize("row0, row1", [(2, 6), (3, 1), (-1, 1)])
+    def test_row_range_outside_image_rejected(self, tmp_path, row0, row1):
+        image = MultiSpectralImage(specl_bands(("b1", "b2")), np.zeros((2, 4, 3)),
+                                   np.ones((4, 3), bool), "u16")
+        write_image(image, tmp_path / "a.hdr")
+        source = open_image(tmp_path / "a.hdr")
+        strip_ledger.reset()
+        with pytest.raises(ConfigError, match=rf"rows \[{row0}, {row1}\) of a 4-row"):
+            read_strip(source, row0, row1)
+        with pytest.raises(ConfigError, match=rf"rows \[{row0}, {row1}\) of a 4-row"):
+            source.read_rows(row0, row1)
+        assert strip_ledger.peak == 0
+
+    def test_closed_stream_releases_its_strip(self, tmp_path):
+        strips = stream_strips(self._image(tmp_path)[1], 4)
+        strip_ledger.reset()
+        next(strips)
+        assert strip_ledger.current > 0
+        strips.close()
+        assert strip_ledger.current == 0
 
     def test_ledger_bounds_file_backed_buffers(self, tmp_path):
         image = synth_scene(96, 16, seed=9, block=8)

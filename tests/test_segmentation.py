@@ -163,6 +163,22 @@ class TestConnectedComponents:
         labeler = TwoPassLabeler(4, 8)
         with pytest.raises(DataError):
             labeler.finalize()
+        labeler = TwoPassLabeler(0, 8)
+        labeler.feed(np.zeros((3, 0), dtype=np.int32))  # rows without pixels
+        with pytest.raises(DataError):
+            labeler.finalize()
+
+    def test_finalize_hands_over_the_fed_rows(self, rng):
+        labels = rng.integers(1, 4, size=(9, 7)).astype(np.int32)
+        labeler = TwoPassLabeler(7, 8)
+        labeler.feed(labels)
+        first = labeler.finalize()
+        with pytest.raises(DataError, match="no pixels fed"):
+            labeler.finalize()
+        labeler.feed(labels)  # starts afresh, not after the first image
+        again = labeler.finalize()
+        assert again.segment_count == first.segment_count
+        assert np.array_equal(again.segment_ids, first.segment_ids)
 
     def test_segmentation_file_round_trip(self, tmp_path, rng):
         labels = rng.integers(1, 4, size=(9, 9)).astype(np.int32)
