@@ -20,9 +20,9 @@ import click
 import numpy as np
 
 from . import __version__, raster
-# ``classify``, ``connected_components`` and ``combine`` are not called here;
-# the benchmark's span tracer (bench/traced.py) wraps them by name in this
-# module.
+# ``classify``, ``connected_components``, ``reconstruct`` and ``combine`` are
+# not called here; the benchmark's span tracer (bench/traced.py) wraps them
+# by name in this module.
 from .classify import (
     PixelVisitCounter,
     classify,  # noqa: F401
@@ -51,11 +51,15 @@ from .errors import SpecmapError
 from .evidence import combine, read_evidence_csv, score_table, write_scores_csv  # noqa: F401
 from .rules import parse_rules
 from .segmentation import (
+    RmseMap,
+    SegmentationMap,
+    SuperpixelTable,
     TwoPassLabeler,
     build_superpixel_table,
     connected_components,  # noqa: F401
     cross_aura,
-    reconstruct,
+    mean_view,
+    reconstruct,  # noqa: F401
     rmse_map,
     write_aura,
     write_rmse,
@@ -206,8 +210,9 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
 @click.option("--adjacency", type=click.Choice(["4", "8"]), default="8")
 @click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
               help="Rows per strip for labeling and image reads (default: about "
-                   "131 072 pixels per strip). The whole calibrated image is "
-                   "still held.")
+                   "131 072 pixels per strip). The image is read twice, one "
+                   "strip at a time; the label map, segment ids, aura and RMSE "
+                   "planes are held whole.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_json):
     """Segment a categorical map and describe, rebuild and score it."""
@@ -222,6 +227,13 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         "stream": strip_height,
     })
     out_prefix.parent.mkdir(parents=True, exist_ok=True)
+    paths = {
+        "segmentation": Path(f"{out_prefix}.seg.hdr"),
+        "aura": Path(f"{out_prefix}.aura.hdr"),
+        "superpixels": Path(f"{out_prefix}.superpixels.csv"),
+        "reconstruction": Path(f"{out_prefix}.recon.hdr"),
+        "rmse": Path(f"{out_prefix}.rmse.hdr"),
+    }
     try:
         cmap = read_map(map_path)
         rows = _strip_rows(strip_height, cmap.width)
@@ -229,25 +241,18 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         for r0, r1 in raster.strip_bounds(cmap.height, rows):
             labeler.feed(cmap.labels[r0:r1])
         seg = labeler.finalize()
-        image = _read_image_streamed(image_path, rows)
+        source = raster.open_image(image_path)
         aura = cross_aura(cmap, adjacency)
-        table = build_superpixel_table(cmap, seg, image, aura)
-        recon = reconstruct(seg, table, image)
-        rmse = rmse_map(image, recon)
+        # Pass A: the band sums.  Pass B: mean view, RMSE and reconstruction.
+        table = build_superpixel_table(
+            cmap, seg, raster.stream_strips(source, rows), aura)
         conserved = int(table.counts.sum())
         if conserved != int(np.count_nonzero(seg.segment_ids)):
             raise SpecmapError("pixel-count conservation violated")
-        paths = {
-            "segmentation": Path(f"{out_prefix}.seg.hdr"),
-            "aura": Path(f"{out_prefix}.aura.hdr"),
-            "superpixels": Path(f"{out_prefix}.superpixels.csv"),
-            "reconstruction": Path(f"{out_prefix}.recon.hdr"),
-            "rmse": Path(f"{out_prefix}.rmse.hdr"),
-        }
+        rmse = _write_mean_view(seg, table, source, rows, paths["reconstruction"])
         write_segmentation(seg, paths["segmentation"])
         write_aura(aura, paths["aura"])
         write_superpixel_csv(table, paths["superpixels"])
-        raster.write_image(recon, paths["reconstruction"])
         write_rmse(rmse, paths["rmse"])
     except SpecmapError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -265,11 +270,36 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
     }, as_json)
 
 
+def _write_mean_view(seg: SegmentationMap, table: SuperpixelTable,
+                     source: raster.ImageSource, rows: int, path: Path) -> RmseMap:
+    """Write the mean-view reconstruction strip by strip; return the RMSE plane."""
+    means = mean_view(table)
+    values = np.empty(seg.segment_ids.shape, dtype=np.float64)
+    validity = np.empty(seg.segment_ids.shape, dtype=bool)
+    with raster.ImageWriter(path, source.bands, source.height, source.width,
+                            source.dtype_name) as writer:
+        for strip in raster.stream_strips(source, rows):
+            r0 = strip.core_start
+            r1 = r0 + strip.core_validity.shape[0]
+            ids = seg.segment_ids[r0:r1]
+            original = raster.MultiSpectralImage(
+                source.bands, strip.core_samples, strip.core_validity,
+                source.dtype_name)
+            recon = raster.MultiSpectralImage(
+                source.bands, means[:, ids], ids > 0, source.dtype_name)
+            writer.write(recon.samples, recon.validity)
+            part = rmse_map(original, recon)
+            values[r0:r1] = part.values
+            validity[r0:r1] = part.validity
+    return RmseMap(values, validity)
+
+
 def _strip_rows(strip_height: int | None, width: int) -> int:
     """``--stream`` if given, else the rows of about ``STRIP_PIXELS`` pixels."""
     return strip_height or max(1, raster.STRIP_PIXELS // max(1, width))
 
 
+# Not called here: ``bench/traced.py`` wraps it by name.
 def _read_image_streamed(image_path: Path, strip_height: int) -> raster.MultiSpectralImage:
     """Assemble a full image from ledgered strip reads (fixed input buffers)."""
     source = raster.open_image(image_path)

@@ -212,6 +212,11 @@ def _payload_layout(header_path: Path, header: dict[str, str]):
     width = _header_int(header, "width", header_path)
     height = _header_int(header, "height", header_path)
     nbands = _header_int(header, "bands", header_path)
+    for key, value in (("width", width), ("height", height), ("bands", nbands)):
+        if value < 1:
+            raise FormatError(
+                f"{header_path}: header key {key!r} must be at least 1, got {value}"
+            )
     if header.get("interleave", "bsq") != "bsq":
         raise FormatError(f"{header_path}: only bsq interleave is supported")
     dt = _dtype_for(header.get("dtype", "f64"))
@@ -249,16 +254,19 @@ def write_raster(
     """Write (bands, h, w) raw planes plus a header carrying ``extra`` entries."""
     header_path = Path(header_path)
     dt = _dtype_for(dtype_name)
-    nbands, height, width = planes.shape
-    entries = [
+    write_header(header_path, _layout_entries(*planes.shape, dtype_name) + extra)
+    np.ascontiguousarray(planes, dtype=dt).tofile(payload_path(header_path))
+
+
+def _layout_entries(nbands: int, height: int, width: int,
+                    dtype_name: str) -> list[tuple[str, str]]:
+    return [
         ("width", str(width)),
         ("height", str(height)),
         ("bands", str(nbands)),
         ("dtype", dtype_name),
         ("interleave", "bsq"),
-    ] + extra
-    write_header(header_path, entries)
-    np.ascontiguousarray(planes, dtype=dt).tofile(payload_path(header_path))
+    ]
 
 
 def _band_metadata_from_header(header: dict, dtype_name: str, n: int) -> BandMetadata:
@@ -286,50 +294,107 @@ def read_image(header_path: Path | str) -> MultiSpectralImage:
 
 def write_image(image: MultiSpectralImage, header_path: Path | str) -> None:
     """Encode samples back to the image's storage dtype, inverting calibration."""
-    dt = _dtype_for(image.dtype_name)
-    invalid = ~image.validity
-    raw = np.empty(image.samples.shape, dtype=dt)
-    for i, meta in enumerate(image.bands):
-        nodata = meta.nodata_value
-        enc = (image.samples[i] - meta.offset) / meta.gain
-        if dt.kind in "ui":
-            info = np.iinfo(dt)
-            enc = np.clip(np.rint(enc), info.min, info.max)
-            # A nodata value the dtype cannot hold would lose the mask.
-            if nodata is not None and not (
-                float(nodata).is_integer() and info.min <= nodata <= info.max
-            ):
-                raise ConfigError(
-                    f"band {meta.band_id}: nodata value {nodata!r} is not an "
-                    f"integer in the {image.dtype_name} range {info.min}..{info.max}"
-                )
-        plane = enc.astype(dt)
-        if nodata is not None:
-            # Reading marks a raw nodata value invalid; a valid sample must not be it.
-            clash = np.isnan(plane) if math.isnan(nodata) else plane == nodata
-            clash &= image.validity
-            if clash.any():
-                r, c = np.argwhere(clash)[0]
-                raise DataError(
-                    f"band {meta.band_id}: valid sample at row {r}, col {c} "
-                    f"encodes to the nodata value {nodata!r}"
-                )
-        if invalid.any():
-            if nodata is None:
-                raise ConfigError(
-                    f"band {meta.band_id}: invalid pixels present but no "
-                    "nodata value to encode them with"
-                )
-            plane[invalid] = dt.type(nodata)
-        raw[i] = plane
-    extra: list[tuple[str, str]] = []
-    for n, meta in enumerate(image.bands, start=1):
-        extra.append((f"band.{n}.wavelength", repr(meta.center_wavelength)))
-        extra.append((f"band.{n}.gain", repr(meta.gain)))
-        extra.append((f"band.{n}.offset", repr(meta.offset)))
-        if meta.nodata_value is not None:
-            extra.append((f"band.{n}.nodata", repr(meta.nodata_value)))
-    write_raster(header_path, extra, raw, image.dtype_name)
+    with ImageWriter(header_path, image.bands, image.height, image.width,
+                     image.dtype_name) as writer:
+        writer.write(image.samples, image.validity)
+
+
+class ImageWriter:
+    """Writes an image's rows top to bottom, strip by strip: the one encoder.
+
+    The header is written on opening.  Each ``write`` encodes the next rows
+    of every band back to the storage dtype, inverting calibration, and puts
+    them in place in the band-sequential payload.  Used as a context
+    manager; a failed write, or a close before every row is written,
+    removes the header and payload, so no partial image is left behind.
+    """
+
+    def __init__(self, header_path: Path | str, bands, height: int, width: int,
+                 dtype_name: str):
+        self.header_path = Path(header_path)
+        self.bands = tuple(bands)
+        self.height, self.width = height, width
+        self.dtype_name = dtype_name
+        self._dt = _dtype_for(dtype_name)
+        self._next_row = 0
+        if self._dt.kind in "ui":
+            info = np.iinfo(self._dt)
+            for meta in self.bands:
+                # A nodata value the dtype cannot hold would lose the mask.
+                nodata = meta.nodata_value
+                if nodata is not None and not (
+                    float(nodata).is_integer() and info.min <= nodata <= info.max
+                ):
+                    raise ConfigError(
+                        f"band {meta.band_id}: nodata value {nodata!r} is not an "
+                        f"integer in the {dtype_name} range {info.min}..{info.max}"
+                    )
+        extra: list[tuple[str, str]] = []
+        for n, meta in enumerate(self.bands, start=1):
+            extra.append((f"band.{n}.wavelength", repr(meta.center_wavelength)))
+            extra.append((f"band.{n}.gain", repr(meta.gain)))
+            extra.append((f"band.{n}.offset", repr(meta.offset)))
+            if meta.nodata_value is not None:
+                extra.append((f"band.{n}.nodata", repr(meta.nodata_value)))
+        write_header(self.header_path,
+                     _layout_entries(len(self.bands), height, width, dtype_name) + extra)
+        self._payload = open(payload_path(self.header_path), "wb")
+
+    def __enter__(self) -> ImageWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._payload.close()
+        if exc_type is None and self._next_row == self.height:
+            return
+        for path in (self.header_path, payload_path(self.header_path)):
+            path.unlink(missing_ok=True)
+        if exc_type is None:
+            raise DataError(
+                f"{self.header_path}: closed after {self._next_row} of "
+                f"{self.height} rows"
+            )
+
+    def write(self, samples: np.ndarray, validity: np.ndarray) -> None:
+        """Encode and write the next ``validity.shape[0]`` rows."""
+        row0 = self._next_row
+        nrows = validity.shape[0]
+        if samples.shape != (len(self.bands), nrows, self.width) \
+                or validity.shape[1:] != (self.width,) or row0 + nrows > self.height:
+            raise DimensionMismatchError(
+                f"{self.header_path}: cannot write a {samples.shape} strip at row "
+                f"{row0} of a ({len(self.bands)}, {self.height}, {self.width}) image"
+            )
+        dt = self._dt
+        invalid = ~validity
+        plane_bytes = self.height * self.width * dt.itemsize
+        for i, meta in enumerate(self.bands):
+            nodata = meta.nodata_value
+            enc = (samples[i] - meta.offset) / meta.gain
+            if dt.kind in "ui":
+                info = np.iinfo(dt)
+                enc = np.clip(np.rint(enc), info.min, info.max)
+            plane = enc.astype(dt)
+            if nodata is not None:
+                # Reading marks a raw nodata value invalid; a valid sample must not be it.
+                clash = np.isnan(plane) if math.isnan(nodata) else plane == nodata
+                clash &= validity
+                if clash.any():
+                    r, c = np.argwhere(clash)[0]
+                    raise DataError(
+                        f"band {meta.band_id}: valid sample at row {row0 + r}, "
+                        f"col {c} encodes to the nodata value {nodata!r}"
+                    )
+            if invalid.any():
+                if nodata is None:
+                    raise ConfigError(
+                        f"band {meta.band_id}: invalid pixels present but no "
+                        "nodata value to encode them with"
+                    )
+                plane[invalid] = dt.type(nodata)
+            self._payload.seek(i * plane_bytes + row0 * self.width * dt.itemsize)
+            self._payload.write(plane)
+        self._next_row += nrows
 
 
 # ---------------------------------------------------------------------------

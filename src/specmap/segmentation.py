@@ -9,8 +9,9 @@ for byte.  The labeler accepts rows incrementally, so strip-streamed
 labeling needs no overlap rows and merges across seams by construction.
 
 The superpixel description is a columnar ``SuperpixelTable`` (one array per
-attribute, one entry per segment), filled with bincounts and scattered
-minima/maxima; the mean-view reconstruction is a single gather from it.
+attribute, one entry per segment), filled with bincounts, scattered
+minima/maxima and band sums folded in from image strips; the mean-view
+reconstruction of any block of rows is a single gather from its means.
 """
 
 from __future__ import annotations
@@ -18,12 +19,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable
+
 import numpy as np
 
 from . import raster
 from .classify import NODATA, CategoricalMap
 from .errors import ConfigError, DataError, DimensionMismatchError, FormatError
-from .raster import MultiSpectralImage
+from .raster import MultiSpectralImage, Strip
 
 _OFFSETS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _OFFSETS_8 = _OFFSETS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -317,15 +320,19 @@ def cross_aura(
 def build_superpixel_table(
     cmap: CategoricalMap,
     seg: SegmentationMap,
-    image: MultiSpectralImage,
+    image: MultiSpectralImage | Iterable[Strip],
     aura: CrossAuraMap,
 ) -> SuperpixelTable:
-    """Per segment: area, label, bbox, per-band sums, perimeter, compactness."""
+    """Per segment: area, label, bbox, per-band sums, perimeter, compactness.
+
+    ``image`` is a whole image or its strips top to bottom, as
+    ``raster.stream_strips`` yields them.  Only the band sums read it.
+    """
     shape = cmap.labels.shape
     if seg.segment_ids.shape != shape or aura.counts.shape != shape:
         raise DimensionMismatchError("map, segmentation and aura shapes differ")
-    if image.samples.shape[1:] != shape:
-        raise DimensionMismatchError("image shape differs from map shape")
+    if isinstance(image, MultiSpectralImage):
+        image = [Strip(0, image.bands, image.samples, image.validity)]
     ids = seg.segment_ids
     valid = ids > 0
     n = seg.segment_count
@@ -337,11 +344,7 @@ def build_superpixel_table(
         raise DataError("segmentation is not label-homogeneous over the map")
     perim = np.bincount(flat, weights=aura.counts[valid].astype(np.float64),
                         minlength=n + 1)
-    sums = np.empty((len(image.bands), n + 1), dtype=np.float64)
-    for b in range(len(image.bands)):
-        sums[b] = np.bincount(
-            flat, weights=image.samples[b][valid], minlength=n + 1
-        )
+    sums = _band_sums(ids, n, image)
     rr, cc = np.nonzero(valid)
     min_row = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
     min_col = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
@@ -372,6 +375,32 @@ def build_superpixel_table(
         compactness=compactness,
         sums=sums[:, 1:],
     )
+
+
+def _band_sums(ids: np.ndarray, n: int, strips: Iterable[Strip]) -> np.ndarray:
+    """(bands, n + 1) per-segment sample sums; column 0 gathers nodata pixels.
+
+    Each sum folds its samples in row-major pixel order whatever the strip
+    height: adding up per-strip totals would associate the additions
+    differently and could change the last bit.
+    """
+    sums = None
+    row0 = 0
+    for strip in strips:
+        samples = strip.core_samples
+        nrows = samples.shape[1]
+        if strip.core_start != row0 or samples.shape[2] != ids.shape[1] \
+                or row0 + nrows > ids.shape[0]:
+            raise DimensionMismatchError("image shape differs from map shape")
+        if sums is None:
+            sums = np.zeros((samples.shape[0], n + 1), dtype=np.float64)
+        block = ids[row0:row0 + nrows].ravel()
+        for b, plane in enumerate(samples):
+            np.add.at(sums[b], block, plane.ravel())
+        row0 += nrows
+    if row0 != ids.shape[0]:
+        raise DimensionMismatchError("image shape differs from map shape")
+    return sums
 
 
 #: Rows joined per write; bounds the strings alive at once.
@@ -429,6 +458,16 @@ def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def mean_view(table: SuperpixelTable) -> np.ndarray:
+    """(bands, n + 1) per-segment band means; column 0, for nodata, is zero.
+
+    Indexing it with a block of segment ids gives that block's mean view.
+    """
+    means = np.zeros((table.sums.shape[0], len(table) + 1), dtype=np.float64)
+    np.divide(table.sums, table.counts, out=means[:, 1:])
+    return means
+
+
 def reconstruct(
     seg: SegmentationMap,
     table: SuperpixelTable,
@@ -445,10 +484,7 @@ def reconstruct(
         raise DimensionMismatchError(
             f"table has {table.sums.shape[0]} bands, image has {len(image.bands)}"
         )
-    # Column 0 stays zero: nodata pixels (segment id 0) gather it.
-    means = np.zeros((len(image.bands), len(table) + 1), dtype=np.float64)
-    np.divide(table.sums, table.counts, out=means[:, 1:])
-    out = means[:, seg.segment_ids]
+    out = mean_view(table)[:, seg.segment_ids]
     return MultiSpectralImage(image.bands, out, seg.segment_ids > 0, image.dtype_name)
 
 

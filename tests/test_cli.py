@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import tracemalloc
 from importlib.resources import files
 
 import numpy as np
@@ -9,10 +10,29 @@ from click.testing import CliRunner
 
 from specmap.classify import CategoricalMap, read_map, write_map
 from specmap.cli import main
-from specmap.raster import STRIP_PIXELS, read_image, strip_ledger, write_image
+from specmap.raster import (
+    STRIP_PIXELS,
+    BandMetadata,
+    MultiSpectralImage,
+    read_image,
+    strip_ledger,
+    write_header,
+    write_image,
+)
 from specmap.rules import load_specl
 from specmap.classify import classify
-from specmap.segmentation import read_segmentation
+from specmap.segmentation import (
+    build_superpixel_table,
+    connected_components,
+    cross_aura,
+    read_segmentation,
+    reconstruct,
+    rmse_map,
+    write_aura,
+    write_rmse,
+    write_segmentation,
+    write_superpixel_csv,
+)
 
 from helpers import image_from_pixels, legend, write_scene
 from oracles import segmentations_bijective
@@ -93,6 +113,22 @@ class TestClassifyCommand:
         assert np.array_equal(read_map(out).labels, expected.labels)
         strip_bytes = 6 * rows * width * 8 + rows * width
         assert strip_ledger.peak == 2 * strip_bytes  # two of the three strips
+
+    def test_negative_header_sizes_exit_1(self, runner, tmp_path):
+        # -2 x -3 x 6 bands x 1 byte matches the 36-byte payload.
+        entries = [("width", "-2"), ("height", "-3"), ("bands", "6"), ("dtype", "u8"),
+                   ("interleave", "bsq")] + [
+            (f"band.{i}.wavelength", str(w)) for i, w in enumerate(
+                (0.48, 0.56, 0.66, 0.83, 1.6, 2.2), start=1)]
+        write_header(tmp_path / "scene.hdr", entries)
+        (tmp_path / "scene.bin").write_bytes(bytes(36))
+        result = runner.invoke(main, [
+            "classify", "--rules", SPECL_PATH, "--in", str(tmp_path / "scene.hdr"),
+            "--out", str(tmp_path / "map.hdr"),
+        ])
+        assert result.exit_code == 1
+        assert "scene.hdr: header key 'width' must be at least 1, got -2" in result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
 
     def test_zero_workers_is_usage_error(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
@@ -223,6 +259,102 @@ class TestSegmentCommand:
         assert (tmp_path / "whole.rmse.bin").read_bytes() == (
             tmp_path / "streamed.rmse.bin"
         ).read_bytes()
+
+    def test_strip_height_cannot_change_outputs(self, runner, tmp_path):
+        # 16-px blocks: segments span many strips, so their band sums add
+        # samples from several strips.
+        write_scene(tmp_path / "scene.hdr", 37, 24, seed=18, block=16,
+                    nodata_fraction=0.02)
+        invoke(runner, "classify", "--rules", SPECL_PATH,
+               "--in", tmp_path / "scene.hdr", "--out", tmp_path / "map.hdr")
+        reports = {}
+        for name, stream in (("s1", ["--stream", 1]), ("s3", ["--stream", 3]),
+                             ("default", [])):
+            result = invoke(runner, "segment", "--in", tmp_path / "map.hdr",
+                            "--image", tmp_path / "scene.hdr",
+                            "--out-prefix", tmp_path / name, "--json", *stream)
+            assert result.exit_code == 0, result.output
+            report = json.loads(result.output)
+            reports[name] = {k: v for k, v in report.items() if k.startswith("rmse_")}
+        # The reference: whole-image library calls, sums checked against an
+        # in-order bincount fold over the whole image.
+        image = read_image(tmp_path / "scene.hdr")
+        cmap = read_map(tmp_path / "map.hdr")
+        seg = connected_components(cmap, 8)
+        aura = cross_aura(cmap, 8)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        valid = seg.segment_ids > 0
+        for b, plane in enumerate(image.samples):
+            fold = np.bincount(seg.segment_ids[valid], weights=plane[valid],
+                               minlength=seg.segment_count + 1)
+            assert np.array_equal(table.sums[b], fold[1:])
+        recon = reconstruct(seg, table, image)
+        rmse = rmse_map(image, recon)
+        write_segmentation(seg, tmp_path / "ref.seg.hdr")
+        write_aura(aura, tmp_path / "ref.aura.hdr")
+        write_superpixel_csv(table, tmp_path / "ref.superpixels.csv")
+        write_image(recon, tmp_path / "ref.recon.hdr")
+        write_rmse(rmse, tmp_path / "ref.rmse.hdr")
+        outputs = ["seg.hdr", "seg.bin", "aura.hdr", "aura.bin", "superpixels.csv",
+                   "recon.hdr", "recon.bin", "rmse.hdr", "rmse.bin"]
+        for name in ("s1", "s3", "default"):
+            for out in outputs:
+                assert (tmp_path / f"{name}.{out}").read_bytes() == (
+                    tmp_path / f"ref.{out}").read_bytes(), (name, out)
+            assert reports[name] == {
+                "rmse_min": rmse.stats().minimum, "rmse_max": rmse.stats().maximum,
+                "rmse_mean": rmse.stats().mean, "rmse_stdev": rmse.stats().stdev,
+            }
+
+    def test_default_run_holds_one_image_strip(self, runner, tmp_path):
+        width = 512
+        rows = STRIP_PIXELS // width
+        image = write_scene(tmp_path / "scene.hdr", 2 * rows + 88, width, seed=16,
+                            block=16)
+        write_map(classify(image, load_specl()), tmp_path / "map.hdr")
+        strip_ledger.reset()
+        result = invoke(runner, "segment", "--in", tmp_path / "map.hdr",
+                        "--image", tmp_path / "scene.hdr", "--out-prefix", tmp_path / "out")
+        assert result.exit_code == 0, result.output
+        strip_bytes = 6 * rows * width * 8 + rows * width
+        assert strip_ledger.peak == strip_bytes  # one of the three strips
+        assert strip_ledger.current == 0
+
+    def test_memory_does_not_scale_with_the_band_count(self, runner, tmp_path):
+        rng = np.random.default_rng(19)
+        h, w, n_bands = 400, 256, 16
+        blocks = rng.integers(1, 5, size=(h // 16, w // 16))
+        labels = np.kron(blocks, np.ones((16, 16), dtype=np.int32)).astype(np.int32)
+        write_map(CategoricalMap(labels, legend(4)), tmp_path / "map.hdr")
+        bands = tuple(BandMetadata(i + 1, 0.4 + 0.1 * i) for i in range(n_bands))
+        write_image(MultiSpectralImage(bands, rng.random((n_bands, h, w)),
+                                       np.ones((h, w), dtype=bool)), tmp_path / "img.hdr")
+        tracemalloc.start()
+        try:
+            result = invoke(runner, "segment", "--in", tmp_path / "map.hdr",
+                            "--image", tmp_path / "img.hdr",
+                            "--out-prefix", tmp_path / "out", "--stream", 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        # Whole-image copies (image, mean view, squared differences) would
+        # each take this much.
+        assert peak < n_bands * h * w * 8
+
+    @pytest.mark.parametrize("height, width", [(19, 12), (21, 12), (20, 11)])
+    def test_image_of_other_shape_exits_1(self, runner, tmp_path, height, width):
+        image = write_scene(tmp_path / "scene.hdr", 20, 12, seed=1, block=4)
+        write_map(classify(image, load_specl()), tmp_path / "map.hdr")
+        write_scene(tmp_path / "other.hdr", height, width, seed=1, block=4)
+        result = runner.invoke(main, [
+            "segment", "--in", str(tmp_path / "map.hdr"),
+            "--image", str(tmp_path / "other.hdr"),
+            "--out-prefix", str(tmp_path / "out"), "--stream", "4",
+        ])
+        assert result.exit_code == 1
+        assert "image shape differs from map shape" in result.output
+        assert not list(tmp_path.glob("out*"))
 
     def test_superpixel_csv_header(self, runner, tmp_path):
         self._write_map_and_image(tmp_path, NINE_SEGMENT_MAP)

@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from specmap.errors import (
     ConfigError,
     DataError,
+    DimensionMismatchError,
     FormatError,
     TruncatedFileError,
 )
 from specmap.raster import (
     BandMetadata,
+    ImageWriter,
     MultiSpectralImage,
     apply_calibration,
     open_image,
@@ -130,6 +132,13 @@ class TestImageIO:
         with pytest.raises(FormatError):
             read_image(hdr)
 
+    @pytest.mark.parametrize("key", ["width", "height", "bands"])
+    def test_size_below_one_rejected(self, tmp_path, key):
+        # A zero size promises an empty payload, so the size check passes.
+        hdr = _write_fixture(tmp_path, b"", **{key: "0"})
+        with pytest.raises(FormatError, match=f"img.hdr: header key '{key}' must be at least 1"):
+            open_image(hdr)
+
     def test_header_gains_match_planewise_calibration(self, tmp_path):
         payload = bytes([0, 64, 128, 255, 10, 20, 30, 40])
         hdr = _write_fixture(
@@ -194,6 +203,36 @@ class TestImageIO:
         samples[0, 0, 0] = 0.25
         write_image(MultiSpectralImage(bands, samples, validity, "u16"), tmp_path / "b.hdr")
         assert np.array_equal(read_image(tmp_path / "b.hdr").validity, validity)
+
+    def test_strip_writes_equal_one_whole_write(self, tmp_path):
+        image = synth_scene(10, 6, seed=7, block=3, nodata_fraction=0.1)
+        write_image(image, tmp_path / "whole.hdr")
+        with ImageWriter(tmp_path / "strips.hdr", image.bands, 10, 6, "u16") as writer:
+            for r0 in range(0, 10, 4):
+                writer.write(image.samples[:, r0:r0 + 4], image.validity[r0:r0 + 4])
+        for suffix in (".hdr", ".bin"):
+            assert filecmp.cmp(tmp_path / f"whole{suffix}", tmp_path / f"strips{suffix}",
+                               shallow=False)
+
+    def test_refused_strip_leaves_no_image(self, tmp_path):
+        image = synth_scene(6, 4, seed=8, block=2, nodata_fraction=0.0)
+        image.samples[2, 4, 1] = 0.0  # encodes to band 3's nodata value, raw 0
+        with pytest.raises(DataError, match="band 3: valid sample at row 4, col 1"):
+            with ImageWriter(tmp_path / "a.hdr", image.bands, 6, 4, "u16") as writer:
+                writer.write(image.samples[:, :3], image.validity[:3])
+                writer.write(image.samples[:, 3:], image.validity[3:])
+        assert not list(tmp_path.iterdir())
+
+    def test_writer_closed_before_last_row_leaves_no_image(self, tmp_path):
+        image = synth_scene(6, 4, seed=8, block=2)
+        with pytest.raises(DataError, match="closed after 3 of 6 rows"):
+            with ImageWriter(tmp_path / "a.hdr", image.bands, 6, 4, "u16") as writer:
+                writer.write(image.samples[:, :3], image.validity[:3])
+        with pytest.raises(DimensionMismatchError):
+            with ImageWriter(tmp_path / "a.hdr", image.bands, 6, 4, "u16") as writer:
+                writer.write(image.samples[:, :4], image.validity[:4])
+                writer.write(image.samples[:, :4], image.validity[:4])
+        assert not list(tmp_path.iterdir())
 
     def test_whole_image_read_ledgers_no_strip_bytes(self, tmp_path):
         write_image(synth_scene(16, 8, seed=4, block=4), tmp_path / "a.hdr")
