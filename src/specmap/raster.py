@@ -5,7 +5,8 @@ The on-disk format is a plain-text sidecar header (``key = value`` lines,
 same stem and a ``.bin`` suffix.  Samples are calibrated to reflectance in
 [0, 1] at read time; the original storage encoding is remembered so that
 ``write_image(read_image(p))`` is byte-identical.  ``read_image`` and strip
-reads share ``ImageSource``'s one row decoder; strips come only from files,
+reads share ``ImageSource``'s one row decoder, and ``write_image`` and strip
+writes share ``ImageWriter``'s one encoder; strips come only from files,
 and ``strip_ledger`` counts a strip's bytes from ``read_strip`` to
 ``release_strip``.
 """
@@ -314,7 +315,6 @@ class ImageWriter:
         self.header_path = Path(header_path)
         self.bands = tuple(bands)
         self.height, self.width = height, width
-        self.dtype_name = dtype_name
         self._dt = _dtype_for(dtype_name)
         self._next_row = 0
         if self._dt.kind in "ui":

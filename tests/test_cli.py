@@ -128,7 +128,7 @@ class TestClassifyCommand:
         ])
         assert result.exit_code == 1
         assert "scene.hdr: header key 'width' must be at least 1, got -2" in result.output
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert isinstance(result.exception, SystemExit)  # no traceback
 
     def test_zero_workers_is_usage_error(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
