@@ -1,16 +1,17 @@
 """Ordered-rule color naming: categorical maps, classification, map I/O.
 
 Label 0 is reserved for nodata.  Every other label is a legend entry, and
-for maps produced by ``classify`` the labels are the rule indices.
+for maps produced by ``classify`` the labels are the rule indices.  Labels
+are u16 in memory, as in map files.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .raster import (
     ImageSource,
     MultiSpectralImage,
     Strip,
+    default_strip_height,
     read_strip,
     release_strip,
     strip_bounds,
@@ -48,28 +50,73 @@ class LegendEntry:
     color: tuple[int, int, int]
 
 
+def check_legend(legend: Iterable[LegendEntry]) -> None:
+    """Refuse a legend holding the nodata label or a label u16 cannot store."""
+    known = {e.label for e in legend}
+    if NODATA in known:
+        raise ConfigError("label 0 is reserved for nodata")
+    outside = sorted(label for label in known if not 1 <= label <= MAX_LABEL)
+    if outside:
+        raise DataError(f"legend labels outside 1..{MAX_LABEL}: {outside}")
+
+
+def _label_counts(chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """Pixels of each label value 0..MAX_LABEL, one ``bincount`` per u16 chunk."""
+    counts = np.zeros(MAX_LABEL + 1, dtype=np.int64)
+    for chunk in chunks:
+        counts += np.bincount(chunk.ravel(), minlength=MAX_LABEL + 1)
+    return counts
+
+
+def _chunks(read, height: int, width: int) -> Iterator[np.ndarray]:
+    """``read(row0, row1)`` over a whole map, one strip of rows at a time."""
+    for row0, row1 in strip_bounds(height, default_strip_height(width)):
+        yield read(row0, row1)
+
+
+def _listed(legend: Iterable[LegendEntry]) -> np.ndarray:
+    """Bool table over label values: True for nodata and the legend's labels."""
+    listed = np.zeros(MAX_LABEL + 1, dtype=bool)
+    listed[[NODATA, *(e.label for e in legend)]] = True
+    return listed
+
+
+def _refuse_unlisted(counts: np.ndarray, legend: Iterable[LegendEntry]) -> None:
+    unlisted = np.flatnonzero((counts > 0) & ~_listed(legend))
+    if unlisted.size:
+        raise DataError(f"labels missing from legend: {unlisted.tolist()}")
+
+
+def _as_u16(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as u16; a value u16 cannot hold is refused, never wrapped."""
+    if labels.dtype == np.uint16:
+        return labels
+    if labels.dtype.kind not in "biu":
+        raise DataError(f"labels must be integers, got {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() > MAX_LABEL):
+        outside = np.unique(labels[(labels < 0) | (labels > MAX_LABEL)])
+        raise DataError(f"pixel labels outside 0..{MAX_LABEL}: {outside.tolist()}")
+    return labels.astype(np.uint16)
+
+
 @dataclass
 class CategoricalMap:
     """Per-pixel label raster plus its legend."""
 
-    labels: np.ndarray  # (height, width) int32, 0 = nodata
+    labels: np.ndarray  # (height, width) u16, 0 = nodata
     legend: tuple[LegendEntry, ...]
+    #: Pixels of each label value 0..MAX_LABEL.
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.labels = np.asarray(self.labels, dtype=np.int32)
-        if self.labels.ndim != 2:
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2:
             raise DataError("labels must be a 2-D array")
         self.legend = tuple(self.legend)
-        known = {e.label for e in self.legend}
-        if NODATA in known:
-            raise ConfigError("label 0 is reserved for nodata")
-        outside = sorted(label for label in known if not 1 <= label <= MAX_LABEL)
-        if outside:
-            raise DataError(f"legend labels outside 1..{MAX_LABEL}: {outside}")
-        present = set(np.unique(self.labels).tolist()) - {NODATA}
-        unknown = present - known
-        if unknown:
-            raise DataError(f"labels missing from legend: {sorted(unknown)}")
+        check_legend(self.legend)
+        self.labels = _as_u16(labels)
+        self.counts = _label_counts(_chunks(self.rows, self.height, self.width))
+        _refuse_unlisted(self.counts, self.legend)
 
     @property
     def width(self) -> int:
@@ -86,6 +133,10 @@ class CategoricalMap:
     @property
     def validity(self) -> np.ndarray:
         return self.labels != NODATA
+
+    def rows(self, row0: int, row1: int) -> np.ndarray:
+        """u16 labels of rows [row0, row1), as ``MapSource.rows`` reads them."""
+        return self.labels[row0:row1]
 
 
 @dataclass
@@ -144,8 +195,10 @@ def _compile_for(
 ) -> tuple[dict[str, int], RuleProgram]:
     """(symbol -> band index, program) for images with these ``bands``.
 
-    ``policy`` None means the rule set's own.
+    ``policy`` None means the rule set's own.  The rule set's legend is
+    checked first, so every label the program writes fits a u16 map.
     """
+    check_legend(legend_from_ruleset(ruleset))
     binding = bind_bands(ruleset, bands)
     missing = ruleset.required_bands() - set(binding)
     if missing:
@@ -221,7 +274,7 @@ def classify_streamed(
     if workers < 1:
         raise ConfigError("workers must be >= 1")
     binding, program = _compile_for(ruleset, source.bands, policy)
-    labels = np.empty((source.height, source.width), dtype=np.int32)
+    labels = np.empty((source.height, source.width), dtype=np.uint16)
     pending: deque = deque()
 
     def finish_oldest() -> None:
@@ -271,14 +324,10 @@ def write_map(cmap: CategoricalMap, header_path: Path | str) -> None:
     for e in cmap.legend:
         extra.append((f"legend.{e.label}.name", e.name))
         extra.append((f"legend.{e.label}.color", "#%02X%02X%02X" % e.color))
-    planes = cmap.labels[np.newaxis, :, :].astype("<u2")
-    raster.write_raster(header_path, extra, planes, "u16")
+    raster.write_raster(header_path, extra, cmap.labels[np.newaxis], "u16")
 
 
-def read_map(header_path: Path | str) -> CategoricalMap:
-    header, raw = raster.read_raster(header_path)
-    if header.get("maptype") != "categorical":
-        raise FormatError(f"{header_path}: not a categorical map")
+def _legend_from_header(header: dict[str, str], header_path) -> tuple[LegendEntry, ...]:
     legend = []
     for key, value in header.items():
         if key.startswith("legend.") and key.endswith(".name"):
@@ -296,4 +345,46 @@ def read_map(header_path: Path | str) -> CategoricalMap:
             color = ((v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
             legend.append(LegendEntry(label, value, color))
     legend.sort(key=lambda e: e.label)
-    return CategoricalMap(raw[0].astype(np.int32), tuple(legend))
+    return tuple(legend)
+
+
+class MapSource:
+    """A categorical map file read in rows of u16 labels.
+
+    Only the header is read on opening.  Every ``rows`` read checks its
+    labels against the legend; an unlisted one is the DataError
+    ``CategoricalMap`` raises, naming every unlisted label of the map.
+    """
+
+    def __init__(self, header_path: Path | str):
+        self._raster = raster.ImageSource(header_path, calibrated=False)
+        header = self._raster.header
+        if header.get("maptype") != "categorical":
+            raise FormatError(f"{header_path}: not a categorical map")
+        if self._raster.dtype_name != "u16" or self._raster.nbands != 1:
+            raise FormatError(f"{header_path}: a categorical map is one band of u16 labels")
+        self.legend = _legend_from_header(header, header_path)
+        check_legend(self.legend)
+        self.height, self.width = self._raster.height, self._raster.width
+        self._listed = _listed(self.legend)
+
+    def rows(self, row0: int, row1: int) -> np.ndarray:
+        """u16 labels of rows [row0, row1), checked against the legend."""
+        labels = self._read(row0, row1)
+        if not self._listed[labels].all():
+            chunks = _chunks(self._read, self.height, self.width)
+            _refuse_unlisted(_label_counts(chunks), self.legend)
+        return labels
+
+    def _read(self, row0: int, row1: int) -> np.ndarray:
+        return self._raster.read_raw_rows(row0, row1)[0]
+
+
+def open_map(header_path: Path | str) -> MapSource:
+    return MapSource(header_path)
+
+
+def read_map(header_path: Path | str) -> CategoricalMap:
+    source = open_map(header_path)
+    # ``CategoricalMap`` checks the labels against the legend.
+    return CategoricalMap(source._read(0, source.height), source.legend)

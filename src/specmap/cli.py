@@ -27,6 +27,7 @@ from .classify import (
     PixelVisitCounter,
     classify,  # noqa: F401
     classify_streamed,
+    open_map,
     read_map,
     write_map,
 )
@@ -187,12 +188,12 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
     )
     _write_manifest(output_path.with_suffix(".manifest.json"), config,
                     inputs, [output_path])
-    values, counts = np.unique(cmap.labels, return_counts=True)
+    present = np.flatnonzero(cmap.counts)
     _emit({
         "out": str(output_path),
         "pixels": int(cmap.labels.size),
-        "classes_present": int(len(values[values != 0])),
-        "histogram": {int(v): int(c) for v, c in zip(values, counts)},
+        "classes_present": int(np.count_nonzero(cmap.counts[1:])),
+        "histogram": {int(v): int(cmap.counts[v]) for v in present},
     }, as_json)
 
 
@@ -296,7 +297,7 @@ def _write_mean_view(seg: SegmentationMap, table: SuperpixelTable,
 
 def _strip_rows(strip_height: int | None, width: int) -> int:
     """``--stream`` if given, else the rows of about ``STRIP_PIXELS`` pixels."""
-    return strip_height or max(1, raster.STRIP_PIXELS // max(1, width))
+    return strip_height or raster.default_strip_height(width)
 
 
 # Not called here: ``bench/traced.py`` wraps it by name.
@@ -335,9 +336,14 @@ def _read_image_streamed(image_path: Path, strip_height: int) -> raster.MultiSpe
 @click.option("--resolution", "resolution_path", type=click.Path(path_type=Path),
               default=None, help="Per-code resolution for ambiguous mappings.")
 @click.option("--out-dir", "out_dir", required=True, type=click.Path(path_type=Path))
+@click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
+              help="Rows per strip (default: about 131 072 pixels per strip). "
+                   "Both maps are read one strip at a time, as u16 labels, so "
+                   "memory stays fixed whatever the map size.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
-                translate_test, translate_ref, resolution_path, out_dir, as_json):
+                translate_test, translate_ref, resolution_path, out_dir,
+                strip_height, as_json):
     """Harmonize two legends and report the CVPAI2 association index."""
     if counts_path is None and (test_path is None or ref_path is None):
         click.echo("error: give either --counts or both --test and --ref", err=True)
@@ -356,7 +362,7 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
         "test": _s(test_path), "ref": _s(ref_path), "counts": _s(counts_path),
         "th1": th1, "th2": th2, "overrides": _s(overrides_path),
         "translate_test": _s(translate_test), "translate_ref": _s(translate_ref),
-        "resolution": _s(resolution_path),
+        "resolution": _s(resolution_path), "stream": strip_height,
     })
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
@@ -366,8 +372,8 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
         if counts_path is not None:
             table = read_contingency_csv(counts_path)
         else:
-            test_map = read_map(test_path)
-            ref_map = read_map(ref_path)
+            test_map = open_map(test_path)
+            ref_map = open_map(ref_path)
             if translate_test is not None:
                 translation = build_translation(
                     read_legend_mapping(translate_test), resolution
@@ -378,7 +384,7 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
                     read_legend_mapping(translate_ref), resolution
                 )
                 ref_map = translate_legend(ref_map, translation)
-            table = build_contingency(test_map, ref_map)
+            table = build_contingency(test_map, ref_map, strip_height)
         trace = harmonize(table, th1, th2)
         overrides = (
             read_overrides_csv(overrides_path) if overrides_path is not None else []

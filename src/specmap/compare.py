@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .classify import NODATA, CategoricalMap, LegendEntry
+from .classify import MAX_LABEL, CategoricalMap, LegendEntry, check_legend
 from .errors import (
     AmbiguousMappingError,
     ConfigError,
@@ -23,6 +23,7 @@ from .errors import (
     FormatError,
     MappingError,
 )
+from .raster import default_strip_height, strip_bounds
 
 
 @dataclass(frozen=True)
@@ -108,28 +109,40 @@ class HarmonizationTrace:
     final: "LegendRelation | None" = None  # step 8, set by apply_overrides
 
 
-def build_contingency(
-    test: CategoricalMap, reference: CategoricalMap
-) -> ContingencyTable:
-    """Count co-occurring (test label, reference label) pairs over valid pixels."""
-    if test.labels.shape != reference.labels.shape:
+def _position_lut(legend: Sequence[LegendEntry]) -> np.ndarray:
+    """Label value -> position in ``legend``; every other value -> ``len(legend)``."""
+    lut = np.full(MAX_LABEL + 1, len(legend), dtype=np.intp)
+    lut[[e.label for e in legend]] = np.arange(len(legend))
+    return lut
+
+
+def build_contingency(test, reference, strip_height: int | None = None) -> ContingencyTable:
+    """Count co-occurring (test label, reference label) pairs over valid pixels.
+
+    ``test`` and ``reference`` are ``CategoricalMap``s or map sources
+    (``open_map``, ``translate_legend``); both are read with ``rows``,
+    ``strip_height`` rows at a time (default: about ``STRIP_PIXELS``
+    pixels), and each strip adds one ``bincount``.  Memory stays fixed.
+    """
+    if (test.height, test.width) != (reference.height, reference.width):
         raise DimensionMismatchError("test and reference maps differ in shape")
-    both = (test.labels != NODATA) & (reference.labels != NODATA)
-    if not both.any():
+    tc, rc = len(test.legend), len(reference.legend)
+    # Nodata lands in the extra last row or column, which is dropped.
+    t_index = _position_lut(test.legend)
+    r_index = _position_lut(reference.legend)
+    cells = np.zeros((tc + 1) * (rc + 1), dtype=np.int64)
+    rows = strip_height or default_strip_height(test.width)
+    for row0, row1 in strip_bounds(test.height, rows):
+        pair = t_index[test.rows(row0, row1)]
+        pair *= rc + 1
+        pair += r_index[reference.rows(row0, row1)]
+        cells += np.bincount(pair.ravel(), minlength=cells.size)
+    counts = cells.reshape(tc + 1, rc + 1)[:tc, :rc]
+    if not counts.any():
         raise DataError("empty overlap: no pixel is valid in both maps")
-    t_entries = test.legend
-    r_entries = reference.legend
-    t_index = np.zeros(max(e.label for e in t_entries) + 1, dtype=np.int64)
-    for i, e in enumerate(t_entries):
-        t_index[e.label] = i
-    r_index = np.zeros(max(e.label for e in r_entries) + 1, dtype=np.int64)
-    for i, e in enumerate(r_entries):
-        r_index[e.label] = i
-    tc, rc = len(t_entries), len(r_entries)
-    cells = t_index[test.labels[both]] * rc + r_index[reference.labels[both]]
-    counts = np.bincount(cells, minlength=tc * rc).reshape(tc, rc)
     return ContingencyTable(
-        tuple(e.name for e in t_entries), tuple(e.name for e in r_entries), counts
+        tuple(e.name for e in test.legend), tuple(e.name for e in reference.legend),
+        counts,
     )
 
 
@@ -246,24 +259,39 @@ def auto_color(i: int) -> tuple[int, int, int]:
     return (int(r * 255), int(g * 255), int(b * 255))
 
 
-def translate_legend(cmap: CategoricalMap, agg: LegendAggregation) -> CategoricalMap:
+class RelabelledMap:
+    """A map source whose u16 rows pass through a lookup table as they are read."""
+
+    def __init__(self, source, lut: np.ndarray, legend: tuple[LegendEntry, ...]):
+        self._source, self._lut, self.legend = source, lut, legend
+        self.height, self.width = source.height, source.width
+
+    def rows(self, row0: int, row1: int) -> np.ndarray:
+        return self._lut[self._source.rows(row0, row1)]
+
+
+def translate_legend(cmap, agg: LegendAggregation):
     """Relabel a map onto the parent legend, preserving nodata.
 
     Every label of the map's legend must be in the mapping domain, whether
-    or not a pixel carries it.
+    or not a pixel carries it.  A ``CategoricalMap`` comes back relabelled;
+    any other map source comes back as a ``RelabelledMap`` that relabels
+    each strip as it is read, after the source has checked its raw labels.
     """
     missing = {e.label for e in cmap.legend} - set(agg.mapping)
     if missing:
         raise MappingError(
             f"mapping is not total: no parent for labels {sorted(missing)}"
         )
+    check_legend(agg.parent_legend)
     # Only the legend's labels enter the table: a child outside it, even a
     # negative one that would index from the end, cannot change the result.
-    children = [e.label for e in cmap.legend]
-    lut = np.zeros(max([NODATA, *children]) + 1, dtype=np.int32)
-    for child in children:
-        lut[child] = agg.mapping[child]
-    return CategoricalMap(lut[cmap.labels], agg.parent_legend)
+    lut = np.zeros(MAX_LABEL + 1, dtype=np.uint16)
+    for e in cmap.legend:
+        lut[e.label] = agg.mapping[e.label]
+    if isinstance(cmap, CategoricalMap):
+        return CategoricalMap(lut[cmap.labels], agg.parent_legend)
+    return RelabelledMap(cmap, lut, agg.parent_legend)
 
 
 def _csv_rows(

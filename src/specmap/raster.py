@@ -4,11 +4,11 @@ The on-disk format is a plain-text sidecar header (``key = value`` lines,
 ``//`` comments) next to a raw little-endian band-sequential payload with the
 same stem and a ``.bin`` suffix.  Samples are calibrated to reflectance in
 [0, 1] at read time; the original storage encoding is remembered so that
-``write_image(read_image(p))`` is byte-identical.  ``read_image`` and strip
-reads share ``ImageSource``'s one row decoder, and ``write_image`` and strip
-writes share ``ImageWriter``'s one encoder; strips come only from files,
-and ``strip_ledger`` counts a strip's bytes from ``read_strip`` to
-``release_strip``.
+``write_image(read_image(p))`` is byte-identical.  ``read_image``, strip
+reads and categorical-map reads share ``ImageSource``'s one payload reader,
+and ``write_image`` and strip writes share ``ImageWriter``'s one encoder;
+strips come only from files, and ``strip_ledger`` counts a strip's bytes
+from ``read_strip`` to ``release_strip``.
 """
 
 from __future__ import annotations
@@ -270,20 +270,47 @@ def _layout_entries(nbands: int, height: int, width: int,
     ]
 
 
-def _band_metadata_from_header(header: dict, dtype_name: str, n: int) -> BandMetadata:
-    wav = header.get(f"band.{n}.wavelength")
+def _header_number(header: dict, key: str, path, default: float | None = None):
+    """``float`` of header entry ``key``, or ``default`` when it is absent."""
+    text = header.get(key)
+    if text is None:
+        return default
+    try:
+        return float(text)
+    except ValueError:
+        raise FormatError(f"{path}: header key {key!r} is not a number: {text!r}") from None
+
+
+def _nodata_fits(nodata: float, dt: np.dtype) -> bool:
+    """Whether an integer payload of type ``dt`` can hold the nodata value."""
+    if dt.kind not in "ui":
+        return True
+    info = np.iinfo(dt)
+    return float(nodata).is_integer() and info.min <= nodata <= info.max
+
+
+def _band_metadata_from_header(header: dict, dtype_name: str, n: int, path) -> BandMetadata:
+    """Band ``n``'s metadata; a value reading cannot honour is a FormatError."""
+    keys = {name: f"band.{n}.{name}"
+            for name in ("wavelength", "gain", "offset", "nodata")}
+    wav = _header_number(header, keys["wavelength"], path)
+    gain = _header_number(header, keys["gain"], path, default_gain(dtype_name))
+    offset = _header_number(header, keys["offset"], path, 0.0)
+    nodata = _header_number(header, keys["nodata"], path)
     if wav is None:
-        raise FormatError(f"missing header key 'band.{n}.wavelength'")
-    gain = float(header.get(f"band.{n}.gain", default_gain(dtype_name)))
-    offset = float(header.get(f"band.{n}.offset", 0.0))
-    nodata = header.get(f"band.{n}.nodata")
-    return BandMetadata(
-        band_id=n,
-        center_wavelength=float(wav),
-        gain=gain,
-        offset=offset,
-        nodata_value=None if nodata is None else float(nodata),
-    )
+        raise FormatError(f"{path}: missing header key {keys['wavelength']!r}")
+    for name, value, ok, need in (
+        ("wavelength", wav, math.isfinite(wav) and wav > 0, "a finite number > 0"),
+        ("gain", gain, math.isfinite(gain) and gain != 0, "a finite nonzero number"),
+        ("offset", offset, math.isfinite(offset), "a finite number"),
+        ("nodata", nodata, nodata is None or _nodata_fits(nodata, _dtype_for(dtype_name)),
+         f"an integer a {dtype_name} sample can hold"),
+    ):
+        if not ok:
+            raise FormatError(
+                f"{path}: header key {keys[name]!r} must be {need}, got {value!r}"
+            )
+    return BandMetadata(n, wav, gain, offset, nodata)
 
 
 def read_image(header_path: Path | str) -> MultiSpectralImage:
@@ -317,18 +344,15 @@ class ImageWriter:
         self.height, self.width = height, width
         self._dt = _dtype_for(dtype_name)
         self._next_row = 0
-        if self._dt.kind in "ui":
-            info = np.iinfo(self._dt)
-            for meta in self.bands:
-                # A nodata value the dtype cannot hold would lose the mask.
-                nodata = meta.nodata_value
-                if nodata is not None and not (
-                    float(nodata).is_integer() and info.min <= nodata <= info.max
-                ):
-                    raise ConfigError(
-                        f"band {meta.band_id}: nodata value {nodata!r} is not an "
-                        f"integer in the {dtype_name} range {info.min}..{info.max}"
-                    )
+        for meta in self.bands:
+            # A nodata value the dtype cannot hold would lose the mask.
+            nodata = meta.nodata_value
+            if nodata is not None and not _nodata_fits(nodata, self._dt):
+                info = np.iinfo(self._dt)
+                raise ConfigError(
+                    f"band {meta.band_id}: nodata value {nodata!r} is not an "
+                    f"integer in the {dtype_name} range {info.min}..{info.max}"
+                )
         extra: list[tuple[str, str]] = []
         for n, meta in enumerate(self.bands, start=1):
             extra.append((f"band.{n}.wavelength", repr(meta.center_wavelength)))
@@ -407,6 +431,11 @@ class ImageWriter:
 STRIP_PIXELS = 1 << 17
 
 
+def default_strip_height(width: int) -> int:
+    """Rows of a strip of about ``STRIP_PIXELS`` pixels at ``width``."""
+    return max(1, STRIP_PIXELS // max(1, width))
+
+
 class BufferLedger:
     """Accounting of strip buffer bytes; lets tests pin the streaming bound."""
 
@@ -442,51 +471,69 @@ class Strip:
 
 
 class ImageSource:
-    """Reads calibrated rows from disk; the one image decoder."""
+    """Reads rows of a flat raster from disk; the one payload reader.
 
-    def __init__(self, header_path: Path | str):
+    ``read_rows`` calibrates an image's rows.  ``read_raw_rows`` returns the
+    stored samples of any raster; with ``calibrated=False`` the header needs
+    no band metadata, as a categorical map's has none.
+    """
+
+    def __init__(self, header_path: Path | str, calibrated: bool = True):
         self.header_path = Path(header_path)
-        header = read_header(self.header_path)
-        self._ppath, self._dt, nbands, self.height, self.width = _payload_layout(
-            self.header_path, header
+        self.header = read_header(self.header_path)
+        self._ppath, self._dt, self.nbands, self.height, self.width = _payload_layout(
+            self.header_path, self.header
         )
-        self.dtype_name = header.get("dtype", "f64")
+        self.dtype_name = self.header.get("dtype", "f64")
         self.bands = tuple(
-            _band_metadata_from_header(header, self.dtype_name, n)
-            for n in range(1, nbands + 1)
-        )
+            _band_metadata_from_header(self.header, self.dtype_name, n, self.header_path)
+            for n in range(1, self.nbands + 1)
+        ) if calibrated else ()
 
-    def read_rows(self, row0: int, row1: int) -> tuple[np.ndarray, np.ndarray]:
-        """Read and calibrate rows [row0, row1); needs ``0 <= row0 < row1 <= height``."""
+    def _check_rows(self, row0: int, row1: int) -> None:
         if not 0 <= row0 < row1 <= self.height:
             raise ConfigError(
                 f"{self.header_path}: cannot read rows [{row0}, {row1}) "
                 f"of a {self.height}-row image"
             )
+
+    def read_rows(self, row0: int, row1: int) -> tuple[np.ndarray, np.ndarray]:
+        """Read and calibrate rows [row0, row1); needs ``0 <= row0 < row1 <= height``."""
+        self._check_rows(row0, row1)
         return self._decode_rows(row0, row1)
+
+    def read_raw_rows(self, row0: int, row1: int) -> np.ndarray:
+        """Stored samples of rows [row0, row1), uncalibrated: (bands, rows, width)."""
+        self._check_rows(row0, row1)
+        raw = np.empty((self.nbands, row1 - row0, self.width), dtype=self._dt)
+        with open(self._ppath, "rb") as f:
+            for i in range(self.nbands):
+                self._read_raw(f, i, row0, row1, raw[i])
+        return raw
+
+    def _read_raw(self, f, band: int, row0: int, row1: int, buffer: np.ndarray) -> np.ndarray:
+        """Read ``band``'s stored rows [row0, row1) into the first bytes of
+        ``buffer``; returns them as a (rows, width) array of the storage dtype."""
+        row_bytes = self.width * self._dt.itemsize
+        nbytes = (row1 - row0) * row_bytes
+        f.seek(band * self.height * row_bytes + row0 * row_bytes)
+        raw = buffer.reshape(-1).view(np.uint8)[:nbytes]
+        if f.readinto(raw) != nbytes:
+            raise TruncatedFileError(f"{self._ppath}: payload ends inside row {row1 - 1}")
+        return raw.view(self._dt).reshape(row1 - row0, self.width)
 
     def _decode_rows(self, row0: int, row1: int) -> tuple[np.ndarray, np.ndarray]:
         # The one decoder.  ``read_image`` calls it directly, not through
         # ``read_rows``, so a traced whole-image read is not also a row read.
         nrows = row1 - row0
-        plane_bytes = self.width * self.height * self._dt.itemsize
-        row_bytes = self.width * self._dt.itemsize
         samples = np.empty((len(self.bands), nrows, self.width), dtype=np.float64)
         validity = np.ones((nrows, self.width), dtype=bool)
-        raw_bytes = nrows * row_bytes
         with open(self._ppath, "rb") as f:
             for i, meta in enumerate(self.bands):
-                f.seek(i * plane_bytes + row0 * row_bytes)
                 # The raw rows land in the band's own output plane, which the
                 # calibrated values then overwrite: no second buffer.
-                raw = samples[i].reshape(-1).view(np.uint8)[:raw_bytes]
-                if f.readinto(raw) != raw_bytes:
-                    raise TruncatedFileError(
-                        f"{self._ppath}: payload ends inside row {row1 - 1}"
-                    )
-                values, valid, _ = apply_calibration(
-                    raw.view(self._dt).reshape(nrows, self.width), meta
-                )
+                raw = self._read_raw(f, i, row0, row1, samples[i])
+                values, valid, _ = apply_calibration(raw, meta)
                 samples[i] = values
                 validity &= valid
         samples[:, ~validity] = 0.0

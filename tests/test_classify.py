@@ -10,6 +10,7 @@ from specmap.classify import (
     classify,
     classify_streamed,
     classify_strip,
+    open_map,
     read_map,
     write_map,
 )
@@ -21,7 +22,16 @@ from specmap.errors import (
     MappingError,
     TruncatedFileError,
 )
-from specmap.raster import open_image, stream_strips, strip_ledger, write_image
+from specmap.raster import (
+    STRIP_PIXELS,
+    open_image,
+    read_header,
+    stream_strips,
+    strip_ledger,
+    write_header,
+    write_image,
+    write_raster,
+)
 from specmap.rules import parse_rules
 
 from helpers import (
@@ -310,3 +320,102 @@ class TestCategoricalMap:
         cmap = CategoricalMap(np.array([[1]]), (LegendEntry(1, "Water // deep", (0, 0, 0)),))
         with pytest.raises(FormatError):
             write_map(cmap, tmp_path / "m.hdr")
+
+
+class TestU16Labels:
+    def test_every_map_holds_u16_labels(self, specl, tmp_path):
+        image = write_scene(tmp_path / "scene.hdr", 12, 8, seed=7, block=4)
+        maps = (
+            CategoricalMap(np.array([[1, 2]], dtype=np.int64), legend(2)),
+            classify(image, specl),
+            classify_streamed(open_image(tmp_path / "scene.hdr"), specl, strip_height=5),
+        )
+        for cmap in maps:
+            assert cmap.labels.dtype == np.uint16
+        write_map(maps[1], tmp_path / "m.hdr")
+        back = read_map(tmp_path / "m.hdr")
+        assert back.labels.dtype == np.uint16
+        assert np.array_equal(back.labels, maps[2].labels)
+
+    @pytest.mark.parametrize("label", [-1, 65536, 70000])
+    def test_pixel_label_u16_cannot_hold_is_refused_not_wrapped(self, label):
+        for dtype in (np.int32, np.int64):
+            with pytest.raises(DataError, match=rf"outside 0\.\.65535: \[{label}\]"):
+                CategoricalMap(np.array([[1, label]], dtype=dtype), legend(1))
+
+    def test_non_integer_labels_refused(self):
+        with pytest.raises(DataError, match="integers"):
+            CategoricalMap(np.array([[1.5]]), legend(1))
+
+    @pytest.mark.parametrize("index", [0, 70000])
+    def test_rule_legend_u16_cannot_hold_is_refused_before_labelling(
+            self, tmp_path, monkeypatch, index):
+        module = importlib.import_module("specmap.classify")
+        rules = parse_rules(
+            "bands: b1@0.48, b2@0.56, b3@0.66, b4@0.83, b5@1.6, b7@2.2\n"
+            f'rule {index} "x" color #000000 {{ b1 >= 0.5 }}\nfallback 9 "f"\n'
+        )
+        image = write_scene(tmp_path / "scene.hdr", 8, 4, seed=3, block=2)
+
+        def never(*args):
+            raise AssertionError("labelled before the legend was checked")
+
+        monkeypatch.setattr(module, "_label", never)
+        error = ConfigError if index == 0 else DataError
+        for call in (lambda: classify(image, rules),
+                     lambda: classify_streamed(open_image(tmp_path / "scene.hdr"),
+                                               rules, strip_height=4)):
+            with pytest.raises(error, match=str(index)):
+                call()
+
+    def test_counts_fold_equals_one_bincount(self, rng):
+        # Taller than one chunk of STRIP_PIXELS, with a short last chunk.
+        width = 512
+        height = 2 * STRIP_PIXELS // width + 37
+        cmap = random_map(rng, height, width, 7, nodata_fraction=0.1)
+        expected = np.bincount(cmap.labels.ravel(), minlength=65536)
+        assert np.array_equal(cmap.counts, expected)
+
+
+class TestMapSource:
+    def _map(self, tmp_path, rng, height=23, width=9):
+        cmap = random_map(rng, height, width, 5, nodata_fraction=0.1)
+        write_map(cmap, tmp_path / "m.hdr")
+        return cmap
+
+    def test_rows_equal_the_whole_read(self, tmp_path, rng):
+        cmap = self._map(tmp_path, rng)
+        source = open_map(tmp_path / "m.hdr")
+        assert (source.height, source.width, source.legend) == (23, 9, cmap.legend)
+        parts = [source.rows(r0, min(r0 + 4, 23)) for r0 in range(0, 23, 4)]
+        assert all(p.dtype == np.uint16 for p in parts)
+        assert np.array_equal(np.concatenate(parts), cmap.labels)
+        assert np.array_equal(cmap.rows(4, 8), cmap.labels[4:8])
+
+    def test_unlisted_label_names_every_unlisted_label_of_the_map(self, tmp_path, rng):
+        labels = rng.integers(1, 4, size=(40, 3))
+        labels[2, 1], labels[35, 0] = 7, 9
+        write_map(CategoricalMap(labels, legend(9)), tmp_path / "m.hdr")
+        header = read_header(tmp_path / "m.hdr")
+        for n in range(4, 10):
+            del header[f"legend.{n}.name"], header[f"legend.{n}.color"]
+        write_header(tmp_path / "m.hdr", list(header.items()))
+        source = open_map(tmp_path / "m.hdr")
+        assert source.rows(10, 30).shape == (20, 3)  # no unlisted label there
+        for row0, row1 in ((0, 4), (32, 40)):
+            with pytest.raises(DataError, match=r"labels missing from legend: \[7, 9\]$"):
+                source.rows(row0, row1)
+        with pytest.raises(DataError, match=r"labels missing from legend: \[7, 9\]$"):
+            read_map(tmp_path / "m.hdr")
+
+    @pytest.mark.parametrize("planes, dtype_name", [
+        (np.ones((1, 2, 2), dtype=np.uint8), "u8"),
+        (np.ones((1, 2, 2), dtype=np.uint32), "u32"),
+        (np.ones((2, 2, 2), dtype=np.uint16), "u16"),
+    ])
+    def test_map_other_than_one_u16_band_refused(self, tmp_path, planes, dtype_name):
+        extra = [("maptype", "categorical"), ("legend.1.name", "a")]
+        write_raster(tmp_path / "m.hdr", extra, planes, dtype_name)
+        for read in (open_map, read_map):
+            with pytest.raises(FormatError, match="m.hdr: a categorical map is one band"):
+                read(tmp_path / "m.hdr")

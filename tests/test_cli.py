@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from specmap.classify import CategoricalMap, read_map, write_map
+from specmap.classify import CategoricalMap, LegendEntry, read_map, write_map
 from specmap.cli import main
 from specmap.raster import (
     STRIP_PIXELS,
     BandMetadata,
     MultiSpectralImage,
+    read_header,
     read_image,
     strip_ledger,
     write_header,
@@ -35,7 +36,7 @@ from specmap.segmentation import (
 )
 
 from helpers import image_from_pixels, legend, write_scene
-from oracles import segmentations_bijective
+from oracles import segmentations_bijective, tally_contingency
 from test_segmentation import NINE_SEGMENT_MAP
 
 SPECL_PATH = str(files("specmap").joinpath("data/specl.rules"))
@@ -43,6 +44,11 @@ COUNTS_PATH = str(files("specmap").joinpath("data/harmonization_example_counts.c
 OVERRIDES_PATH = str(
     files("specmap").joinpath("data/harmonization_example_overrides.csv")
 )
+NLCD_MAPPING = str(files("specmap").joinpath("data/nlcd_to_lccsdp.csv"))
+NLCD_RESOLUTION = str(files("specmap").joinpath("data/nlcd_resolution_first_listed.csv"))
+NLCD_CODES = np.array([11, 12, 21, 22, 23, 24, 31, 41, 42, 43, 51, 52, 71, 72, 73, 74,
+                       81, 82, 90, 95])
+NLCD_LEGEND = tuple(LegendEntry(int(c), f"code-{c}", (int(c), 0, 0)) for c in NLCD_CODES)
 
 
 @pytest.fixture
@@ -172,7 +178,59 @@ class TestClassifyCommand:
         assert set(np.unique(got.labels)) <= {0, 1}
 
 
-@pytest.mark.parametrize("command", ["classify", "segment"])
+    def test_histogram_report_equals_unique_counts(self, runner, tmp_path):
+        write_scene(tmp_path / "scene.hdr", 37, 24, seed=20, block=4,
+                    nodata_fraction=0.05)
+        out = tmp_path / "map.hdr"
+        args = ["classify", "--rules", SPECL_PATH, "--in", tmp_path / "scene.hdr",
+                "--out", out]
+        as_json = invoke(runner, *args, "--json")
+        as_text = invoke(runner, *args)
+        assert as_json.exit_code == 0 and as_text.exit_code == 0
+        values, counts = np.unique(read_map(out).labels, return_counts=True)
+        assert values[0] == 0 and len(values) > 2
+        expected = {
+            "out": str(out),
+            "pixels": 37 * 24,
+            "classes_present": len(values) - 1,
+            "histogram": {int(v): int(c) for v, c in zip(values, counts)},
+        }
+        assert as_text.output == "".join(f"{k}: {v}\n" for k, v in expected.items())
+        assert json.loads(as_json.output) == json.loads(json.dumps(expected))
+
+
+@pytest.mark.parametrize("key", ["gain", "offset", "wavelength", "nodata"])
+@pytest.mark.parametrize("value", ["abc", "nan", "inf"])
+def test_band_header_value_reading_cannot_honour_exits_1(runner, tmp_path, key, value):
+    write_scene(tmp_path / "scene.hdr", 16, 16, seed=12, block=4)
+    header = read_header(tmp_path / "scene.hdr")
+    assert f"band.1.{key}" in header
+    header[f"band.1.{key}"] = value
+    write_header(tmp_path / "scene.hdr", list(header.items()))
+    result = runner.invoke(main, [
+        "classify", "--rules", SPECL_PATH, "--in", str(tmp_path / "scene.hdr"),
+        "--out", str(tmp_path / "map.hdr"),
+    ])
+    assert result.exit_code == 1, result.output
+    assert f"scene.hdr: header key 'band.1.{key}' " in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert not (tmp_path / "map.hdr").exists()
+
+
+def test_missing_band_wavelength_names_the_header(runner, tmp_path):
+    write_scene(tmp_path / "scene.hdr", 16, 16, seed=12, block=4)
+    header = read_header(tmp_path / "scene.hdr")
+    del header["band.2.wavelength"]
+    write_header(tmp_path / "scene.hdr", list(header.items()))
+    result = runner.invoke(main, [
+        "classify", "--rules", SPECL_PATH, "--in", str(tmp_path / "scene.hdr"),
+        "--out", str(tmp_path / "map.hdr"),
+    ])
+    assert result.exit_code == 1
+    assert "scene.hdr: missing header key 'band.2.wavelength'" in result.output
+
+
+@pytest.mark.parametrize("command", ["classify", "segment", "compare"])
 @pytest.mark.parametrize("stream", ["0", "-1"])
 def test_stream_below_one_is_usage_error(runner, tmp_path, command, stream):
     image = write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
@@ -182,6 +240,8 @@ def test_stream_below_one_is_usage_error(runner, tmp_path, command, stream):
                      "--out", tmp_path / "out.hdr"],
         "segment": ["--in", tmp_path / "map.hdr", "--image", tmp_path / "scene.hdr",
                     "--out-prefix", tmp_path / "out"],
+        "compare": ["--test", tmp_path / "map.hdr", "--ref", tmp_path / "map.hdr",
+                    "--out-dir", tmp_path / "out"],
     }[command]
     result = runner.invoke(main, [command] + [str(a) for a in inputs]
                            + ["--stream", stream])
@@ -458,6 +518,135 @@ class TestCompareCommand:
         # every pixel translated onto the matching reference class
         assert report["cvpai2"] == 1.0
 
+
+    @staticmethod
+    def _three_parents(path):
+        """A mapping CSV of children 1..19 onto parents 1..3."""
+        path.write_text("child_label,child_name,parent_label,parent_name\n" + "".join(
+            f"{i},c{i},{i % 3 + 1},P{i % 3 + 1}\n" for i in range(1, 20)))
+        return path
+
+    def _map_pair(self, tmp_path, translate=False, height=37, width=24):
+        """Compare arguments for a classified test map and an NLCD reference,
+        both with nodata; with ``translate``, both legends are translated."""
+        image = write_scene(tmp_path / "scene.hdr", height, width, seed=21, block=4,
+                            nodata_fraction=0.05)
+        write_map(classify(image, load_specl()), tmp_path / "test.hdr")
+        rng = np.random.default_rng(21)
+        ref = NLCD_CODES[rng.integers(0, len(NLCD_CODES), size=(height, width))]
+        ref[rng.random((height, width)) < 0.05] = 0
+        write_map(CategoricalMap(ref, NLCD_LEGEND), tmp_path / "ref.hdr")
+        args = ["--test", tmp_path / "test.hdr", "--ref", tmp_path / "ref.hdr"]
+        if translate:
+            mapping = self._three_parents(tmp_path / "specl_to_3.csv")
+            args += ["--translate-test", mapping, "--translate-ref", NLCD_MAPPING,
+                     "--resolution", NLCD_RESOLUTION]
+        return args
+
+    @pytest.mark.parametrize("translate", [False, True])
+    def test_strip_height_cannot_change_outputs(self, runner, tmp_path, translate):
+        from specmap.compare import (
+            build_translation,
+            read_legend_mapping,
+            read_resolution,
+            translate_legend,
+        )
+
+        args = self._map_pair(tmp_path, translate)
+        out = tmp_path / "cmp"
+        runs = {}
+        for stream in (1, 3, None):
+            result = invoke(runner, "compare", *args, "--out-dir", out, "--json",
+                            *(["--stream", stream] if stream else []))
+            assert result.exit_code == 0, result.output
+            files = {p.name: p.read_bytes() for p in out.iterdir()}
+            manifest = json.loads(files.pop("manifest.json"))
+            assert manifest["config"].pop("stream") == stream
+            runs[stream] = (result.output, files, manifest)
+        assert len(runs[None][1]) == 10
+        assert runs[1] == runs[None] and runs[3] == runs[None]
+        # The reference: whole maps in memory, translated there, tallied per pixel.
+        test, ref = read_map(tmp_path / "test.hdr"), read_map(tmp_path / "ref.hdr")
+        if translate:
+            resolution = read_resolution(NLCD_RESOLUTION)
+            test = translate_legend(test, build_translation(
+                read_legend_mapping(tmp_path / "specl_to_3.csv"), resolution))
+            ref = translate_legend(ref, build_translation(
+                read_legend_mapping(NLCD_MAPPING), resolution))
+        expected = tally_contingency(test.labels, ref.labels,
+                                     [e.label for e in test.legend],
+                                     [e.label for e in ref.legend])
+        with open(out / "contingency.csv") as f:
+            rows = list(csv.reader(f))
+        assert rows[0][1:] == [e.name for e in ref.legend]
+        assert [row[0] for row in rows[1:]] == [e.name for e in test.legend]
+        assert np.array_equal(np.array([[int(v) for v in row[1:]] for row in rows[1:]]),
+                              expected)
+
+    def test_memory_stays_below_one_int32_map(self, runner, tmp_path):
+        h, w = 2048, 1024
+        rng = np.random.default_rng(22)
+        write_map(CategoricalMap(rng.integers(0, 20, size=(h, w), dtype=np.uint16),
+                                 legend(19)), tmp_path / "test.hdr")
+        write_map(CategoricalMap(rng.integers(0, 6, size=(h, w), dtype=np.uint16),
+                                 legend(5)), tmp_path / "ref.hdr")
+        mapping = self._three_parents(tmp_path / "to_3.csv")
+        tracemalloc.start()
+        try:
+            result = invoke(runner, "compare", "--test", tmp_path / "test.hdr",
+                            "--ref", tmp_path / "ref.hdr", "--translate-test", mapping,
+                            "--out-dir", tmp_path / "cmp", "--stream", 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < h * w * 4  # one whole int32 map, 8 MiB
+
+    @staticmethod
+    def _drop_from_legend(header_path, labels):
+        header = read_header(header_path)
+        for n in labels:
+            del header[f"legend.{n}.name"], header[f"legend.{n}.color"]
+        write_header(header_path, list(header.items()))
+
+    @pytest.mark.parametrize("stream", [[], ["--stream", "1"]])
+    @pytest.mark.parametrize("fault, message", [
+        ("test label", "error: labels missing from legend: [7, 9]\n"),
+        ("reference label", "error: labels missing from legend: [60000]\n"),
+        ("shape", "error: test and reference maps differ in shape\n"),
+        ("overlap", "error: empty overlap: no pixel is valid in both maps\n"),
+    ])
+    def test_refusals_keep_their_exit_code_and_message(self, runner, tmp_path, fault,
+                                                       message, stream):
+        rng = np.random.default_rng(23)
+        test = rng.integers(0, 4, size=(30, 5))
+        ref = rng.integers(1, 4, size=(30, 5))
+        test_legend, ref_legend = legend(9), legend(3)
+        if fault == "test label":
+            test[1, 2], test[28, 0] = 7, 9
+        elif fault == "reference label":
+            # Above every child of the mapping's lookup table.
+            ref[17, 3] = 60000
+            ref_legend += (LegendEntry(60000, "high", (0, 0, 0)),)
+        elif fault == "shape":
+            ref = ref[:-1]
+        else:
+            test[:] = 0
+        write_map(CategoricalMap(test, test_legend), tmp_path / "test.hdr")
+        write_map(CategoricalMap(ref, ref_legend), tmp_path / "ref.hdr")
+        self._drop_from_legend(tmp_path / "test.hdr", range(4, 10))
+        if fault == "reference label":
+            self._drop_from_legend(tmp_path / "ref.hdr", [60000])
+        mapping = tmp_path / "to_2.csv"
+        mapping.write_text("child_label,child_name,parent_label,parent_name\n"
+                           "1,a,1,P1\n2,b,2,P2\n3,c,2,P2\n")
+        result = runner.invoke(main, [str(a) for a in [
+            "compare", "--test", tmp_path / "test.hdr", "--ref", tmp_path / "ref.hdr",
+            "--translate-ref", mapping, "--out-dir", tmp_path / "cmp", *stream]])
+        assert result.exit_code == 1
+        assert result.output == message
+        assert isinstance(result.exception, SystemExit)
+        assert not list((tmp_path / "cmp").iterdir())
 
     def test_malformed_resolution_exits_1_without_traceback(self, runner, tmp_path):
         bad = tmp_path / "bad.csv"

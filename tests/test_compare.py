@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmap.classify import CategoricalMap, LegendEntry
+from specmap.classify import CategoricalMap, LegendEntry, open_map, read_map, write_map
 from specmap.compare import (
     ContingencyTable,
     LegendAggregation,
@@ -101,6 +101,62 @@ class TestContingency:
         b = CategoricalMap(np.ones((3, 3), dtype=np.int32), legend(2))
         with pytest.raises(DataError):
             build_contingency(a, b)
+
+
+class TestStripFold:
+    """``build_contingency`` over map sources read strip by strip."""
+
+    def _write(self, tmp_path, rng):
+        a = random_map(rng, 23, 7, 4, nodata_fraction=0.1)
+        b = random_map(rng, 23, 7, 3, nodata_fraction=0.1)
+        write_map(a, tmp_path / "a.hdr")
+        write_map(b, tmp_path / "b.hdr")
+        return a, b
+
+    def test_every_strip_height_gives_the_whole_map_table(self, tmp_path, rng):
+        a, b = self._write(tmp_path, rng)
+        expected = tally_contingency(a.labels, b.labels, [e.label for e in a.legend],
+                                     [e.label for e in b.legend])
+        for strip_height in (1, 2, 5, 23, 100, None):
+            for test, ref in ((a, b), (open_map(tmp_path / "a.hdr"), b),
+                              (open_map(tmp_path / "a.hdr"), open_map(tmp_path / "b.hdr"))):
+                table = build_contingency(test, ref, strip_height)
+                assert np.array_equal(table.counts, expected)
+                assert table.test_names == tuple(e.name for e in a.legend)
+
+    def test_translated_source_relabels_each_strip(self, tmp_path, rng):
+        a, _ = self._write(tmp_path, rng)
+        agg = LegendAggregation({1: 2, 2: 1, 3: 2, 4: 1}, legend(2))
+        whole = translate_legend(a, agg)
+        source = translate_legend(open_map(tmp_path / "a.hdr"), agg)
+        assert not isinstance(source, CategoricalMap)
+        assert source.legend == whole.legend
+        rows = [source.rows(r0, min(r0 + 5, 23)) for r0 in range(0, 23, 5)]
+        assert np.array_equal(np.concatenate(rows), whole.labels)
+
+    def test_unlisted_label_above_every_lut_child_is_data_error(self, tmp_path):
+        labels = np.array([[1, 2], [60000, 1]])
+        write_map(CategoricalMap(labels, legend(2) + (LegendEntry(60000, "x", (0, 0, 0)),)),
+                  tmp_path / "m.hdr")
+        text = (tmp_path / "m.hdr").read_text()
+        (tmp_path / "m.hdr").write_text(
+            "".join(line for line in text.splitlines(True) if "60000" not in line))
+        agg = LegendAggregation({1: 1, 2: 1}, legend(1))
+        ref = CategoricalMap(np.ones((2, 2), dtype=np.uint16), legend(1))
+        for strip_height in (1, None):
+            source = translate_legend(open_map(tmp_path / "m.hdr"), agg)
+            with pytest.raises(DataError, match=r"missing from legend: \[60000\]"):
+                build_contingency(source, ref, strip_height)
+        with pytest.raises(DataError, match=r"missing from legend: \[60000\]"):
+            read_map(tmp_path / "m.hdr")
+
+    def test_parent_legend_checked_for_a_source_too(self, tmp_path, rng):
+        self._write(tmp_path, rng)
+        agg = LegendAggregation({1: 70000, 2: 1, 3: 1, 4: 1},
+                                legend(1) + (LegendEntry(70000, "x", (0, 0, 0)),))
+        for cmap in (read_map(tmp_path / "a.hdr"), open_map(tmp_path / "a.hdr")):
+            with pytest.raises(DataError, match=r"legend labels outside 1\.\.65535: \[70000\]"):
+                translate_legend(cmap, agg)
 
 
 class TestHarmonize:

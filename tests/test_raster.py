@@ -15,11 +15,13 @@ from specmap.errors import (
 from specmap.raster import (
     BandMetadata,
     ImageWriter,
+    ImageSource,
     MultiSpectralImage,
     apply_calibration,
     open_image,
     read_header,
     read_image,
+    read_raster,
     read_strip,
     stream_strips,
     strip_ledger,
@@ -188,6 +190,44 @@ class TestImageIO:
         edge = (bands[0], BandMetadata(2, 0.56, gain=gain, nodata_value=65535.0))
         write_image(MultiSpectralImage(edge, samples, validity, "u16"), tmp_path / "b.hdr")
         assert np.array_equal(read_image(tmp_path / "b.hdr").validity, validity)
+
+    @pytest.mark.parametrize("nodata", ["0.5", "nan", "inf", "256", "-1", "x"])
+    def test_nodata_outside_integer_dtype_rejected_at_read(self, tmp_path, nodata):
+        hdr = _write_fixture(tmp_path, bytes(range(8)), **{"band.2.nodata": nodata})
+        with pytest.raises(FormatError, match="img.hdr: header key 'band.2.nodata'"):
+            open_image(hdr)
+        hdr = _write_fixture(tmp_path, bytes(range(8)), **{"band.2.nodata": "255"})
+        assert open_image(hdr).bands[1].nodata_value == 255.0
+
+    @pytest.mark.parametrize("key, value", [
+        ("gain", "0"), ("gain", "-inf"), ("offset", "-inf"), ("wavelength", "0"),
+        ("wavelength", "-0.5"), ("wavelength", "1e400"),
+    ])
+    def test_band_value_reading_cannot_honour_rejected(self, tmp_path, key, value):
+        hdr = _write_fixture(tmp_path, bytes(range(8)), **{f"band.1.{key}": value})
+        with pytest.raises(FormatError, match=f"img.hdr: header key 'band.1.{key}'"):
+            read_image(hdr)
+
+    def test_raw_rows_are_the_stored_samples(self, tmp_path):
+        write_image(synth_scene(9, 5, seed=2, block=2), tmp_path / "a.hdr")
+        _, raw = read_raster(tmp_path / "a.hdr")
+        source = open_image(tmp_path / "a.hdr")
+        got = source.read_raw_rows(2, 7)
+        assert got.dtype == np.dtype("<u2")
+        assert np.array_equal(got, raw[:, 2:7])
+        with pytest.raises(ConfigError, match=r"rows \[7, 2\) of a 9-row"):
+            source.read_raw_rows(7, 2)
+
+    def test_uncalibrated_source_needs_no_band_metadata(self, tmp_path):
+        hdr = _write_fixture(tmp_path, bytes(range(8)))
+        text = hdr.read_text()
+        hdr.write_text("".join(line for line in text.splitlines(True)
+                               if "wavelength" not in line))
+        with pytest.raises(FormatError, match="img.hdr: missing header key 'band.1.wavelength'"):
+            ImageSource(hdr)
+        source = ImageSource(hdr, calibrated=False)
+        assert source.bands == ()
+        assert source.read_raw_rows(0, 2).tolist() == [[[0, 1], [2, 3]], [[4, 5], [6, 7]]]
 
     def test_valid_sample_encoding_to_nodata_rejected(self, tmp_path):
         # Reflectance 0.0 encodes to raw 0 in u16, band 1's nodata value;

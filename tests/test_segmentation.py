@@ -76,6 +76,20 @@ class TestConnectedComponents:
                 assert seg.segment_count == count
                 assert segmentations_bijective(seg.segment_ids, oracle)
 
+    def test_u16_labels_give_the_int32_segment_ids(self, rng):
+        labels = rng.integers(65530, 65536, size=(24, 24))
+        labels[rng.random(labels.shape) < 0.1] = 0
+        for adjacency in (4, 8):
+            ids = []
+            for dtype in (np.uint16, np.int32):
+                labeler = TwoPassLabeler(24, adjacency)
+                for r0 in range(0, 24, 5):
+                    labeler.feed(labels[r0 : r0 + 5].astype(dtype))
+                ids.append(labeler.finalize().segment_ids)
+            assert np.array_equal(ids[0], ids[1])
+            oracle, _ = flood_fill_segments(labels, adjacency)
+            assert segmentations_bijective(ids[0], oracle)
+
     def test_nodata_forms_no_segment(self):
         labels = np.array([[1, 0, 1]])
         seg = connected_components(cat(labels, 1), 4)
