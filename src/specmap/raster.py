@@ -282,11 +282,24 @@ def _header_number(header: dict, key: str, path, default: float | None = None):
 
 
 def _nodata_fits(nodata: float, dt: np.dtype) -> bool:
-    """Whether an integer payload of type ``dt`` can hold the nodata value."""
-    if dt.kind not in "ui":
-        return True
+    """Whether reading a payload of type ``dt`` can honour the nodata value.
+
+    An integer payload must hold it exactly.  A float payload needs NaN or
+    a finite value: reading refuses an infinite raw sample.
+    """
+    if dt.kind == "f":
+        return not math.isinf(nodata)
     info = np.iinfo(dt)
     return float(nodata).is_integer() and info.min <= nodata <= info.max
+
+
+def _nodata_rule(dtype_name: str) -> str:
+    """What ``_nodata_fits`` asks of a ``dtype_name`` nodata value, in words."""
+    dt = _dtype_for(dtype_name)
+    if dt.kind == "f":
+        return f"NaN or a finite number for {dtype_name} samples"
+    info = np.iinfo(dt)
+    return f"an integer in the {dtype_name} range {info.min}..{info.max}"
 
 
 def _band_metadata_from_header(header: dict, dtype_name: str, n: int, path) -> BandMetadata:
@@ -304,7 +317,7 @@ def _band_metadata_from_header(header: dict, dtype_name: str, n: int, path) -> B
         ("gain", gain, math.isfinite(gain) and gain != 0, "a finite nonzero number"),
         ("offset", offset, math.isfinite(offset), "a finite number"),
         ("nodata", nodata, nodata is None or _nodata_fits(nodata, _dtype_for(dtype_name)),
-         f"an integer a {dtype_name} sample can hold"),
+         _nodata_rule(dtype_name)),
     ):
         if not ok:
             raise FormatError(
@@ -345,13 +358,13 @@ class ImageWriter:
         self._dt = _dtype_for(dtype_name)
         self._next_row = 0
         for meta in self.bands:
-            # A nodata value the dtype cannot hold would lose the mask.
+            # A nodata value reading cannot honour would lose the mask
+            # or make the image unreadable.
             nodata = meta.nodata_value
             if nodata is not None and not _nodata_fits(nodata, self._dt):
-                info = np.iinfo(self._dt)
                 raise ConfigError(
-                    f"band {meta.band_id}: nodata value {nodata!r} is not an "
-                    f"integer in the {dtype_name} range {info.min}..{info.max}"
+                    f"band {meta.band_id}: nodata value {nodata!r} is not "
+                    f"{_nodata_rule(dtype_name)}"
                 )
         extra: list[tuple[str, str]] = []
         for n, meta in enumerate(self.bands, start=1):

@@ -403,35 +403,58 @@ def _band_sums(ids: np.ndarray, n: int, strips: Iterable[Strip]) -> np.ndarray:
     return sums
 
 
-#: Rows joined per write; bounds the strings alive at once.
+#: Rows per write; bounds the record buffer, and so the bytes built at once.
 _CSV_CHUNK_ROWS = 1 << 16
 
 
-def _encode_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return a column's distinct field strings and each row's index into them.
+def _decimals(values: np.ndarray) -> np.ndarray:
+    """Non-negative ints as right-aligned ASCII digits in one ``S<w>`` array.
 
-    Each distinct value is formatted once: ints with ``str``, floats with
-    ``repr``.  Floats are keyed on their bit pattern, so ``-0.0`` and ``0.0``
-    (whose ``repr``s differ) stay apart; every member of a bit-pattern group
-    formats the same.
+    Positions before a value's first digit hold NUL, which the writer drops.
+    """
+    width = len(str(int(values.max(initial=0))))
+    digits = np.empty((len(values), width), dtype=np.uint8)
+    rest = values.copy()
+    for k in range(width - 1, -1, -1):
+        digits[:, k] = rest % 10
+        rest //= 10
+    digits += ord("0")
+    digits[:, :-1][values[:, np.newaxis] < 10 ** np.arange(width - 1, 0, -1)] = 0
+    return digits.view(f"S{width}").ravel()
+
+
+def _encode_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Return a column's distinct fields and each row's code into them.
+
+    The fields are one NUL-padded ``S<w>`` array: ints in decimal, floats
+    as ``repr``, each distinct value formatted once.  Floats are keyed on
+    their bit pattern, so ``-0.0`` and ``0.0`` (whose ``repr``s differ)
+    stay apart; every member of a bit-pattern group formats the same.  An
+    int column within ``[0, 2n)`` indexes the decimals of ``0..max``
+    directly.  Codes take the narrowest unsigned dtype that holds them.
     """
     if column.dtype.kind == "f":
         bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
         keys, codes = np.unique(bits, return_inverse=True)
-        strings = np.frompyfunc(repr, 1, 1)(keys.view(np.float64))
+        fields = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype="S")
+    elif column.min(initial=0) >= 0 and column.max(initial=0) < 2 * len(column):
+        fields = _decimals(np.arange(column.max() + 1))
+        codes = column
     else:
         keys, codes = np.unique(column, return_inverse=True)
-        strings = np.frompyfunc(str, 1, 1)(keys)
-    return strings, codes.astype(np.uint32)
+        fields = np.array([str(v) for v in keys.tolist()], dtype="S")
+    return fields, codes.astype(np.uint16 if len(fields) <= 1 << 16 else np.uint32)
 
 
 def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
-    """Write the table as CSV: ints as ``str``, floats as ``repr``, CRLF rows.
+    """Write the table as CSV: ints in decimal, floats as ``repr``, CRLF rows.
 
     The bytes equal ``csv.writer`` output of those strings: no field can
-    hold a delimiter, quote or line break, so none is quoted.  Values
-    repeat across segments, so each column is dictionary-encoded once and
-    every chunk of rows is a gather of ready strings plus one join.
+    hold a delimiter, quote or line break, so none is quoted.  Each column
+    is dictionary-encoded once into byte fields.  Every chunk of rows
+    gathers them into one record buffer whose commas and CRLF are filled
+    in advance, and writes it with its NUL padding dropped: no field is
+    ASCII NUL.  The segment ids are formatted per chunk.
     """
     n = len(table)
     n_bands = table.sums.shape[0]
@@ -444,13 +467,24 @@ def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
         table.max_row, table.max_col, table.perimeter, table.compactness,
         *table.sums,
     )]
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        f.write(",".join(header) + "\r\n")
+    layout = [("id", f"S{len(str(n))}")]
+    for i, (fields, _) in enumerate(encoded):
+        layout += [(f"comma{i}", "S1"), (f"field{i}", fields.dtype)]
+    layout.append(("crlf", "S2"))
+    buf = np.zeros(min(n, _CSV_CHUNK_ROWS), dtype=layout)
+    for i in range(len(encoded)):
+        buf[f"comma{i}"] = b","
+    buf["crlf"] = b"\r\n"
+    with open(path, "wb") as f:
+        f.write((",".join(header) + "\r\n").encode("ascii"))
         for r0 in range(0, n, _CSV_CHUNK_ROWS):
             r1 = min(r0 + _CSV_CHUNK_ROWS, n)
-            columns = [map(str, range(r0 + 1, r1 + 1))]
-            columns += [strings[codes[r0:r1]].tolist() for strings, codes in encoded]
-            f.write("\r\n".join(map(",".join, zip(*columns))) + "\r\n")
+            rows = buf[:r1 - r0]
+            rows["id"] = _decimals(np.arange(r0 + 1, r1 + 1))
+            for i, (fields, codes) in enumerate(encoded):
+                rows[f"field{i}"] = fields[codes[r0:r1]]
+            raw = rows.view(np.uint8)
+            f.write(raw[raw != 0])
 
 
 # ---------------------------------------------------------------------------

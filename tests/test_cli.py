@@ -35,7 +35,7 @@ from specmap.segmentation import (
     write_superpixel_csv,
 )
 
-from helpers import image_from_pixels, legend, write_scene
+from helpers import image_from_pixels, legend, synth_scene, write_scene
 from oracles import segmentations_bijective, tally_contingency
 from test_segmentation import NINE_SEGMENT_MAP
 
@@ -213,6 +213,26 @@ def test_band_header_value_reading_cannot_honour_exits_1(runner, tmp_path, key, 
     ])
     assert result.exit_code == 1, result.output
     assert f"scene.hdr: header key 'band.1.{key}' " in result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert not (tmp_path / "map.hdr").exists()
+
+
+def test_infinite_float_nodata_header_exits_1(runner, tmp_path):
+    scene = synth_scene(16, 16, seed=12, block=4)
+    bands = tuple(BandMetadata(b.band_id, b.center_wavelength, nodata_value=-1.0)
+                  for b in scene.bands)
+    write_image(MultiSpectralImage(bands, scene.samples, scene.validity, "f64"),
+                tmp_path / "scene.hdr")
+    header = read_header(tmp_path / "scene.hdr")
+    header["band.1.nodata"] = "inf"
+    write_header(tmp_path / "scene.hdr", list(header.items()))
+    result = runner.invoke(main, [
+        "classify", "--rules", SPECL_PATH, "--in", str(tmp_path / "scene.hdr"),
+        "--out", str(tmp_path / "map.hdr"),
+    ])
+    assert result.exit_code == 1, result.output
+    assert ("scene.hdr: header key 'band.1.nodata' must be NaN or a finite "
+            "number for f64 samples") in result.output
     assert isinstance(result.exception, SystemExit)  # no traceback
     assert not (tmp_path / "map.hdr").exists()
 

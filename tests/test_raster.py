@@ -199,6 +199,39 @@ class TestImageIO:
         hdr = _write_fixture(tmp_path, bytes(range(8)), **{"band.2.nodata": "255"})
         assert open_image(hdr).bands[1].nodata_value == 255.0
 
+    @pytest.mark.parametrize("dtype_name", ["f32", "f64"])
+    @pytest.mark.parametrize("nodata", [float("inf"), float("-inf")])
+    def test_infinite_float_nodata_rejected(self, tmp_path, dtype_name, nodata):
+        # Reading refuses an infinite raw sample, so the invalid pixel
+        # would make the image unreadable.
+        validity = np.array([[True, False]])
+        samples = np.array([[[0.5, 0.0]], [[0.5, 0.0]]])
+        bands = (BandMetadata(1, 0.48, nodata_value=-1.0),
+                 BandMetadata(2, 0.56, nodata_value=nodata))
+        image = MultiSpectralImage(bands, samples, validity, dtype_name)
+        with pytest.raises(ConfigError, match=(
+                f"band 2: nodata value -?inf is not NaN or a finite number "
+                f"for {dtype_name} samples")):
+            write_image(image, tmp_path / "a.hdr")
+        assert list(tmp_path.iterdir()) == []
+        finite = (bands[0], BandMetadata(2, 0.56, nodata_value=-1.5))
+        write_image(MultiSpectralImage(finite, samples, validity, dtype_name),
+                    tmp_path / "b.hdr")
+        assert np.array_equal(read_image(tmp_path / "b.hdr").validity, validity)
+
+    @pytest.mark.parametrize("nodata", ["inf", "-inf"])
+    def test_infinite_float_nodata_rejected_at_read(self, tmp_path, nodata):
+        payload = np.zeros(8, dtype="<f8").tobytes()
+        hdr = _write_fixture(tmp_path, payload, dtype="f64", **{"band.2.nodata": nodata})
+        with pytest.raises(FormatError, match=(
+                "img.hdr: header key 'band.2.nodata' must be NaN or a finite "
+                "number for f64 samples")):
+            open_image(hdr)
+        for finite in ("nan", "-1.5"):
+            hdr = _write_fixture(tmp_path, payload, dtype="f64",
+                                 **{"band.2.nodata": finite})
+            assert read_image(hdr).validity.all()
+
     @pytest.mark.parametrize("key, value", [
         ("gain", "0"), ("gain", "-inf"), ("offset", "-inf"), ("wavelength", "0"),
         ("wavelength", "-0.5"), ("wavelength", "1e400"),

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from specmap.classify import CategoricalMap
 from specmap.errors import DataError, DimensionMismatchError
 from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
+    _encode_column,
     OpStats,
     SegmentationMap,
     SuperpixelTable,
@@ -442,6 +444,61 @@ class TestSuperpixelCsv:
         assert (tmp_path / "got.csv").read_bytes() == (
             b"segment_id,label,pixel_count,min_row,min_col,max_row,max_col,"
             b"perimeter,compactness,sum_b1,sum_b2\r\n")
+
+    def _assert_matches_reference(self, table, tmp_path):
+        write_superpixel_csv(table, tmp_path / "got.csv")
+        _reference_csv(table, tmp_path / "want.csv")
+        got = (tmp_path / "got.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\r\n") == len(table) + 1
+
+    @pytest.mark.parametrize("n", [
+        1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+        # ids cross 99 999 -> 100 000 inside the second chunk
+        100_001,
+    ])
+    def test_row_counts_around_chunk_and_digit_boundaries(self, rng, tmp_path, n):
+        self._assert_matches_reference(_random_table(rng, n, 1), tmp_path)
+
+    def test_int_columns_on_both_sides_of_the_direct_table_rule(self, rng, tmp_path):
+        n = 1000
+        table = _random_table(rng, n, 2)
+        table.min_row[:] = rng.integers(0, 2 * n, n)
+        table.min_row[17] = 2 * n - 1   # direct: decimals of 0..2n-1
+        table.max_row[:] = rng.integers(0, 2 * n, n)
+        table.max_row[17] = 2 * n       # one past the rule: distinct values
+        assert len(_encode_column(table.min_row)[0]) == 2 * n
+        assert len(_encode_column(table.max_row)[0]) == len(np.unique(table.max_row))
+        self._assert_matches_reference(table, tmp_path)
+
+    def test_negative_int_column(self, rng, tmp_path):
+        table = _random_table(rng, 500, 2)
+        table.labels[3] = -3
+        table.perimeter[::9] = -(10**12)
+        self._assert_matches_reference(table, tmp_path)
+
+    def test_writer_memory_per_row(self, tmp_path):
+        """The writer's traced peak above entry on a per-pixel table.
+
+        At ~200 k rows, 6 bands, dictionary-encoded string rows peaked at
+        ~223 bytes per row; byte records at ~196.
+        """
+        rng = np.random.default_rng(12)
+        cmap = random_map(rng, 240, 1024, 20)
+        image = random_image(rng, 6, 240, 1024)
+        image.samples[:] = np.round(image.samples * 10000) / 10000
+        table = build_superpixel_table(cmap, connected_components(cmap, 8),
+                                       image, cross_aura(cmap, 8))
+        del cmap, image
+        assert len(table) > 190_000
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_superpixel_csv(table, tmp_path / "table.csv")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / len(table) < 210
 
 
 class TestReconstructAndRmse:
