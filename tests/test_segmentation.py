@@ -472,9 +472,12 @@ class TestSuperpixelCsv:
         self._assert_matches_reference(table, tmp_path)
 
     def test_negative_int_column(self, rng, tmp_path):
-        table = _random_table(rng, 500, 2)
+        n = 500
+        table = _random_table(rng, n, 2)
         table.labels[3] = -3
         table.perimeter[::9] = -(10**12)
+        table.min_row[:] = rng.integers(0, n, n)
+        table.min_row[5] = -1  # below the direct table's range, within its max
         self._assert_matches_reference(table, tmp_path)
 
     def test_writer_memory_per_row(self, tmp_path):
