@@ -212,8 +212,10 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
 @click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
               help="Rows per strip for labeling and image reads (default: about "
                    "131 072 pixels per strip). The image is read twice, one "
-                   "strip at a time; the label map, segment ids, aura and RMSE "
-                   "planes are held whole.")
+                   "strip at a time. Planes are held whole until no later step "
+                   "reads them: the label map and aura until the superpixel "
+                   "table is built, the segment ids until the reconstruction "
+                   "is written, the RMSE plane until it is written.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_json):
     """Segment a categorical map and describe, rebuild and score it."""
@@ -245,24 +247,29 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         source = raster.open_image(image_path)
         aura = cross_aura(cmap, adjacency)
         # Pass A: the band sums.  Pass B: mean view, RMSE and reconstruction.
+        # Each plane is dropped once written and no later step reads it.
         table = build_superpixel_table(
             cmap, seg, raster.stream_strips(source, rows), aura)
         conserved = int(table.counts.sum())
         if conserved != int(np.count_nonzero(seg.segment_ids)):
             raise SpecmapError("pixel-count conservation violated")
-        rmse = _write_mean_view(seg, table, source, rows, paths["reconstruction"])
         write_segmentation(seg, paths["segmentation"])
         write_aura(aura, paths["aura"])
-        write_superpixel_csv(table, paths["superpixels"])
+        del cmap, aura
+        rmse = _write_mean_view(seg, table, source, rows, paths["reconstruction"])
+        segments = seg.segment_count
+        del seg
         write_rmse(rmse, paths["rmse"])
+        stats = rmse.stats()
+        del rmse
+        write_superpixel_csv(table, paths["superpixels"])
     except SpecmapError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    stats = rmse.stats()
     _write_manifest(Path(f"{out_prefix}.manifest.json"), config,
                     [map_path, image_path], list(paths.values()))
     _emit({
-        "segments": seg.segment_count,
+        "segments": segments,
         "rmse_min": stats.minimum,
         "rmse_max": stats.maximum,
         "rmse_mean": stats.mean,

@@ -7,11 +7,14 @@ hook-and-compress rounds (Shiloach & Vishkin) and numbers the components in
 row-major first-encounter order, which makes output maps reproducible byte
 for byte.  The labeler accepts rows incrementally, so strip-streamed
 labeling needs no overlap rows and merges across seams by construction.
+The run graph is int32 while the run count fits it (int64 beyond), and
+pass 2 writes the ids one fed block at a time.
 
 The superpixel description is a columnar ``SuperpixelTable`` (one array per
-attribute, one entry per segment), filled with bincounts, scattered
-minima/maxima and band sums folded in from image strips; the mean-view
-reconstruction of any block of rows is a single gather from its means.
+attribute, one entry per segment), folded in strip by strip from the image
+strips: scattered counts, labels, minima/maxima and band sums.  The
+mean-view reconstruction of any block of rows is a single gather from its
+means.
 """
 
 from __future__ import annotations
@@ -54,13 +57,18 @@ class SegmentationMap:
     segment_count: int
 
     def __post_init__(self):
-        self.segment_ids = np.asarray(self.segment_ids, dtype=np.int32)
-        counts = np.bincount(
-            self.segment_ids.ravel(), minlength=self.segment_count + 1
-        )
-        if self.segment_ids.max(initial=0) != self.segment_count:
+        ids = self.segment_ids = np.asarray(self.segment_ids, dtype=np.int32)
+        n = self.segment_count
+        if n < 0:
+            raise DataError(f"segment count {n} is negative")
+        if ids.min(initial=0) < 0:
+            raise DataError(f"segment id {int(ids.min())} is negative")
+        if ids.max(initial=0) > n:
             raise DataError("segment ids are not dense")
-        if self.segment_count and (counts[1:] == 0).any():
+        # A scatter, not a bincount: bincount would cast the plane to intp.
+        seen = np.zeros(n + 1, dtype=bool)
+        seen[ids] = True
+        if not seen[1:].all():
             raise DataError("segment ids are not dense")
 
     @property
@@ -122,12 +130,18 @@ class RmseMap:
     validity: np.ndarray
 
     def stats(self) -> RmseStats:
+        """Min, max, mean and population stdev of the valid pixels.
+
+        The stdev takes ``np.std``'s steps, in place on the one copy of
+        the valid values, so its bits equal ``np.std``'s.
+        """
         v = self.values[self.validity]
         if v.size == 0:
             return RmseStats(0.0, 0.0, 0.0, 0.0)
-        return RmseStats(
-            float(v.min()), float(v.max()), float(v.mean()), float(v.std())
-        )
+        lo, hi, mean = float(v.min()), float(v.max()), v.mean()
+        v -= mean
+        v *= v
+        return RmseStats(lo, hi, float(mean), float(np.sqrt(v.sum() / v.size)))
 
 
 # ---------------------------------------------------------------------------
@@ -166,24 +180,31 @@ def _resolve_runs(n: int, heads: np.ndarray, tails: np.ndarray,
     trees hooks the larger root under the smaller, then pointer jumping
     flattens every tree, so each round starts from roots.  Parents never
     exceed their child, so no cycle can form; edges inside one tree are
-    dropped for good.
+    dropped for good.  Every other edge is replaced by the two roots it
+    joins, larger first: that edge joins the same two trees.
     """
-    parent = np.arange(n, dtype=np.int64)
+    parent = np.arange(n, dtype=heads.dtype)
     while heads.size:
         if stats is not None:
             stats.union_find_ops += int(heads.size)
-        rh, rt = parent[heads], parent[tails]
-        split = rh != rt
-        heads, tails, rh, rt = heads[split], tails[split], rh[split], rt[split]
+        heads, tails = parent[heads], parent[tails]
+        split = heads != tails
+        heads, tails = heads[split], tails[split]
         if not heads.size:
             break
-        np.minimum.at(parent, np.maximum(rh, rt), np.minimum(rh, rt))
+        heads, tails = np.maximum(heads, tails), np.minimum(heads, tails)
+        np.minimum.at(parent, heads, tails)
         while True:
             grand = parent[parent]
             if np.array_equal(grand, parent):
                 break
             parent = grand
     return parent
+
+
+def _run_dtype(n: int) -> type:
+    """int32 while ``n`` run ids fit it, else int64: the run graph's dtype."""
+    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
 
 
 def _drain(parts: list[np.ndarray]) -> np.ndarray:
@@ -210,8 +231,7 @@ class TwoPassLabeler:
         self.adjacency = adjacency
         self.stats = stats
         self._n_runs = 0
-        self._starts: list[np.ndarray] = []
-        self._valids: list[np.ndarray] = []
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (starts, valid)
         self._heads: list[np.ndarray] = []
         self._tails: list[np.ndarray] = []
         self._prev = None  # (values, starts, run ids) of the last row fed
@@ -229,7 +249,8 @@ class TwoPassLabeler:
         start[:, 1:] &= (rows[:, 1:] != rows[:, :-1]) | ~valid[:, :-1]
         # Runs never cross a row end, so one running count over the block
         # numbers them; ids of nodata pixels are never read.
-        ids = np.cumsum(start, dtype=np.int64).reshape(rows.shape)
+        ids = np.cumsum(start, dtype=_run_dtype(self._n_runs + rows.size))
+        ids = ids.reshape(rows.shape)
         ids += self._n_runs - 1
         self._n_runs = int(ids[-1, -1]) + 1
         cur = (rows, start, ids)
@@ -241,31 +262,48 @@ class TwoPassLabeler:
         for heads, tails in pairs:
             self._heads.append(heads)
             self._tails.append(tails)
-        self._starts.append(start)
-        self._valids.append(valid)
+        self._blocks.append((start, valid))
         self._prev = tuple(a[-1:].copy() for a in cur)
         if self.stats is not None:
             self.stats.pixel_visits += int(rows.size)
 
     def finalize(self) -> SegmentationMap:
-        if not self._starts:
+        """Number the components, writing ids one fed block at a time.
+
+        Every temporary is the size of one fed block or of the run graph;
+        each block's rows are dropped once its ids are written.
+        """
+        if not self._blocks:
             raise DataError("cannot segment an empty map: no pixels fed to the labeler")
-        start = _drain(self._starts)
-        valid = _drain(self._valids)
-        heads = _drain(self._heads)
-        tails = _drain(self._tails)
+        blocks, self._blocks = self._blocks[::-1], []
         n, self._n_runs, self._prev = self._n_runs, 0, None
+        dtype = _run_dtype(n)
+        # Only the callee holds the edges, so each round frees the last.
+        root = _resolve_runs(n, _drain(self._heads).astype(dtype, copy=False),
+                             _drain(self._tails).astype(dtype, copy=False),
+                             self.stats)
+        height = sum(start.shape[0] for start, _ in blocks)
+        seg = np.zeros((height, self.width), dtype=np.int32)
         if self.stats is not None:
-            self.stats.pixel_visits += int(start.size)  # second pass
+            self.stats.pixel_visits += seg.size  # second pass
         if n == 0:
-            return SegmentationMap(np.zeros(start.shape, dtype=np.int32), 0)
-        root = _resolve_runs(n, heads, tails, self.stats)
-        is_root = root == np.arange(n)
-        rank = np.cumsum(is_root, dtype=np.int32)
+            return SegmentationMap(seg, 0)
+        rank = np.cumsum(root == np.arange(n, dtype=dtype), dtype=np.int32)
         final_of_run = rank[root]
-        # Pixels before the first run start index -1; they are all nodata.
-        run_of_px = np.cumsum(start, dtype=np.int64).reshape(start.shape) - 1
-        seg = np.where(valid, final_of_run[run_of_px], 0).astype(np.int32, copy=False)
+        del root
+        r0, base = 0, 0  # first row and first run id of the block
+        while blocks:
+            start, valid = blocks.pop()
+            # Pixels before the block's first run start read run base - 1,
+            # or wrap to the last run before the map's first; all are
+            # nodata and zeroed.
+            run_of_px = np.cumsum(start, dtype=dtype).reshape(start.shape)
+            base_next = base + int(run_of_px[-1, -1])
+            run_of_px += base - 1
+            out = seg[r0:r0 + start.shape[0]]
+            np.take(final_of_run, run_of_px, out=out)
+            out *= valid
+            r0, base = r0 + start.shape[0], base_next
         return SegmentationMap(seg, int(rank[-1]))
 
 
@@ -326,36 +364,61 @@ def build_superpixel_table(
     """Per segment: area, label, bbox, per-band sums, perimeter, compactness.
 
     ``image`` is a whole image or its strips top to bottom, as
-    ``raster.stream_strips`` yields them.  Only the band sums read it.
+    ``raster.stream_strips`` yields them.  Every column is folded in strip
+    by strip, so each temporary is the size of one strip.  Each band sum
+    folds its samples in row-major pixel order whatever the strip height:
+    adding up per-strip totals would associate the additions differently
+    and could change the last bit.  The integer columns are exact in any
+    order.
     """
     shape = cmap.labels.shape
     if seg.segment_ids.shape != shape or aura.counts.shape != shape:
         raise DimensionMismatchError("map, segmentation and aura shapes differ")
     if isinstance(image, MultiSpectralImage):
         image = [Strip(0, image.bands, image.samples, image.validity)]
-    ids = seg.segment_ids
-    valid = ids > 0
     n = seg.segment_count
-    flat = ids[valid]
-    counts = np.bincount(flat, minlength=n + 1)
-    label_of = np.zeros(n + 1, dtype=np.int64)
-    label_of[flat] = cmap.labels[valid]
-    if (cmap.labels[valid] != label_of[flat]).any():
-        raise DataError("segmentation is not label-homogeneous over the map")
-    perim = np.bincount(flat, weights=aura.counts[valid].astype(np.float64),
-                        minlength=n + 1)
-    sums = _band_sums(ids, n, image)
-    rr, cc = np.nonzero(valid)
+    counts = np.zeros(n + 1, dtype=np.int64)
+    label_of = np.full(n + 1, -1, dtype=np.int64)  # -1 until a member is seen
+    perim = np.zeros(n + 1, dtype=np.int64)
     min_row = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
     min_col = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
     max_row = np.full(n + 1, -1, dtype=np.int64)
     max_col = np.full(n + 1, -1, dtype=np.int64)
-    np.minimum.at(min_row, flat, rr)
-    np.minimum.at(min_col, flat, cc)
-    np.maximum.at(max_row, flat, rr)
-    np.maximum.at(max_col, flat, cc)
+    sums = None  # (bands, n + 1); column 0 gathers nodata pixels
+    row0 = 0
+    for strip in image:
+        samples = strip.core_samples
+        nrows = samples.shape[1]
+        if strip.core_start != row0 or samples.shape[2] != shape[1] \
+                or row0 + nrows > shape[0]:
+            raise DimensionMismatchError("image shape differs from map shape")
+        if sums is None:
+            sums = np.zeros((samples.shape[0], n + 1), dtype=np.float64)
+        rows = slice(row0, row0 + nrows)
+        ids = seg.segment_ids[rows]
+        for b, plane in enumerate(samples):
+            np.add.at(sums[b], ids.ravel(), plane.ravel())
+        valid = ids > 0
+        flat = ids[valid]
+        np.add.at(counts, flat, 1)
+        labels = cmap.labels[rows][valid]
+        before = label_of[flat]
+        label_of[flat] = labels
+        if ((before >= 0) & (before != labels)).any() \
+                or (label_of[flat] != labels).any():
+            raise DataError("segmentation is not label-homogeneous over the map")
+        np.add.at(perim, flat, aura.counts[rows][valid].astype(np.int64))
+        rr, cc = np.nonzero(valid)
+        rr += row0
+        np.minimum.at(min_row, flat, rr)
+        np.minimum.at(min_col, flat, cc)
+        np.maximum.at(max_row, flat, rr)
+        np.maximum.at(max_col, flat, cc)
+        row0 += nrows
+    if row0 != shape[0]:
+        raise DimensionMismatchError("image shape differs from map shape")
     area = counts[1:]
-    p = perim[1:]
+    p = perim[1:].astype(np.float64)
     # Evaluated left to right as ((4 pi) area) / (p p): another order can
     # change the last bit and so the CSV's repr digits.  Only an
     # image-filling segment has no contour; it counts as a disc.
@@ -371,40 +434,14 @@ def build_superpixel_table(
         min_col=min_col[1:],
         max_row=max_row[1:],
         max_col=max_col[1:],
-        perimeter=p.astype(np.int64),
+        perimeter=perim[1:],
         compactness=compactness,
         sums=sums[:, 1:],
     )
 
 
-def _band_sums(ids: np.ndarray, n: int, strips: Iterable[Strip]) -> np.ndarray:
-    """(bands, n + 1) per-segment sample sums; column 0 gathers nodata pixels.
-
-    Each sum folds its samples in row-major pixel order whatever the strip
-    height: adding up per-strip totals would associate the additions
-    differently and could change the last bit.
-    """
-    sums = None
-    row0 = 0
-    for strip in strips:
-        samples = strip.core_samples
-        nrows = samples.shape[1]
-        if strip.core_start != row0 or samples.shape[2] != ids.shape[1] \
-                or row0 + nrows > ids.shape[0]:
-            raise DimensionMismatchError("image shape differs from map shape")
-        if sums is None:
-            sums = np.zeros((samples.shape[0], n + 1), dtype=np.float64)
-        block = ids[row0:row0 + nrows].ravel()
-        for b, plane in enumerate(samples):
-            np.add.at(sums[b], block, plane.ravel())
-        row0 += nrows
-    if row0 != ids.shape[0]:
-        raise DimensionMismatchError("image shape differs from map shape")
-    return sums
-
-
 #: Rows per write; bounds the record buffer, and so the bytes built at once.
-_CSV_CHUNK_ROWS = 1 << 16
+_CSV_CHUNK_ROWS = 1 << 13
 
 
 def _decimals(values: np.ndarray) -> np.ndarray:
@@ -548,15 +585,28 @@ def rmse_map(original: MultiSpectralImage, reconstruction: MultiSpectralImage) -
 
 def write_segmentation(seg: SegmentationMap, header_path: Path | str) -> None:
     extra = [("maptype", "segmentation"), ("segments", str(seg.segment_count))]
-    planes = seg.segment_ids[np.newaxis, :, :].astype("<u4")
+    # Ids are non-negative, so their int32 and u32 bits agree: no copy.
+    planes = seg.segment_ids[np.newaxis, :, :].view(np.uint32)
     raster.write_raster(header_path, extra, planes, "u32")
 
 
 def read_segmentation(header_path: Path | str) -> SegmentationMap:
+    """Read a segmentation; ids or a count int32 cannot hold are refused."""
     header, raw = raster.read_raster(header_path)
     if header.get("maptype") != "segmentation":
         raise FormatError(f"{header_path}: not a segmentation map")
-    return SegmentationMap(raw[0].astype(np.int32), int(header["segments"]))
+    if header.get("dtype") != "u32" or raw.shape[0] != 1:
+        raise FormatError(f"{header_path}: a segmentation is one band of u32 ids")
+    count = raster._header_int(header, "segments", header_path)
+    limit = np.iinfo(np.int32).max
+    if not 0 <= count <= limit:
+        raise FormatError(f"{header_path}: header key 'segments' must be in "
+                          f"0..{limit}, got {count}")
+    ids = raw[0]
+    if ids.max(initial=0) > limit:
+        raise FormatError(f"{header_path}: segment id {int(ids.max())} exceeds "
+                          f"{limit}; header key 'segments' is {count}")
+    return SegmentationMap(ids.astype(np.int32), count)
 
 
 def write_aura(aura: CrossAuraMap, header_path: Path | str) -> None:

@@ -422,6 +422,37 @@ class TestSegmentCommand:
         # each take this much.
         assert peak < n_bands * h * w * 8
 
+    def test_memory_per_pixel_on_noisy_runs(self, runner, tmp_path):
+        """Segment's traced peak per pixel on a per-pixel noisy map.
+
+        Two labels at random give about one run per two pixels and two
+        large components, so the planes and the run graph set the peak,
+        not the table.  Held whole: u16 labels, fed run starts and
+        validity, int32 segment ids, the u8 aura and the RMSE plane.
+        Whole-plane temporaries in labeling, the table and the RMSE stats
+        peaked at ~82 bytes per pixel here, an int64 run graph at ~49;
+        block-sized temporaries and an int32 run graph at ~28.
+        """
+        rng = np.random.default_rng(23)
+        h, w = 512, 512
+        labels = rng.integers(1, 3, size=(h, w)).astype(np.uint16)
+        labels[rng.random((h, w)) < 0.05] = 0
+        write_map(CategoricalMap(labels, legend(2)), tmp_path / "map.hdr")
+        bands = tuple(BandMetadata(i + 1, 0.4 + 0.1 * i, nodata_value=-1.0)
+                      for i in range(2))
+        write_image(MultiSpectralImage(bands, rng.random((2, h, w)),
+                                       np.ones((h, w), dtype=bool)), tmp_path / "img.hdr")
+        tracemalloc.start()
+        try:
+            result = invoke(runner, "segment", "--in", tmp_path / "map.hdr",
+                            "--image", tmp_path / "img.hdr",
+                            "--out-prefix", tmp_path / "out", "--stream", 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak / (h * w) < 36
+
     @pytest.mark.parametrize("height, width", [(19, 12), (21, 12), (20, 11)])
     def test_image_of_other_shape_exits_1(self, runner, tmp_path, height, width):
         image = write_scene(tmp_path / "scene.hdr", 20, 12, seed=1, block=4)

@@ -1,16 +1,20 @@
 import csv
 import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from specmap import raster
 from specmap.classify import CategoricalMap
-from specmap.errors import DataError, DimensionMismatchError
+from specmap.errors import DataError, DimensionMismatchError, FormatError
+from specmap.raster import Strip
 from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
     _encode_column,
     OpStats,
+    RmseMap,
     SegmentationMap,
     SuperpixelTable,
     TwoPassLabeler,
@@ -168,6 +172,40 @@ class TestConnectedComponents:
                     assert strips.segment_count == whole.segment_count
                     assert np.array_equal(strips.segment_ids, whole.segment_ids)
 
+    @pytest.mark.parametrize("feeds", [
+        "block_starts_with_nodata", "first_block_all_nodata", "one_row_blocks",
+    ])
+    def test_block_fed_ids_equal_one_whole_feed(self, rng, feeds):
+        for trial in range(30):
+            h = int(rng.integers(6, 16))
+            w = int(rng.integers(1, 16))
+            labels = rng.integers(1, 4, size=(h, w)).astype(np.int32)
+            labels[rng.random((h, w)) < 0.1] = 0
+            if feeds == "block_starts_with_nodata":
+                cuts = [0, 2, 5, h]
+                labels[2, : max(1, w // 2)] = 0  # a whole row when w is 1
+                labels[5, 0] = 0
+            elif feeds == "first_block_all_nodata":
+                cuts = [0, 3, 4, h]
+                labels[:3] = 0
+                if trial == 0:
+                    labels[:] = 0  # no run at all
+            else:
+                cuts = list(range(h + 1))
+            for adjacency in (4, 8):
+                whole = TwoPassLabeler(w, adjacency)
+                whole.feed(labels)
+                want = whole.finalize()
+                fed = TwoPassLabeler(w, adjacency)
+                for r0, r1 in zip(cuts, cuts[1:]):
+                    fed.feed(labels[r0:r1])
+                got = fed.finalize()
+                assert got.segment_count == want.segment_count
+                assert np.array_equal(got.segment_ids, want.segment_ids)
+                oracle, count = flood_fill_segments(labels, adjacency)
+                assert got.segment_count == count
+                assert segmentations_bijective(got.segment_ids, oracle)
+
     def test_visit_and_union_accounting(self, rng):
         labels = rng.integers(1, 4, size=(30, 30)).astype(np.int32)
         stats = OpStats()
@@ -207,6 +245,47 @@ class TestConnectedComponents:
     def test_dense_id_invariant_enforced(self):
         with pytest.raises(DataError):
             SegmentationMap(np.array([[1, 3]]), 3)
+
+    def test_negative_id_or_count_refused(self):
+        with pytest.raises(DataError, match="segment id -1 is negative"):
+            SegmentationMap(np.array([[1, -1]]), 1)
+        with pytest.raises(DataError, match="segment count -1 is negative"):
+            SegmentationMap(np.zeros((2, 2)), -1)
+
+    @staticmethod
+    def _write_seg_file(path, ids, segments):
+        extra = [("maptype", "segmentation")]
+        if segments is not None:
+            extra.append(("segments", segments))
+        raster.write_raster(path, extra, np.asarray(ids, dtype="<u4")[np.newaxis], "u32")
+
+    def test_reader_refuses_id_int32_cannot_hold(self, tmp_path):
+        path = tmp_path / "s.hdr"
+        self._write_seg_file(path, [[1, 2**31]], "2")
+        message = re.escape(f"{path}: segment id 2147483648") + ".*'segments'"
+        with pytest.raises(FormatError, match=message):
+            read_segmentation(path)
+
+    def test_reader_refuses_other_payload_types(self, tmp_path):
+        path = tmp_path / "s.hdr"
+        raster.write_raster(path, [("maptype", "segmentation"), ("segments", "2")],
+                            np.array([[[1, 2]]], dtype="<u2"), "u16")
+        message = re.escape(f"{path}: a segmentation is one band of u32")
+        with pytest.raises(FormatError, match=message):
+            read_segmentation(path)
+
+    @pytest.mark.parametrize("segments, message", [
+        ("2.5", "'segments' is not an integer"),
+        ("two", "'segments' is not an integer"),
+        (None, "missing header key 'segments'"),
+        ("-1", "'segments' must be in"),
+    ])
+    def test_reader_refuses_segment_count_it_cannot_read(self, tmp_path, segments,
+                                                         message):
+        path = tmp_path / "s.hdr"
+        self._write_seg_file(path, [[1, 2]], segments)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: ") + f".*{message}"):
+            read_segmentation(path)
 
 
 class TestCrossAura:
@@ -358,6 +437,30 @@ class TestSuperpixelTable:
             build_superpixel_table(wrong, seg, image, aura)
 
 
+    def test_label_change_across_strips_rejected(self):
+        cmap = cat(np.ones((4, 3)))
+        seg = connected_components(cmap, 8)
+        image = image_from_planes({"b1": np.full((4, 3), 0.5), "b2": np.zeros((4, 3))})
+        labels = cmap.labels.copy()
+        labels[3] = 2  # one segment, two labels, in different strips
+        wrong = CategoricalMap(labels, legend(2))
+        strips = [Strip(r, image.bands, image.samples[:, r:r + 1],
+                        image.validity[r:r + 1]) for r in range(4)]
+        with pytest.raises(DataError, match="label-homogeneous"):
+            build_superpixel_table(wrong, seg, strips, cross_aura(wrong, 8))
+
+    def test_strip_fed_table_equals_whole_image_table(self, rng):
+        cmap, seg, image, aura = _table_inputs(rng, h=13, w=9, nodata=0.1)
+        whole = build_superpixel_table(cmap, seg, image, aura)
+        for rows in (1, 4):
+            strips = [Strip(r0, image.bands, image.samples[:, r0:r1],
+                            image.validity[r0:r1])
+                      for r0, r1 in raster.strip_bounds(13, rows)]
+            table = build_superpixel_table(cmap, seg, strips, aura)
+            for f in dataclasses.fields(table):
+                assert np.array_equal(getattr(table, f.name), getattr(whole, f.name))
+
+
 def _reference_csv(table, path):
     """The superpixel CSV written row by row with ``csv.writer`` and ``repr``."""
     n_bands = table.sums.shape[0]
@@ -484,7 +587,8 @@ class TestSuperpixelCsv:
         """The writer's traced peak above entry on a per-pixel table.
 
         At ~200 k rows, 6 bands, dictionary-encoded string rows peaked at
-        ~223 bytes per row; byte records at ~196.
+        ~223 bytes per row; byte records at ~196 in 65 536-row chunks and
+        at ~81 in 8 192-row chunks.
         """
         rng = np.random.default_rng(12)
         cmap = random_map(rng, 240, 1024, 20)
@@ -501,7 +605,7 @@ class TestSuperpixelCsv:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / len(table) < 210
+        assert peak / len(table) < 120
 
 
 class TestReconstructAndRmse:
@@ -573,6 +677,40 @@ class TestReconstructAndRmse:
         assert stats.maximum == pytest.approx(hi, abs=1e-12)
         assert stats.mean == pytest.approx(mean, abs=1e-12)
         assert stats.stdev == pytest.approx(stdev, abs=1e-12)
+
+    @pytest.mark.parametrize("valid", ["all", "some", "one", "none"])
+    def test_rmse_stats_equal_numpy_bit_for_bit(self, rng, valid):
+        for trial in range(20):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+            values = rng.random(shape) * 10.0 ** int(rng.integers(-6, 6))
+            validity = {
+                "all": np.ones(shape, dtype=bool),
+                "some": rng.random(shape) < 0.7,
+                "one": np.zeros(shape, dtype=bool),
+                "none": np.zeros(shape, dtype=bool),
+            }[valid]
+            if valid == "one":
+                validity.flat[int(rng.integers(validity.size))] = True
+            values[~validity] = 0.0
+            kept = values.copy()
+            stats = RmseMap(values, validity).stats()
+            assert values.tobytes() == kept.tobytes()
+            v = kept[validity]
+            want = (v.min(), v.max(), v.mean(), v.std()) if v.size else (0.0,) * 4
+            got = (stats.minimum, stats.maximum, stats.mean, stats.stdev)
+            assert np.array(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+    def test_rmse_stats_hold_one_copy_of_the_valid_values(self, rng):
+        values = rng.random((256, 256))
+        validity = rng.random(values.shape) < 0.9
+        rmse = RmseMap(values, validity)
+        tracemalloc.start()
+        try:
+            rmse.stats()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * np.count_nonzero(validity) * 8
 
     def test_rmse_zero_iff_reconstruction_fixed_point(self, rng):
         cmap, seg, image, aura = _table_inputs(rng)
