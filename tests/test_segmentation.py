@@ -557,7 +557,9 @@ class TestSuperpixelCsv:
 
     @pytest.mark.parametrize("n", [
         1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
-        # ids cross 99 999 -> 100 000 inside the second chunk
+        # around a later chunk boundary (65 536 is a multiple of the chunk)
+        65_535, 65_536, 65_537,
+        # ids cross 99 999 -> 100 000 inside a chunk
         100_001,
     ])
     def test_row_counts_around_chunk_and_digit_boundaries(self, rng, tmp_path, n):
