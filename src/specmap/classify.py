@@ -152,16 +152,12 @@ class PixelVisitCounter:
 # ---------------------------------------------------------------------------
 
 
-def bind_bands(
-    ruleset: RuleSet,
-    bands: Iterable[raster.BandMetadata],
-    tolerance: float = WAVELENGTH_TOLERANCE,
-) -> dict[str, int]:
+def bind_bands(ruleset: RuleSet, bands: Iterable[raster.BandMetadata]) -> dict[str, int]:
     """Match declared rule symbols to image band positions by wavelength.
 
     Returns symbol -> band index (into the image band list).  Symbols with
-    no band inside the tolerance are left out; the caller decides whether
-    they were required.
+    no band within ``WAVELENGTH_TOLERANCE`` are left out; the caller decides
+    whether they were required.
     """
     bands = list(bands)
     bound: dict[str, int] = {}
@@ -171,7 +167,7 @@ def bind_bands(
         if not dists:
             continue
         idx = int(np.argmin(dists))
-        if dists[idx] > tolerance:
+        if dists[idx] > WAVELENGTH_TOLERANCE:
             continue
         if idx in taken:
             raise ConfigError(

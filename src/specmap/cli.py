@@ -2,8 +2,9 @@
 
 Every run writes a ``*.manifest.json`` recording the exact configuration
 plus content hashes of all inputs and outputs, enough to reproduce the run
-bit for bit.  Missing input paths exit with status 2 before any processing
-starts; processing failures exit with status 1.
+bit for bit.  Each subcommand declares its files once, for both the
+manifest and the check that a missing input exits with status 2 before
+any processing starts; processing failures exit with status 1.
 """
 
 from __future__ import annotations
@@ -15,14 +16,15 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import click
 import numpy as np
 
 from . import __version__, raster
-# ``classify``, ``connected_components``, ``reconstruct`` and ``combine`` are
-# not called here; the benchmark's span tracer (bench/traced.py) wraps them
-# by name in this module.
+# ``classify``, ``connected_components``, ``reconstruct``, ``rmse_map`` and
+# ``combine`` are not called here; the benchmark's span tracer
+# (bench/traced.py) wraps them by name in this module.
 from .classify import (
     PixelVisitCounter,
     classify,  # noqa: F401
@@ -52,37 +54,65 @@ from .errors import SpecmapError
 from .evidence import combine, read_evidence_csv, score_table, write_scores_csv  # noqa: F401
 from .rules import parse_rules
 from .segmentation import (
-    RmseMap,
-    SegmentationMap,
-    SuperpixelTable,
     TwoPassLabeler,
     build_superpixel_table,
     connected_components,  # noqa: F401
     cross_aura,
-    mean_view,
     reconstruct,  # noqa: F401
-    rmse_map,
+    rmse_map,  # noqa: F401
     write_aura,
+    write_mean_view,
     write_rmse,
     write_segmentation,
     write_superpixel_csv,
 )
 
-@dataclass
-class RunConfig:
-    """Validated invocation parameters; paths checked before any processing."""
 
-    command: str
-    params: dict
+@dataclass(frozen=True)
+class _File:
+    """A file a run reads or writes, or none when ``path`` is None.
 
-    def as_json(self) -> dict:
-        return {"command": self.command, **self.params}
+    A raster stands for its header and the payload ``raster.payload_path``
+    names, whatever the header's suffix.
+    """
+
+    what: str
+    path: Path | None
+    is_raster: bool = False
+
+    def parts(self) -> list[tuple[str, Path]]:
+        """(description, path) of each file on disk."""
+        if self.path is None:
+            return []
+        if not self.is_raster:
+            return [(self.what, self.path)]
+        return [(f"{self.what} header", self.path),
+                (f"{self.what} payload", raster.payload_path(self.path))]
 
 
-def _fail_missing(path: Path, what: str) -> None:
-    if not path.exists():
-        click.echo(f"error: {what} not found: {path}", err=True)
-        sys.exit(2)
+def _parts(files: list[_File]) -> list[tuple[str, Path]]:
+    return [part for f in files for part in f.parts()]
+
+
+def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path: Path,
+         work: Callable[[], dict], as_json: bool) -> None:
+    """Run a subcommand over the files it declares.
+
+    A missing input exits 2 before ``work`` starts, so before any directory
+    is made; a ``SpecmapError`` from ``work`` exits 1.  Otherwise the
+    manifest hashes every declared file and ``work``'s report is printed.
+    """
+    for what, path in _parts(inputs):
+        if not path.exists():
+            click.echo(f"error: {what} not found: {path}", err=True)
+            sys.exit(2)
+    try:
+        report = work()
+    except SpecmapError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(1)
+    _write_manifest(manifest_path, config, inputs, outputs)
+    _emit(report, as_json)
 
 
 def _sha256(path: Path) -> str:
@@ -93,27 +123,16 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _with_payload(paths: list[Path]) -> list[Path]:
-    out = []
-    for p in paths:
-        out.append(p)
-        if p.suffix == ".hdr":
-            out.append(raster.payload_path(p))
-    return out
+def _write_manifest(manifest_path: Path, config: dict, inputs: list[_File],
+                    outputs: list[_File]) -> None:
+    def hashed(files):
+        return [{"path": str(p), "sha256": _sha256(p)} for _, p in _parts(files)]
 
-
-def _write_manifest(
-    manifest_path: Path, config: RunConfig, inputs: list[Path], outputs: list[Path]
-) -> None:
     manifest = {
         "tool": f"specmap {__version__}",
-        "config": config.as_json(),
-        "inputs": [
-            {"path": str(p), "sha256": _sha256(p)} for p in _with_payload(inputs)
-        ],
-        "outputs": [
-            {"path": str(p), "sha256": _sha256(p)} for p in _with_payload(outputs)
-        ],
+        "config": config,
+        "inputs": hashed(inputs),
+        "outputs": hashed(outputs),
     }
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
@@ -154,17 +173,7 @@ def main() -> None:
 def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
                  aggregate_path, workers, as_json) -> None:
     """Apply an ordered rule set to a calibrated image."""
-    _fail_missing(rules_path, "rule file")
-    _fail_missing(input_path, "input image header")
-    _fail_missing(raster.payload_path(input_path), "input image payload")
-    if aggregate_path is not None:
-        _fail_missing(aggregate_path, "aggregation file")
-    config = RunConfig("classify", {
-        "rules": str(rules_path), "in": str(input_path), "out": str(output_path),
-        "policy": policy, "stream": strip_height, "aggregate":
-        None if aggregate_path is None else str(aggregate_path),
-    })
-    try:
+    def work() -> dict:
         ruleset = parse_rules(rules_path.read_text(encoding="utf-8"))
         counter = PixelVisitCounter()
         source = raster.open_image(input_path)
@@ -180,21 +189,21 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
         if aggregate_path is not None:
             cmap = translate_legend(cmap, read_aggregation(aggregate_path))
         write_map(cmap, output_path)
-    except SpecmapError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    inputs = [rules_path, input_path] + (
-        [aggregate_path] if aggregate_path is not None else []
-    )
-    _write_manifest(output_path.with_suffix(".manifest.json"), config,
-                    inputs, [output_path])
-    present = np.flatnonzero(cmap.counts)
-    _emit({
-        "out": str(output_path),
-        "pixels": int(cmap.labels.size),
-        "classes_present": int(np.count_nonzero(cmap.counts[1:])),
-        "histogram": {int(v): int(cmap.counts[v]) for v in present},
-    }, as_json)
+        present = np.flatnonzero(cmap.counts)
+        return {
+            "out": str(output_path),
+            "pixels": int(cmap.labels.size),
+            "classes_present": int(np.count_nonzero(cmap.counts[1:])),
+            "histogram": {int(v): int(cmap.counts[v]) for v in present},
+        }
+
+    _run({"command": "classify", "rules": str(rules_path), "in": str(input_path),
+          "out": str(output_path), "policy": policy, "stream": strip_height,
+          "aggregate": _s(aggregate_path)},
+         [_File("rule file", rules_path), _File("input image", input_path, is_raster=True),
+          _File("aggregation file", aggregate_path)],
+         [_File("output map", output_path, is_raster=True)],
+         output_path.with_suffix(".manifest.json"), work, as_json)
 
 
 # ---------------------------------------------------------------------------
@@ -219,25 +228,18 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
 @click.option("--json", "as_json", is_flag=True)
 def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_json):
     """Segment a categorical map and describe, rebuild and score it."""
-    _fail_missing(map_path, "map header")
-    _fail_missing(raster.payload_path(map_path), "map payload")
-    _fail_missing(image_path, "image header")
-    _fail_missing(raster.payload_path(image_path), "image payload")
     adjacency = int(adjacency)
-    config = RunConfig("segment", {
-        "in": str(map_path), "image": str(image_path),
-        "out_prefix": str(out_prefix), "adjacency": adjacency,
-        "stream": strip_height,
-    })
-    out_prefix.parent.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "segmentation": Path(f"{out_prefix}.seg.hdr"),
-        "aura": Path(f"{out_prefix}.aura.hdr"),
-        "superpixels": Path(f"{out_prefix}.superpixels.csv"),
-        "reconstruction": Path(f"{out_prefix}.recon.hdr"),
-        "rmse": Path(f"{out_prefix}.rmse.hdr"),
-    }
-    try:
+    outputs = [
+        _File("segmentation", Path(f"{out_prefix}.seg.hdr"), is_raster=True),
+        _File("aura", Path(f"{out_prefix}.aura.hdr"), is_raster=True),
+        _File("superpixels", Path(f"{out_prefix}.superpixels.csv")),
+        _File("reconstruction", Path(f"{out_prefix}.recon.hdr"), is_raster=True),
+        _File("rmse", Path(f"{out_prefix}.rmse.hdr"), is_raster=True),
+    ]
+    paths = {f.what: f.path for f in outputs}
+
+    def work() -> dict:
+        out_prefix.parent.mkdir(parents=True, exist_ok=True)
         cmap = read_map(map_path)
         rows = _strip_rows(strip_height, cmap.width)
         labeler = TwoPassLabeler(cmap.width, adjacency)
@@ -256,50 +258,26 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         write_segmentation(seg, paths["segmentation"])
         write_aura(aura, paths["aura"])
         del cmap, aura
-        rmse = _write_mean_view(seg, table, source, rows, paths["reconstruction"])
+        rmse = write_mean_view(seg, table, source, rows, paths["reconstruction"])
         segments = seg.segment_count
         del seg
         write_rmse(rmse, paths["rmse"])
         stats = rmse.stats()
         del rmse
         write_superpixel_csv(table, paths["superpixels"])
-    except SpecmapError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _write_manifest(Path(f"{out_prefix}.manifest.json"), config,
-                    [map_path, image_path], list(paths.values()))
-    _emit({
-        "segments": segments,
-        "rmse_min": stats.minimum,
-        "rmse_max": stats.maximum,
-        "rmse_mean": stats.mean,
-        "rmse_stdev": stats.stdev,
-        **{k: str(v) for k, v in paths.items()},
-    }, as_json)
+        return {
+            "segments": segments,
+            "rmse_min": stats.minimum,
+            "rmse_max": stats.maximum,
+            "rmse_mean": stats.mean,
+            "rmse_stdev": stats.stdev,
+            **{k: str(v) for k, v in paths.items()},
+        }
 
-
-def _write_mean_view(seg: SegmentationMap, table: SuperpixelTable,
-                     source: raster.ImageSource, rows: int, path: Path) -> RmseMap:
-    """Write the mean-view reconstruction strip by strip; return the RMSE plane."""
-    means = mean_view(table)
-    values = np.empty(seg.segment_ids.shape, dtype=np.float64)
-    validity = np.empty(seg.segment_ids.shape, dtype=bool)
-    with raster.ImageWriter(path, source.bands, source.height, source.width,
-                            source.dtype_name) as writer:
-        for strip in raster.stream_strips(source, rows):
-            r0 = strip.core_start
-            r1 = r0 + strip.core_validity.shape[0]
-            ids = seg.segment_ids[r0:r1]
-            original = raster.MultiSpectralImage(
-                source.bands, strip.core_samples, strip.core_validity,
-                source.dtype_name)
-            recon = raster.MultiSpectralImage(
-                source.bands, means[:, ids], ids > 0, source.dtype_name)
-            writer.write(recon.samples, recon.validity)
-            part = rmse_map(original, recon)
-            values[r0:r1] = part.values
-            validity[r0:r1] = part.validity
-    return RmseMap(values, validity)
+    _run({"command": "segment", "in": str(map_path), "image": str(image_path),
+          "out_prefix": str(out_prefix), "adjacency": adjacency, "stream": strip_height},
+         [_File("map", map_path, is_raster=True), _File("image", image_path, is_raster=True)],
+         outputs, Path(f"{out_prefix}.manifest.json"), work, as_json)
 
 
 def _strip_rows(strip_height: int | None, width: int) -> int:
@@ -309,17 +287,8 @@ def _strip_rows(strip_height: int | None, width: int) -> int:
 
 # Not called here: ``bench/traced.py`` wraps it by name.
 def _read_image_streamed(image_path: Path, strip_height: int) -> raster.MultiSpectralImage:
-    """Assemble a full image from ledgered strip reads (fixed input buffers)."""
-    source = raster.open_image(image_path)
-    samples = np.empty((len(source.bands), source.height, source.width))
-    validity = np.empty((source.height, source.width), dtype=bool)
-    for strip in raster.stream_strips(source, strip_height):
-        r0 = strip.core_start
-        r1 = r0 + strip.core_samples.shape[1]
-        samples[:, r0:r1] = strip.core_samples
-        validity[r0:r1] = strip.core_validity
-    return raster.MultiSpectralImage(source.bands, samples, validity,
-                                     source.dtype_name)
+    """The whole image, equal to what its strips would assemble."""
+    return raster.read_image(image_path)
 
 
 # ---------------------------------------------------------------------------
@@ -355,24 +324,14 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
     if counts_path is None and (test_path is None or ref_path is None):
         click.echo("error: give either --counts or both --test and --ref", err=True)
         sys.exit(2)
-    inputs = []
-    for p, what in ((counts_path, "counts CSV"), (test_path, "test map header"),
-                    (ref_path, "reference map header"),
-                    (overrides_path, "overrides CSV"),
-                    (translate_test, "test mapping CSV"),
-                    (translate_ref, "reference mapping CSV"),
-                    (resolution_path, "resolution CSV")):
-        if p is not None:
-            _fail_missing(p, what)
-            inputs.append(p)
-    config = RunConfig("compare", {
-        "test": _s(test_path), "ref": _s(ref_path), "counts": _s(counts_path),
-        "th1": th1, "th2": th2, "overrides": _s(overrides_path),
-        "translate_test": _s(translate_test), "translate_ref": _s(translate_ref),
-        "resolution": _s(resolution_path), "stream": strip_height,
-    })
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
+    names = [f"{step}.csv" for step in (
+        "contingency", "step2_joint", "step3_ref_given_test", "step4_kept_by_row",
+        "step5_test_given_ref", "step6_kept_by_col", "step7_temporary", "step8_final",
+    )] + ["report.json", "report.txt"]
+    paths = {name: out_dir / name for name in names}
+
+    def work() -> dict:
+        out_dir.mkdir(parents=True, exist_ok=True)
         resolution = (
             read_resolution(resolution_path) if resolution_path is not None else None
         )
@@ -399,24 +358,14 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
         relation = apply_overrides(trace, overrides)
         index = cvpai2(relation)
         t, r = table.test_names, table.ref_names
-        outputs = {
-            "contingency": out_dir / "contingency.csv",
-            "step2_joint": out_dir / "step2_joint.csv",
-            "step3_ref_given_test": out_dir / "step3_ref_given_test.csv",
-            "step4_kept_by_row": out_dir / "step4_kept_by_row.csv",
-            "step5_test_given_ref": out_dir / "step5_test_given_ref.csv",
-            "step6_kept_by_col": out_dir / "step6_kept_by_col.csv",
-            "step7_temporary": out_dir / "step7_temporary.csv",
-            "step8_final": out_dir / "step8_final.csv",
-        }
-        write_contingency_csv(outputs["contingency"], table)
-        write_matrix_csv(outputs["step2_joint"], t, r, trace.joint)
-        write_matrix_csv(outputs["step3_ref_given_test"], t, r, trace.ref_given_test)
-        write_matrix_csv(outputs["step4_kept_by_row"], t, r, trace.kept_by_row)
-        write_matrix_csv(outputs["step5_test_given_ref"], t, r, trace.test_given_ref)
-        write_matrix_csv(outputs["step6_kept_by_col"], t, r, trace.kept_by_col)
-        write_matrix_csv(outputs["step7_temporary"], t, r, trace.temporary)
-        write_relation_csv(outputs["step8_final"], relation)
+        write_contingency_csv(paths["contingency.csv"], table)
+        write_matrix_csv(paths["step2_joint.csv"], t, r, trace.joint)
+        write_matrix_csv(paths["step3_ref_given_test.csv"], t, r, trace.ref_given_test)
+        write_matrix_csv(paths["step4_kept_by_row.csv"], t, r, trace.kept_by_row)
+        write_matrix_csv(paths["step5_test_given_ref.csv"], t, r, trace.test_given_ref)
+        write_matrix_csv(paths["step6_kept_by_col.csv"], t, r, trace.kept_by_col)
+        write_matrix_csv(paths["step7_temporary.csv"], t, r, trace.temporary)
+        write_relation_csv(paths["step8_final.csv"], relation)
         report = {
             "cvpai2": index,
             "correct_pairs": relation.correct_pairs,
@@ -427,8 +376,8 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
             "reference_cardinality": len(r),
             "audit": [dataclasses.asdict(ov) for ov in relation.audit],
         }
-        report_path = out_dir / "report.json"
-        report_path.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        paths["report.json"].write_text(json.dumps(report, indent=2) + "\n",
+                                        encoding="utf-8")
         text_lines = [
             f"CVPAI2 = {index:.6f}",
             f"correct pairs CE = {relation.correct_pairs}",
@@ -438,14 +387,22 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
             f"  ({ov.test_label}, {ov.ref_label}) -> {ov.value}: {ov.note}"
             for ov in relation.audit
         ]
-        text_path = out_dir / "report.txt"
-        text_path.write_text("\n".join(text_lines) + "\n", encoding="utf-8")
-    except SpecmapError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _write_manifest(out_dir / "manifest.json", config, inputs,
-                    list(outputs.values()) + [report_path, text_path])
-    _emit(report, as_json)
+        paths["report.txt"].write_text("\n".join(text_lines) + "\n", encoding="utf-8")
+        return report
+
+    _run({"command": "compare", "test": _s(test_path), "ref": _s(ref_path),
+          "counts": _s(counts_path), "th1": th1, "th2": th2,
+          "overrides": _s(overrides_path), "translate_test": _s(translate_test),
+          "translate_ref": _s(translate_ref), "resolution": _s(resolution_path),
+          "stream": strip_height},
+         [_File("counts CSV", counts_path), _File("test map", test_path, is_raster=True),
+          _File("reference map", ref_path, is_raster=True),
+          _File("overrides CSV", overrides_path),
+          _File("test mapping CSV", translate_test),
+          _File("reference mapping CSV", translate_ref),
+          _File("resolution CSV", resolution_path)],
+         [_File(name, path) for name, path in paths.items()],
+         out_dir / "manifest.json", work, as_json)
 
 
 def _s(p: Path | None) -> str | None:
@@ -466,22 +423,17 @@ def _s(p: Path | None) -> str | None:
 @click.option("--json", "as_json", is_flag=True)
 def cmd_evidence(relation_path, vectors_path, output_path, as_json):
     """Combine evidence memberships with a legend relation (fuzzy min)."""
-    _fail_missing(relation_path, "relation CSV")
-    _fail_missing(vectors_path, "evidence CSV")
-    config = RunConfig("evidence", {
-        "relation": str(relation_path), "in": str(vectors_path),
-        "out": str(output_path),
-    })
-    try:
+    def work() -> dict:
         rel = read_relation_csv(relation_path)
         table = read_evidence_csv(vectors_path, rel)
         write_scores_csv(output_path, table.ids, rel.ref_names, score_table(table, rel))
-    except SpecmapError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
-    _write_manifest(output_path.with_suffix(".manifest.json"), config,
-                    [relation_path, vectors_path], [output_path])
-    _emit({"out": str(output_path), "vectors": len(table)}, as_json)
+        return {"out": str(output_path), "vectors": len(table)}
+
+    _run({"command": "evidence", "relation": str(relation_path), "in": str(vectors_path),
+          "out": str(output_path)},
+         [_File("relation CSV", relation_path), _File("evidence CSV", vectors_path)],
+         [_File("scores CSV", output_path)],
+         output_path.with_suffix(".manifest.json"), work, as_json)
 
 
 if __name__ == "__main__":

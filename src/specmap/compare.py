@@ -347,21 +347,15 @@ def read_resolution(path: Path | str) -> dict[int, int]:
     return mapping
 
 
-def read_aggregation(
-    path: Path | str, parent_legend: tuple[LegendEntry, ...] | None = None
-) -> LegendAggregation:
+def read_aggregation(path: Path | str) -> LegendAggregation:
     """Read a ``child_label,parent_label`` CSV as an aggregation.
 
-    Without an explicit parent legend, entries are synthesized as
-    ``class-<label>`` with generated colors.
+    The parent legend's entries are ``class-<label>`` with generated colors.
     """
     mapping = read_resolution(path)
-    if parent_legend is None:
-        parents = sorted(set(mapping.values()))
-        parent_legend = tuple(
-            LegendEntry(p, f"class-{p}", auto_color(i)) for i, p in enumerate(parents)
-        )
-    return LegendAggregation(mapping, parent_legend)
+    parents = sorted(set(mapping.values()))
+    return LegendAggregation(mapping, tuple(
+        LegendEntry(p, f"class-{p}", auto_color(i)) for i, p in enumerate(parents)))
 
 
 def build_translation(

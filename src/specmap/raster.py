@@ -6,9 +6,11 @@ same stem and a ``.bin`` suffix.  Samples are calibrated to reflectance in
 [0, 1] at read time; the original storage encoding is remembered so that
 ``write_image(read_image(p))`` is byte-identical.  ``read_image``, strip
 reads and categorical-map reads share ``ImageSource``'s one payload reader,
-and ``write_image`` and strip writes share ``ImageWriter``'s one encoder;
-strips come only from files, and ``strip_ledger`` counts a strip's bytes
-from ``read_strip`` to ``release_strip``.
+and ``write_image`` and strip writes share ``ImageWriter``'s one encoder.
+Strips come only from files.  ``strip_ledger`` counts a strip's bytes from
+``read_strip`` to ``release_strip``, which ``stream_strips`` calls when its
+consumer asks for the next strip: the ledger bounds the strips read ahead,
+not the strips a consumer keeps.
 """
 
 from __future__ import annotations
@@ -450,7 +452,12 @@ def default_strip_height(width: int) -> int:
 
 
 class BufferLedger:
-    """Accounting of strip buffer bytes; lets tests pin the streaming bound."""
+    """Bytes of strips read and not yet released; lets tests pin read-ahead.
+
+    The peak bounds the strips read ahead of their consumer.  A consumer
+    that keeps a strip's arrays past its release holds bytes the ledger no
+    longer counts; tests pin that memory with ``tracemalloc``.
+    """
 
     def __init__(self):
         self.current = 0
@@ -469,7 +476,8 @@ class BufferLedger:
         self.peak = 0
 
 
-#: Global ledger fed by file-backed streaming reads.
+#: Global ledger fed by file-backed streaming reads: strips read ahead,
+#: not strips kept.
 strip_ledger = BufferLedger()
 
 

@@ -14,7 +14,7 @@ The superpixel description is a columnar ``SuperpixelTable`` (one array per
 attribute, one entry per segment), folded in strip by strip from the image
 strips: scattered counts, labels, minima/maxima and band sums.  The
 mean-view reconstruction of any block of rows is a single gather from its
-means.
+means, so ``write_mean_view`` writes and scores it one image strip at a time.
 """
 
 from __future__ import annotations
@@ -575,6 +575,47 @@ def rmse_map(original: MultiSpectralImage, reconstruction: MultiSpectralImage) -
     values = pixel_rmse(original.samples, reconstruction.samples)
     validity = original.validity & reconstruction.validity
     values[~validity] = 0.0
+    return RmseMap(values, validity)
+
+
+def write_mean_view(
+    seg: SegmentationMap,
+    table: SuperpixelTable,
+    source: raster.ImageSource,
+    strip_height: int,
+    header_path: Path | str,
+) -> RmseMap:
+    """Strip form of ``reconstruct`` then ``rmse_map``, for an image on disk.
+
+    Writes the mean view of ``source`` to ``header_path`` one strip at a
+    time, with ``ImageWriter``, and returns the RMSE plane.  Both equal the
+    whole-image functions' outputs bit for bit.  A pixel's RMSE is valid
+    where the image and the segmentation both are.  ``ImageWriter`` refuses
+    a table of another band count.
+    """
+    if len(table) != seg.segment_count:
+        raise DataError(
+            f"table has {len(table)} rows for {seg.segment_count} segments"
+        )
+    if (source.height, source.width) != seg.segment_ids.shape:
+        raise DimensionMismatchError("image shape differs from segmentation shape")
+    if len(source.bands) < 2:
+        raise DataError("an image needs at least 2 bands")
+    means = mean_view(table)
+    values = np.empty(seg.segment_ids.shape, dtype=np.float64)
+    validity = np.empty(seg.segment_ids.shape, dtype=bool)
+    with raster.ImageWriter(header_path, source.bands, source.height, source.width,
+                            source.dtype_name) as writer:
+        for strip in raster.stream_strips(source, strip_height):
+            rows = slice(strip.core_start,
+                         strip.core_start + strip.core_validity.shape[0])
+            ids = seg.segment_ids[rows]
+            recon = means[:, ids]
+            writer.write(recon, ids > 0)
+            valid = strip.core_validity & (ids > 0)
+            part = pixel_rmse(strip.core_samples, recon)
+            part[~valid] = 0.0
+            values[rows], validity[rows] = part, valid
     return RmseMap(values, validity)
 
 

@@ -164,6 +164,20 @@ class TestClassifyCommand:
         report = json.loads(result.output)
         assert report["pixels"] == 16 * 8
 
+    def test_manifest_hashes_payloads_whatever_the_suffix(self, runner, tmp_path):
+        write_scene(tmp_path / "scene.img", 16, 8, seed=13, block=4)
+        out = tmp_path / "colors.map"
+        result = invoke(runner, "classify", "--rules", SPECL_PATH,
+                        "--in", tmp_path / "scene.img", "--out", out)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "colors.manifest.json").read_text())
+        for key, names in (("inputs", ["scene.img", "scene.bin"]),
+                           ("outputs", ["colors.map", "colors.bin"])):
+            hashed = {entry["path"]: entry["sha256"] for entry in manifest[key]}
+            for name in names:
+                path = tmp_path / name
+                assert hashed[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+
     def test_aggregate_option(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=14, block=4)
         agg = tmp_path / "agg.csv"
@@ -347,44 +361,59 @@ class TestSegmentCommand:
                     nodata_fraction=0.02)
         invoke(runner, "classify", "--rules", SPECL_PATH,
                "--in", tmp_path / "scene.hdr", "--out", tmp_path / "map.hdr")
-        reports = {}
-        for name, stream in (("s1", ["--stream", 1]), ("s3", ["--stream", 3]),
-                             ("default", [])):
-            result = invoke(runner, "segment", "--in", tmp_path / "map.hdr",
-                            "--image", tmp_path / "scene.hdr",
-                            "--out-prefix", tmp_path / name, "--json", *stream)
-            assert result.exit_code == 0, result.output
-            report = json.loads(result.output)
-            reports[name] = {k: v for k, v in report.items() if k.startswith("rmse_")}
-        # The reference: whole-image library calls, sums checked against an
-        # in-order bincount fold over the whole image.
         image = read_image(tmp_path / "scene.hdr")
-        cmap = read_map(tmp_path / "map.hdr")
-        seg = connected_components(cmap, 8)
-        aura = cross_aura(cmap, 8)
-        table = build_superpixel_table(cmap, seg, image, aura)
-        valid = seg.segment_ids > 0
-        for b, plane in enumerate(image.samples):
-            fold = np.bincount(seg.segment_ids[valid], weights=plane[valid],
-                               minlength=seg.segment_count + 1)
-            assert np.array_equal(table.sums[b], fold[1:])
-        recon = reconstruct(seg, table, image)
-        rmse = rmse_map(image, recon)
-        write_segmentation(seg, tmp_path / "ref.seg.hdr")
-        write_aura(aura, tmp_path / "ref.aura.hdr")
-        write_superpixel_csv(table, tmp_path / "ref.superpixels.csv")
-        write_image(recon, tmp_path / "ref.recon.hdr")
-        write_rmse(rmse, tmp_path / "ref.rmse.hdr")
-        outputs = ["seg.hdr", "seg.bin", "aura.hdr", "aura.bin", "superpixels.csv",
-                   "recon.hdr", "recon.bin", "rmse.hdr", "rmse.bin"]
-        for name in ("s1", "s3", "default"):
-            for out in outputs:
-                assert (tmp_path / f"{name}.{out}").read_bytes() == (
-                    tmp_path / f"ref.{out}").read_bytes(), (name, out)
-            assert reports[name] == {
-                "rmse_min": rmse.stats().minimum, "rmse_max": rmse.stats().maximum,
-                "rmse_mean": rmse.stats().mean, "rmse_stdev": rmse.stats().stdev,
-            }
+        # A second map labels the pixels the image marks nodata: each takes
+        # a valid neighbour's label and joins its segment, so the mean view
+        # is valid there and the RMSE is not.
+        classified = read_map(tmp_path / "map.hdr")
+        labels = classified.labels.copy()
+        rows, cols = np.nonzero(~image.validity)
+        assert rows.size
+        for r, c in zip(rows, cols):
+            near = classified.labels[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2]
+            labels[r, c] = near[near > 0][0]
+        write_map(CategoricalMap(labels, classified.legend), tmp_path / "labelled.hdr")
+        for map_name in ("map", "labelled"):
+            reports = {}
+            for name, stream in (("s1", ["--stream", 1]), ("s3", ["--stream", 3]),
+                                 ("default", [])):
+                result = invoke(runner, "segment", "--in", tmp_path / f"{map_name}.hdr",
+                                "--image", tmp_path / "scene.hdr",
+                                "--out-prefix", tmp_path / f"{map_name}-{name}",
+                                "--json", *stream)
+                assert result.exit_code == 0, result.output
+                report = json.loads(result.output)
+                reports[name] = {k: v for k, v in report.items()
+                                 if k.startswith("rmse_")}
+            # The reference: whole-image library calls, sums checked against
+            # an in-order bincount fold over the whole image.
+            cmap = read_map(tmp_path / f"{map_name}.hdr")
+            seg = connected_components(cmap, 8)
+            aura = cross_aura(cmap, 8)
+            table = build_superpixel_table(cmap, seg, image, aura)
+            valid = seg.segment_ids > 0
+            for b, plane in enumerate(image.samples):
+                fold = np.bincount(seg.segment_ids[valid], weights=plane[valid],
+                                   minlength=seg.segment_count + 1)
+                assert np.array_equal(table.sums[b], fold[1:])
+            recon = reconstruct(seg, table, image)
+            rmse = rmse_map(image, recon)
+            ref = f"{map_name}-ref"
+            write_segmentation(seg, tmp_path / f"{ref}.seg.hdr")
+            write_aura(aura, tmp_path / f"{ref}.aura.hdr")
+            write_superpixel_csv(table, tmp_path / f"{ref}.superpixels.csv")
+            write_image(recon, tmp_path / f"{ref}.recon.hdr")
+            write_rmse(rmse, tmp_path / f"{ref}.rmse.hdr")
+            outputs = ["seg.hdr", "seg.bin", "aura.hdr", "aura.bin", "superpixels.csv",
+                       "recon.hdr", "recon.bin", "rmse.hdr", "rmse.bin"]
+            for name in ("s1", "s3", "default"):
+                for out in outputs:
+                    assert (tmp_path / f"{map_name}-{name}.{out}").read_bytes() == (
+                        tmp_path / f"{ref}.{out}").read_bytes(), (map_name, name, out)
+                assert reports[name] == {
+                    "rmse_min": rmse.stats().minimum, "rmse_max": rmse.stats().maximum,
+                    "rmse_mean": rmse.stats().mean, "rmse_stdev": rmse.stats().stdev,
+                }
 
     def test_default_run_holds_one_image_strip(self, runner, tmp_path):
         width = 512
@@ -539,6 +568,23 @@ class TestCompareCommand:
     def test_requires_counts_or_map_pair(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("option, what", [("--test", "test map"),
+                                              ("--ref", "reference map")])
+    def test_missing_map_payload_exits_2(self, runner, tmp_path, option, what):
+        labels = np.ones((4, 4), dtype=np.uint16)
+        maps = {"--test": tmp_path / "a.hdr", "--ref": tmp_path / "b.hdr"}
+        for path in maps.values():
+            write_map(CategoricalMap(labels, legend(1)), path)
+        payload = tmp_path / f"{maps[option].stem}.bin"
+        payload.unlink()
+        result = runner.invoke(main, [
+            "compare", "--test", str(maps["--test"]), "--ref", str(maps["--ref"]),
+            "--out-dir", str(tmp_path / "cmp"),
+        ])
+        assert result.exit_code == 2
+        assert f"error: {what} payload not found: {payload}" in result.output
+        assert not (tmp_path / "cmp").exists()
 
     def test_translate_test_map_through_fixture(self, runner, tmp_path):
         from specmap.classify import LegendEntry
