@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from . import raster
-from .errors import ConfigError, DataError, FormatError
+from .errors import ConfigError, DataError, FormatError, SpecmapError
 from .raster import (
     ImageSource,
     MultiSpectralImage,
@@ -26,7 +26,7 @@ from .raster import (
     release_strip,
     strip_bounds,
 )
-from .rules import RuleProgram, RuleSet, compile_rules
+from .rules import RuleProgram, RuleSet, compile_rules, format_color, parse_color
 
 # ``eval_expr`` is the reference evaluator the compiled program is tested
 # against; the benchmark's tracer wraps it under this module's name.
@@ -319,7 +319,7 @@ def write_map(cmap: CategoricalMap, header_path: Path | str) -> None:
     extra = [("maptype", "categorical")]
     for e in cmap.legend:
         extra.append((f"legend.{e.label}.name", e.name))
-        extra.append((f"legend.{e.label}.color", "#%02X%02X%02X" % e.color))
+        extra.append((f"legend.{e.label}.color", format_color(e.color)))
     raster.write_raster(header_path, extra, cmap.labels[np.newaxis], "u16")
 
 
@@ -333,12 +333,10 @@ def _legend_from_header(header: dict[str, str], header_path) -> tuple[LegendEntr
             label = int(label_text)
             color_key = f"legend.{label_text}.color"
             color_text = header.get(color_key, "#000000")
-            if not re.fullmatch(r"#[0-9A-Fa-f]{6}", color_text):
-                raise FormatError(
-                    f"{header_path}: {color_key}: color {color_text!r} is not #RRGGBB"
-                )
-            v = int(color_text[1:], 16)
-            color = ((v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
+            try:
+                color = parse_color(color_text)
+            except ValueError as exc:
+                raise FormatError(f"{header_path}: {color_key}: {exc}") from None
             legend.append(LegendEntry(label, value, color))
     legend.sort(key=lambda e: e.label)
     return tuple(legend)
@@ -353,14 +351,13 @@ class MapSource:
     """
 
     def __init__(self, header_path: Path | str):
-        self._raster = raster.ImageSource(header_path, calibrated=False)
-        header = self._raster.header
-        if header.get("maptype") != "categorical":
-            raise FormatError(f"{header_path}: not a categorical map")
-        if self._raster.dtype_name != "u16" or self._raster.nbands != 1:
-            raise FormatError(f"{header_path}: a categorical map is one band of u16 labels")
-        self.legend = _legend_from_header(header, header_path)
-        check_legend(self.legend)
+        self._raster = raster.open_map_raster(
+            header_path, "categorical", "u16", "a categorical map is one band of u16 labels")
+        self.legend = _legend_from_header(self._raster.header, header_path)
+        try:
+            check_legend(self.legend)
+        except SpecmapError as exc:
+            raise exc.at(header_path)
         self.height, self.width = self._raster.height, self._raster.width
         self._listed = _listed(self.legend)
 

@@ -98,14 +98,17 @@ def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path:
          work: Callable[[], dict], as_json: bool) -> None:
     """Run a subcommand over the files it declares.
 
-    A missing input exits 2 before ``work`` starts, so before any directory
-    is made; a ``SpecmapError`` from ``work`` exits 1.  Otherwise the
-    manifest hashes every declared file and ``work``'s report is printed.
+    A missing input exits 2 before any directory is made.  Then the
+    outputs' directories, which hold the manifest too, are made and
+    ``work`` runs; a ``SpecmapError`` from it exits 1.  Otherwise the manifest
+    hashes every declared file and ``work``'s report is printed.
     """
     for what, path in _parts(inputs):
         if not path.exists():
             click.echo(f"error: {what} not found: {path}", err=True)
             sys.exit(2)
+    for directory in {path.parent for _, path in _parts(outputs)}:
+        directory.mkdir(parents=True, exist_ok=True)
     try:
         report = work()
     except SpecmapError as exc:
@@ -239,7 +242,6 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
     paths = {f.what: f.path for f in outputs}
 
     def work() -> dict:
-        out_prefix.parent.mkdir(parents=True, exist_ok=True)
         cmap = read_map(map_path)
         rows = _strip_rows(strip_height, cmap.width)
         labeler = TwoPassLabeler(cmap.width, adjacency)
@@ -331,7 +333,6 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
     paths = {name: out_dir / name for name in names}
 
     def work() -> dict:
-        out_dir.mkdir(parents=True, exist_ok=True)
         resolution = (
             read_resolution(resolution_path) if resolution_path is not None else None
         )

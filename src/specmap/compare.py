@@ -86,6 +86,12 @@ class ContingencyTable:
             )
         if (self.counts < 0).any():
             raise DataError("contingency counts must be non-negative")
+        for side, names in (("test", self.test_names), ("reference", self.ref_names)):
+            seen: set[str] = set()
+            for name in names:
+                if name in seen:
+                    raise DataError(f"repeated {side} name {name!r}")
+                seen.add(name)
 
     @property
     def total(self) -> int:

@@ -4,6 +4,11 @@
 class SpecmapError(Exception):
     """Base class for all errors raised by this package."""
 
+    def at(self, path) -> "SpecmapError":
+        """This error, its message prefixed with ``path``, the file it is about."""
+        self.args = (f"{path}: {self}",)
+        return self
+
 
 class ConfigError(SpecmapError):
     """Invalid configuration: bad metadata, missing bands, bad thresholds."""

@@ -5,8 +5,17 @@ The on-disk format is a plain-text sidecar header (``key = value`` lines,
 same stem and a ``.bin`` suffix.  Samples are calibrated to reflectance in
 [0, 1] at read time; the original storage encoding is remembered so that
 ``write_image(read_image(p))`` is byte-identical.  ``read_image``, strip
-reads and categorical-map reads share ``ImageSource``'s one payload reader,
-and ``write_image`` and strip writes share ``ImageWriter``'s one encoder.
+reads, ``read_raster`` and map reads share ``ImageSource``'s one payload
+reader, and ``write_image`` and strip writes share ``ImageWriter``'s one
+encoder.
+
+Each format rule has one home that the writer and the reader both call, so
+a file is checked the same way on write as on read, and a reader only adds
+the file and header key to the message: ``_BAND_RULES`` for band metadata
+(``_nodata_fits`` for nodata), ``_check_sizes`` for the layout sizes, which
+must be at least 1, ``read_header``/``write_header`` for the header text,
+which refuses a repeated key, and ``open_map_raster`` for a map's kind.
+
 Strips come only from files.  ``strip_ledger`` counts a strip's bytes from
 ``read_strip`` to ``release_strip``, which ``stream_strips`` calls when its
 consumer asks for the next strip: the ledger bounds the strips read ahead,
@@ -27,6 +36,7 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     FormatError,
+    SpecmapError,
     TruncatedFileError,
 )
 
@@ -55,6 +65,24 @@ def default_gain(dtype_name: str) -> float:
     return 1.0
 
 
+#: The band metadata rules, one per header field: (field, test, the test in
+#: words).  ``BandMetadata`` refuses a value that breaks one with a
+#: ConfigError, and reading a header with a FormatError naming its key.
+_BAND_RULES = (
+    ("wavelength", lambda v: math.isfinite(v) and v > 0, "a finite number > 0"),
+    ("gain", lambda v: math.isfinite(v) and v != 0, "a finite nonzero number"),
+    ("offset", math.isfinite, "a finite number"),
+)
+
+
+def _broken_band_rule(wavelength: float, gain: float, offset: float):
+    """(field, value, rule in words) of the first band rule broken, or None."""
+    for (field, ok, need), value in zip(_BAND_RULES, (wavelength, gain, offset)):
+        if not ok(value):
+            return field, value, need
+    return None
+
+
 @dataclass(frozen=True)
 class BandMetadata:
     band_id: int
@@ -64,13 +92,10 @@ class BandMetadata:
     nodata_value: float | None = None
 
     def __post_init__(self):
-        if not self.center_wavelength > 0:
-            raise ConfigError(
-                f"band {self.band_id}: center wavelength must be > 0, "
-                f"got {self.center_wavelength}"
-            )
-        if self.gain == 0:
-            raise ConfigError(f"band {self.band_id}: gain must be nonzero")
+        broken = _broken_band_rule(self.center_wavelength, self.gain, self.offset)
+        if broken:
+            field, value, need = broken
+            raise ConfigError(f"band {self.band_id}: {field} must be {need}, got {value!r}")
 
 
 class CalibrationResult(NamedTuple):
@@ -165,8 +190,10 @@ def read_header(path: Path | str) -> dict[str, str]:
             continue
         if "=" not in line:
             raise FormatError(f"{path}: line {lineno}: expected 'key = value'")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise FormatError(f"{path}: line {lineno}: repeated header key {key!r}")
+        out[key] = value
     return out
 
 
@@ -178,8 +205,10 @@ def write_header(path: Path | str, entries: list[tuple[str, str]]) -> None:
     """Write ``key = value`` lines; refuses text ``read_header`` would change.
 
     ``read_header`` cuts a line at ``//`` or a line break, strips whitespace
-    around keys and values, and splits at the first ``=``.
+    around keys and values, splits at the first ``=`` and refuses a repeated
+    key.
     """
+    keys: set[str] = set()
     for key, value in entries:
         for text in (key, value):
             if "//" in text or any(c in text for c in _LINE_BREAKS):
@@ -197,6 +226,9 @@ def write_header(path: Path | str, entries: list[tuple[str, str]]) -> None:
                 f"{path}: header key {key!r} is empty or holds '=', "
                 "which reading would split differently"
             )
+        if key in keys:
+            raise FormatError(f"{path}: header key {key!r} is repeated")
+        keys.add(key)
     lines = [f"{k} = {v}" for k, v in entries]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
@@ -215,14 +247,13 @@ def _payload_layout(header_path: Path, header: dict[str, str]):
     width = _header_int(header, "width", header_path)
     height = _header_int(header, "height", header_path)
     nbands = _header_int(header, "bands", header_path)
-    for key, value in (("width", width), ("height", height), ("bands", nbands)):
-        if value < 1:
-            raise FormatError(
-                f"{header_path}: header key {key!r} must be at least 1, got {value}"
-            )
+    _check_sizes(header_path, nbands, height, width)
     if header.get("interleave", "bsq") != "bsq":
         raise FormatError(f"{header_path}: only bsq interleave is supported")
-    dt = _dtype_for(header.get("dtype", "f64"))
+    try:
+        dt = _dtype_for(header.get("dtype", "f64"))
+    except FormatError as exc:
+        raise exc.at(header_path)
     expected = width * height * nbands * dt.itemsize
     ppath = payload_path(header_path)
     if not ppath.exists():
@@ -241,11 +272,8 @@ def _payload_layout(header_path: Path, header: dict[str, str]):
 
 def read_raster(header_path: Path | str) -> tuple[dict[str, str], np.ndarray]:
     """Read any flat raster: returns (header dict, raw (bands, h, w) array)."""
-    header_path = Path(header_path)
-    header = read_header(header_path)
-    ppath, dt, nbands, height, width = _payload_layout(header_path, header)
-    raw = np.fromfile(ppath, dtype=dt).reshape(nbands, height, width)
-    return header, raw
+    source = ImageSource(header_path, calibrated=False)
+    return source.header, source.read_raw_rows(0, source.height)
 
 
 def write_raster(
@@ -257,12 +285,23 @@ def write_raster(
     """Write (bands, h, w) raw planes plus a header carrying ``extra`` entries."""
     header_path = Path(header_path)
     dt = _dtype_for(dtype_name)
-    write_header(header_path, _layout_entries(*planes.shape, dtype_name) + extra)
+    write_header(header_path, _layout_entries(header_path, *planes.shape, dtype_name)
+                 + extra)
     np.ascontiguousarray(planes, dtype=dt).tofile(payload_path(header_path))
 
 
-def _layout_entries(nbands: int, height: int, width: int,
+def _check_sizes(header_path, nbands: int, height: int, width: int) -> None:
+    """The one layout-size rule, on write and on read: each size at least 1."""
+    for key, value in (("width", width), ("height", height), ("bands", nbands)):
+        if value < 1:
+            raise FormatError(
+                f"{header_path}: header key {key!r} must be at least 1, got {value}"
+            )
+
+
+def _layout_entries(header_path, nbands: int, height: int, width: int,
                     dtype_name: str) -> list[tuple[str, str]]:
+    _check_sizes(header_path, nbands, height, width)
     return [
         ("width", str(width)),
         ("height", str(height)),
@@ -314,17 +353,13 @@ def _band_metadata_from_header(header: dict, dtype_name: str, n: int, path) -> B
     nodata = _header_number(header, keys["nodata"], path)
     if wav is None:
         raise FormatError(f"{path}: missing header key {keys['wavelength']!r}")
-    for name, value, ok, need in (
-        ("wavelength", wav, math.isfinite(wav) and wav > 0, "a finite number > 0"),
-        ("gain", gain, math.isfinite(gain) and gain != 0, "a finite nonzero number"),
-        ("offset", offset, math.isfinite(offset), "a finite number"),
-        ("nodata", nodata, nodata is None or _nodata_fits(nodata, _dtype_for(dtype_name)),
-         _nodata_rule(dtype_name)),
-    ):
-        if not ok:
-            raise FormatError(
-                f"{path}: header key {keys[name]!r} must be {need}, got {value!r}"
-            )
+    broken = _broken_band_rule(wav, gain, offset)
+    if broken is None and nodata is not None \
+            and not _nodata_fits(nodata, _dtype_for(dtype_name)):
+        broken = "nodata", nodata, _nodata_rule(dtype_name)
+    if broken:
+        name, value, need = broken
+        raise FormatError(f"{path}: header key {keys[name]!r} must be {need}, got {value!r}")
     return BandMetadata(n, wav, gain, offset, nodata)
 
 
@@ -332,7 +367,10 @@ def read_image(header_path: Path | str) -> MultiSpectralImage:
     """Decode every row through ``ImageSource``'s decoder; ledgers no strip bytes."""
     source = ImageSource(header_path)
     samples, validity = source._decode_rows(0, source.height)
-    return MultiSpectralImage(source.bands, samples, validity, source.dtype_name)
+    try:
+        return MultiSpectralImage(source.bands, samples, validity, source.dtype_name)
+    except SpecmapError as exc:
+        raise exc.at(source.header_path)
 
 
 def write_image(image: MultiSpectralImage, header_path: Path | str) -> None:
@@ -375,8 +413,8 @@ class ImageWriter:
             extra.append((f"band.{n}.offset", repr(meta.offset)))
             if meta.nodata_value is not None:
                 extra.append((f"band.{n}.nodata", repr(meta.nodata_value)))
-        write_header(self.header_path,
-                     _layout_entries(len(self.bands), height, width, dtype_name) + extra)
+        write_header(self.header_path, _layout_entries(
+            self.header_path, len(self.bands), height, width, dtype_name) + extra)
         self._payload = open(payload_path(self.header_path), "wb")
 
     def __enter__(self) -> ImageWriter:
@@ -559,6 +597,18 @@ class ImageSource:
                 validity &= valid
         samples[:, ~validity] = 0.0
         return samples, validity
+
+
+def open_map_raster(header_path: Path | str, maptype: str, dtype_name: str,
+                    rule: str) -> ImageSource:
+    """An uncalibrated source over a one-band ``maptype`` map of ``dtype_name``
+    samples: the one map-kind check.  ``rule`` says so, for the refusal."""
+    source = ImageSource(header_path, calibrated=False)
+    if source.header.get("maptype") != maptype:
+        raise FormatError(f"{header_path}: not a {maptype} map")
+    if source.dtype_name != dtype_name or source.nbands != 1:
+        raise FormatError(f"{header_path}: {rule}")
+    return source
 
 
 def strip_bounds(height: int, strip_height: int) -> list[tuple[int, int]]:

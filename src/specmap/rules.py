@@ -479,6 +479,27 @@ def compile_rules(ruleset: RuleSet, symbols: Iterable[str], policy: str) -> Rule
 
 
 # ---------------------------------------------------------------------------
+# Colour text: ``#RRGGBB`` in rule files and map headers
+# ---------------------------------------------------------------------------
+
+
+def parse_color(text: str) -> tuple[int, int, int]:
+    """(r, g, b) of ``#RRGGBB`` text; a ValueError for any other text."""
+    if not re.fullmatch(r"#[0-9A-Fa-f]{6}", text):
+        raise ValueError(f"color {text!r} is not #RRGGBB")
+    v = int(text[1:], 16)
+    return ((v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
+
+
+def format_color(color: tuple[int, int, int]) -> str:
+    """``#RRGGBB`` text of (r, g, b); each must be an integer in 0..255."""
+    if len(color) != 3 or not all(
+            isinstance(c, (int, np.integer)) and 0 <= c <= 255 for c in color):
+        raise ConfigError(f"color {color!r} is not three integers in 0..255")
+    return "#%02X%02X%02X" % tuple(color)
+
+
+# ---------------------------------------------------------------------------
 # Tokenizer / parser
 # ---------------------------------------------------------------------------
 
@@ -623,9 +644,7 @@ class _Parser:
 
     def _parse_color(self) -> tuple[int, int, int]:
         self._expect("ident", "color")
-        tok = self._expect("color")
-        v = int(tok.text[1:], 16)
-        return ((v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
+        return parse_color(self._expect("color").text)
 
     def _parse_rule(self) -> Rule:
         self._expect("ident", "rule")
@@ -758,10 +777,6 @@ def parse_rules(text: str) -> RuleSet:
 # ---------------------------------------------------------------------------
 
 
-def _fmt_color(color: tuple[int, int, int]) -> str:
-    return "#%02X%02X%02X" % color
-
-
 def _num_level(node) -> int:
     # 1: Sum/Diff, 2: Ratio, 3: atom
     if isinstance(node, (Sum, Diff)):
@@ -819,20 +834,20 @@ def format_rules(ruleset: RuleSet) -> str:
     entries: list[tuple[int, str]] = []
     for rule in ruleset.rules:
         block = (
-            f'rule {rule.index} "{rule.name}" color {_fmt_color(rule.pseudo_color)} {{\n'
+            f'rule {rule.index} "{rule.name}" color {format_color(rule.pseudo_color)} {{\n'
             f"  {format_expr(rule.expr)}\n"
             f"}}"
         )
         entries.append((rule.index, block))
     for cls in ruleset.ruleless:
         entries.append(
-            (cls.index, f'class {cls.index} "{cls.name}" color {_fmt_color(cls.pseudo_color)}')
+            (cls.index, f'class {cls.index} "{cls.name}" color {format_color(cls.pseudo_color)}')
         )
     entries.append(
         (
             ruleset.fallback_index,
             f'fallback {ruleset.fallback_index} "{ruleset.fallback_name}" '
-            f"color {_fmt_color(ruleset.fallback_color)}",
+            f"color {format_color(ruleset.fallback_color)}",
         )
     )
     for _, block in sorted(entries):

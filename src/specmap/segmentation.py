@@ -28,7 +28,13 @@ import numpy as np
 
 from . import raster
 from .classify import NODATA, CategoricalMap
-from .errors import ConfigError, DataError, DimensionMismatchError, FormatError
+from .errors import (
+    ConfigError,
+    DataError,
+    DimensionMismatchError,
+    FormatError,
+    SpecmapError,
+)
 from .raster import MultiSpectralImage, Strip
 
 _OFFSETS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
@@ -633,21 +639,21 @@ def write_segmentation(seg: SegmentationMap, header_path: Path | str) -> None:
 
 def read_segmentation(header_path: Path | str) -> SegmentationMap:
     """Read a segmentation; ids or a count int32 cannot hold are refused."""
-    header, raw = raster.read_raster(header_path)
-    if header.get("maptype") != "segmentation":
-        raise FormatError(f"{header_path}: not a segmentation map")
-    if header.get("dtype") != "u32" or raw.shape[0] != 1:
-        raise FormatError(f"{header_path}: a segmentation is one band of u32 ids")
-    count = raster._header_int(header, "segments", header_path)
+    source = raster.open_map_raster(
+        header_path, "segmentation", "u32", "a segmentation is one band of u32 ids")
+    count = raster._header_int(source.header, "segments", header_path)
     limit = np.iinfo(np.int32).max
     if not 0 <= count <= limit:
         raise FormatError(f"{header_path}: header key 'segments' must be in "
                           f"0..{limit}, got {count}")
-    ids = raw[0]
+    ids = source.read_raw_rows(0, source.height)[0]
     if ids.max(initial=0) > limit:
         raise FormatError(f"{header_path}: segment id {int(ids.max())} exceeds "
                           f"{limit}; header key 'segments' is {count}")
-    return SegmentationMap(ids.astype(np.int32), count)
+    try:
+        return SegmentationMap(ids.astype(np.int32), count)
+    except SpecmapError as exc:
+        raise exc.at(header_path)
 
 
 def write_aura(aura: CrossAuraMap, header_path: Path | str) -> None:

@@ -1,4 +1,5 @@
 import importlib
+import re
 
 import numpy as np
 import pytest
@@ -316,6 +317,29 @@ class TestCategoricalMap:
         with pytest.raises(FormatError, match=f"m.hdr: {key}"):
             read_map(path)
 
+    def test_colour_header_refusals_keep_their_message(self, tmp_path):
+        path = tmp_path / "m.hdr"
+        write_map(CategoricalMap(np.array([[1]]), legend(1)), path)
+        header = read_header(path)
+        header["legend.1.color"] = "#zz"
+        write_header(path, list(header.items()))
+        with pytest.raises(FormatError, match=re.escape(
+                f"{path}: legend.1.color: color '#zz' is not #RRGGBB")):
+            read_map(path)
+
+    @pytest.mark.parametrize("color", [(256, 0, 0), (-1, 0, 0), (0.5, 0, 0)])
+    def test_colour_the_header_cannot_carry_rejected_at_write(self, tmp_path, color):
+        cmap = CategoricalMap(np.array([[1]]), (LegendEntry(1, "a", color),))
+        with pytest.raises(ConfigError, match="is not three integers in 0..255"):
+            write_map(cmap, tmp_path / "m.hdr")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_repeated_legend_label_rejected_at_write(self, tmp_path):
+        twice = (LegendEntry(1, "a", (0, 0, 0)), LegendEntry(1, "b", (0, 0, 0)))
+        with pytest.raises(FormatError, match="header key 'legend.1.name' is repeated"):
+            write_map(CategoricalMap(np.array([[1]]), twice), tmp_path / "m.hdr")
+        assert list(tmp_path.iterdir()) == []
+
     def test_legend_name_with_comment_marker_rejected_at_write(self, tmp_path):
         cmap = CategoricalMap(np.array([[1]]), (LegendEntry(1, "Water // deep", (0, 0, 0)),))
         with pytest.raises(FormatError):
@@ -419,3 +443,18 @@ class TestMapSource:
         for read in (open_map, read_map):
             with pytest.raises(FormatError, match="m.hdr: a categorical map is one band"):
                 read(tmp_path / "m.hdr")
+
+    @pytest.mark.parametrize("label, error, message", [
+        ("70000", DataError, "legend labels outside 1..65535: [70000]"),
+        ("0", ConfigError, "label 0 is reserved for nodata"),
+    ])
+    def test_legend_refusal_names_the_header(self, tmp_path, rng, label, error, message):
+        self._map(tmp_path, rng)
+        path = tmp_path / "m.hdr"
+        header = read_header(path)
+        header[f"legend.{label}.name"] = "odd"
+        write_header(path, list(header.items()))
+        for read in (open_map, read_map):
+            with pytest.raises(error, match=re.escape(f"{path}: {message}")) as excinfo:
+                read(path)
+            assert type(excinfo.value) is error

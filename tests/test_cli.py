@@ -136,6 +136,19 @@ class TestClassifyCommand:
         assert "scene.hdr: header key 'width' must be at least 1, got -2" in result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
 
+    def test_output_directory_is_made_after_the_input_check(self, runner, tmp_path):
+        out = tmp_path / "no_such_dir" / "colors.hdr"
+        args = ["classify", "--rules", SPECL_PATH, "--in", tmp_path / "scene.hdr",
+                "--out", out]
+        missing = runner.invoke(main, [str(a) for a in args])
+        assert missing.exit_code == 2
+        assert not out.parent.exists()
+        write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
+        result = invoke(runner, *args)
+        assert result.exit_code == 0, result.output
+        assert read_map(out).labels.shape == (16, 8)
+        assert (out.parent / "colors.manifest.json").exists()
+
     def test_zero_workers_is_usage_error(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
         result = runner.invoke(main, [
@@ -774,6 +787,19 @@ class TestEvidenceCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[1] == "v1,forest,0.6"
         assert lines[2] == "v1,water,0.0"
+
+    def test_output_directory_is_made(self, runner, tmp_path):
+        rel = tmp_path / "rel.csv"
+        rel.write_text(",forest\ngreen,1\n")
+        vectors = tmp_path / "ev.csv"
+        vectors.write_text("id,color_name,class_name,shape,texture,spatial\n"
+                           "v1,green,forest,0.6,0.9,0.7\n")
+        out = tmp_path / "no_such_dir" / "scores.csv"
+        result = invoke(runner, "evidence", "--relation", rel, "--in", vectors,
+                        "--out", out)
+        assert result.exit_code == 0, result.output
+        assert out.read_text().strip().splitlines()[1] == "v1,forest,0.6"
+        assert (out.parent / "scores.manifest.json").exists()
 
     def test_packaged_color_relation_loads(self, runner, tmp_path):
         rel_path = str(files("specmap").joinpath(

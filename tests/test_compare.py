@@ -57,6 +57,22 @@ class TestContingency:
         assert (off_diagonal == 0).all()
         assert table.total == 64
 
+    @pytest.mark.parametrize("side", ["test", "reference"])
+    def test_repeated_name_refused(self, side):
+        names = ("Water", "Forest", "Water")
+        other = ("a", "b")
+        args = (names, other, np.zeros((3, 2))) if side == "test" \
+            else (other, names, np.zeros((2, 3)))
+        with pytest.raises(DataError, match=f"repeated {side} name 'Water'"):
+            ContingencyTable(*args)
+
+    def test_legend_with_a_repeated_name_refused(self):
+        water = (LegendEntry(1, "Water", (0, 0, 0)), LegendEntry(2, "Water", (0, 0, 9)))
+        a = CategoricalMap(np.array([[1, 2]]), water)
+        b = CategoricalMap(np.array([[1, 1]]), legend(1))
+        with pytest.raises(DataError, match="repeated test name 'Water'"):
+            build_contingency(a, b)
+
     def test_constant_maps_single_cell(self):
         a = CategoricalMap(np.full((4, 4), 2, dtype=np.int32), legend(3))
         b = CategoricalMap(np.full((4, 4), 1, dtype=np.int32), legend(2))

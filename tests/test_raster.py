@@ -1,4 +1,5 @@
 import filecmp
+import re
 
 import numpy as np
 import pytest
@@ -29,7 +30,10 @@ from specmap.raster import (
     write_image,
 )
 
-from helpers import image_from_planes, specl_bands, synth_scene
+from specmap.classify import CategoricalMap, write_map
+from specmap.segmentation import CrossAuraMap, SegmentationMap, write_aura, write_segmentation
+
+from helpers import image_from_planes, legend, specl_bands, synth_scene
 
 
 class TestCalibration:
@@ -69,6 +73,15 @@ class TestCalibration:
     def test_nonpositive_wavelength_rejected(self):
         with pytest.raises(ConfigError):
             BandMetadata(1, 0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("gain", float("nan")), ("gain", float("inf")), ("offset", float("nan")),
+        ("center_wavelength", float("inf")),
+    ])
+    def test_non_finite_band_value_rejected(self, field, value):
+        name = {"center_wavelength": "wavelength"}.get(field, field)
+        with pytest.raises(ConfigError, match=f"band 1: {name} must be a finite"):
+            BandMetadata(**{"band_id": 1, "center_wavelength": 0.48, field: value})
 
     def test_non_finite_raw_names_position(self):
         meta = BandMetadata(1, 0.48)
@@ -140,6 +153,59 @@ class TestImageIO:
         hdr = _write_fixture(tmp_path, b"", **{key: "0"})
         with pytest.raises(FormatError, match=f"img.hdr: header key '{key}' must be at least 1"):
             open_image(hdr)
+
+    def test_single_band_image_refusal_names_the_header(self, tmp_path):
+        hdr = _write_fixture(tmp_path, bytes(range(4)), bands="1")
+        assert open_image(hdr).nbands == 1
+        with pytest.raises(DataError, match=re.escape(f"{hdr}: an image needs at least 2 bands")):
+            read_image(hdr)
+
+    def test_unknown_dtype_names_the_header(self, tmp_path):
+        hdr = _write_fixture(tmp_path, bytes(range(8)), dtype="u13")
+        with pytest.raises(FormatError, match=re.escape(f"{hdr}: unknown sample type 'u13'")):
+            open_image(hdr)
+
+    @pytest.mark.parametrize("field", ["wavelength", "gain", "offset"])
+    @pytest.mark.parametrize("value", ["0", "-0.5", "2.5", "nan", "inf", "-inf", "1e400"])
+    def test_header_and_model_refuse_the_same_band_values(self, tmp_path, field, value):
+        # One rule table: a value the model refuses is the value reading refuses.
+        hdr = _write_fixture(tmp_path, bytes(range(8)), **{f"band.1.{field}": value})
+        attr = {"wavelength": "center_wavelength"}.get(field, field)
+        try:
+            BandMetadata(**{"band_id": 1, "center_wavelength": 0.48, attr: float(value)})
+        except ConfigError as exc:
+            need = str(exc).split(" must be ")[1].split(", got")[0]
+            with pytest.raises(FormatError, match=re.escape(
+                    f"{hdr}: header key 'band.1.{field}' must be {need}, got")):
+                read_image(hdr)
+        else:
+            assert read_image(hdr).bands[0] == BandMetadata(
+                **{"band_id": 1, "center_wavelength": 0.48, "gain": 1 / 255,
+                   attr: float(value)})
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    @pytest.mark.parametrize("kind", ["image", "map", "segmentation", "aura"])
+    def test_size_below_one_rejected_before_any_file_is_written(self, tmp_path, kind, shape):
+        hdr = tmp_path / "out.hdr"
+        write = {
+            "image": lambda: write_image(MultiSpectralImage(
+                specl_bands(("b1", "b2")), np.zeros((2, *shape)), np.ones(shape, bool)), hdr),
+            "map": lambda: write_map(
+                CategoricalMap(np.zeros(shape, dtype=np.uint16), legend(1)), hdr),
+            "segmentation": lambda: write_segmentation(
+                SegmentationMap(np.zeros(shape, dtype=np.int32), 0), hdr),
+            "aura": lambda: write_aura(CrossAuraMap(np.zeros(shape, dtype=np.uint8), 8), hdr),
+        }[kind]
+        key = "height" if shape[0] == 0 else "width"
+        with pytest.raises(FormatError, match=re.escape(
+                f"{hdr}: header key '{key}' must be at least 1, got 0")):
+            write()
+        assert list(tmp_path.iterdir()) == []
+
+    def test_image_writer_needs_a_band(self, tmp_path):
+        with pytest.raises(FormatError, match="header key 'bands' must be at least 1, got 0"):
+            ImageWriter(tmp_path / "out.hdr", (), 2, 2, "u8")
+        assert list(tmp_path.iterdir()) == []
 
     def test_header_gains_match_planewise_calibration(self, tmp_path):
         payload = bytes([0, 64, 128, 255, 10, 20, 30, 40])
@@ -371,6 +437,15 @@ class TestImageIO:
         assert read_header(p) != {key: value}
         with pytest.raises(FormatError):
             write_header(p, [(key, value)])
+
+    def test_repeated_header_key_refused_on_read_and_write(self, tmp_path):
+        p = tmp_path / "h.hdr"
+        p.write_text("width = 2\nheight = 2\n// a comment\nwidth = 3\n")
+        with pytest.raises(FormatError, match=re.escape(
+                f"{p}: line 4: repeated header key 'width'")):
+            read_header(p)
+        with pytest.raises(FormatError, match=re.escape(f"{p}: header key 'width' is repeated")):
+            write_header(p, [("width", "2"), ("height", "2"), ("width", "2")])
 
     def test_header_refuses_empty_key(self, tmp_path):
         with pytest.raises(FormatError):

@@ -23,9 +23,11 @@ from specmap.rules import (
     compile_rules,
     eval_expr,
     eval_rule,
+    format_color,
     format_expr,
     format_rules,
     load_specl,
+    parse_color,
     parse_rules,
     referenced_bands,
     required_bands,
@@ -187,6 +189,18 @@ class TestSpecl:
     def test_colors_distinct(self, specl):
         colors = [c for _, _, c in specl.legend_entries()]
         assert len(set(colors)) == len(colors)
+
+    def test_color_text_round_trip(self, specl):
+        for _, _, color in specl.legend_entries():
+            assert parse_color(format_color(color)) == color
+        assert format_color((74, 118, 166)) == "#4A76A6"
+        assert parse_color("#4a76a6") == (74, 118, 166)
+        for text in ("#zz", "#4A76A", "4A76A6", "#4A76A6 ", "#4A76A6F"):
+            with pytest.raises(ValueError, match="is not #RRGGBB"):
+                parse_color(text)
+        for color in ((256, 0, 0), (-1, 0, 0), (1.5, 0, 0), (1, 2)):
+            with pytest.raises(ConfigError, match="is not three integers in 0..255"):
+                format_color(color)
 
     def test_round_trip_structural_identity(self, specl):
         assert parse_rules(format_rules(specl)) == specl

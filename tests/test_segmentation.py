@@ -266,6 +266,13 @@ class TestConnectedComponents:
         with pytest.raises(FormatError, match=message):
             read_segmentation(path)
 
+    @pytest.mark.parametrize("ids, segments", [([[1, 3]], "3"), ([[1, 2]], "1")])
+    def test_reader_names_the_header_on_sparse_ids(self, tmp_path, ids, segments):
+        path = tmp_path / "s.hdr"
+        self._write_seg_file(path, ids, segments)
+        with pytest.raises(DataError, match=re.escape(f"{path}: segment ids are not dense")):
+            read_segmentation(path)
+
     def test_reader_refuses_other_payload_types(self, tmp_path):
         path = tmp_path / "s.hdr"
         raster.write_raster(path, [("maptype", "segmentation"), ("segments", "2")],
