@@ -177,7 +177,7 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
                  aggregate_path, workers, as_json) -> None:
     """Apply an ordered rule set to a calibrated image."""
     def work() -> dict:
-        ruleset = parse_rules(rules_path.read_text(encoding="utf-8"))
+        ruleset = parse_rules(raster.read_text(rules_path))
         counter = PixelVisitCounter()
         source = raster.open_image(input_path)
         cmap = classify_streamed(source, ruleset,

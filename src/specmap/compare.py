@@ -8,9 +8,12 @@ file) and the CVPAI2 association index of a binary legend relation.
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +25,7 @@ from .errors import (
     DimensionMismatchError,
     FormatError,
     MappingError,
+    SpecmapError,
 )
 from .raster import default_strip_height, strip_bounds
 
@@ -300,56 +304,26 @@ def translate_legend(cmap, agg: LegendAggregation):
     return RelabelledMap(cmap, lut, agg.parent_legend)
 
 
-def _csv_rows(
-    path: Path | str, columns: Sequence[str], ints: Sequence[str] = ()
-) -> list[tuple[int, dict]]:
-    """(line, row) for each data row of a CSV whose header names ``columns``.
-
-    A row with fewer or more fields than the header, or a field named in
-    ``ints`` that is not an integer, is a FormatError naming the line.
-    Fields in ``ints`` come back as ``int``.
-    """
-    out: list[tuple[int, dict]] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not set(columns) <= set(reader.fieldnames):
-            raise FormatError(f"{path}: expected columns {','.join(columns)}")
-        for row in reader:
-            where = f"{path}: line {reader.line_num}"
-            if None in row or None in row.values():
-                raise FormatError(
-                    f"{where}: expected {len(reader.fieldnames)} fields"
-                )
-            for key in ints:
-                try:
-                    row[key] = int(row[key])
-                except ValueError:
-                    raise FormatError(
-                        f"{where}: {key} {row[key]!r} is not an integer"
-                    ) from None
-            out.append((reader.line_num, row))
-    return out
-
-
 def read_legend_mapping(path: Path | str) -> list[MappingRow]:
     """Read mapping rows; a child listed with several parents is ambiguous."""
     columns = ("child_label", "child_name", "parent_label", "parent_name")
-    return [
-        MappingRow(row["child_label"], row["child_name"],
-                   row["parent_label"], row["parent_name"])
-        for _, row in _csv_rows(path, columns, ints=("child_label", "parent_label"))
-    ]
+    lines, (children, child_names, parents, parent_names) = csv_columns(path, columns)
+    return list(map(MappingRow, parse_column(path, columns[0], children, lines, int),
+                    child_names, parse_column(path, columns[2], parents, lines, int),
+                    parent_names))
 
 
 def read_resolution(path: Path | str) -> dict[int, int]:
     """Read a ``child_label,parent_label`` CSV; a repeated child is a FormatError."""
     columns = ("child_label", "parent_label")
+    lines, texts = csv_columns(path, columns)
+    children, parents = (parse_column(path, name, column, lines, int)
+                         for name, column in zip(columns, texts))
     mapping: dict[int, int] = {}
-    for line, row in _csv_rows(path, columns, ints=columns):
-        child = row["child_label"]
+    for line, child, parent in zip(lines, children, parents):
         if child in mapping:
             raise FormatError(f"{path}: line {line}: duplicate child_label {child}")
-        mapping[child] = row["parent_label"]
+        mapping[child] = parent
     return mapping
 
 
@@ -412,6 +386,80 @@ def build_translation(
 # ---------------------------------------------------------------------------
 
 
+def csv_rows(path: Path | str, columns: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line, fields)`` of each non-blank row of a CSV, the header first.
+
+    The one CSV reader of every table input.  The text is UTF-8 and blank
+    lines are skipped, before the header too.  The header names each of
+    ``columns`` once, and every later row has the header's field count.
+    Anything else, and any ``csv`` module error, is a ``FormatError`` naming
+    the path and line; a file with no header names only the path.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            reader = csv.reader(f)
+            header = next(filter(None, reader), None)
+            if header is None:
+                raise FormatError(f"{path}: no header line")
+            for name in columns:
+                if header.count(name) != 1:
+                    raise FormatError(f"{path}: line {reader.line_num}: header names "
+                                      f"{name!r} {header.count(name)} times, not once")
+            yield reader.line_num, header
+            for row in filter(None, reader):
+                if len(row) != len(header):
+                    raise FormatError(f"{path}: line {reader.line_num}: ragged CSV, "
+                                      f"{len(row)} fields where the header has {len(header)}")
+                yield reader.line_num, row
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    except UnicodeDecodeError:
+        with open(path, newline="", encoding="utf-8", errors="surrogateescape") as f:
+            # Only an undecodable byte escapes to a lone surrogate.
+            line = next(n for n, text in enumerate(f, 1) if re.search("[\udc80-\udcff]", text))
+        raise FormatError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+def parse_column(path: Path | str, name: str, texts: Sequence[str],
+                 lines: Sequence[int], kind: type = float):
+    """``texts``, the ``name`` cells of rows at ``lines``, parsed with ``kind``.
+
+    ``float`` gives a float64 array, ``int`` a list of ints.  A text that
+    does not parse is a ``FormatError`` naming the first such line.
+    """
+    try:
+        if kind is float:
+            return np.fromiter(map(float, texts), np.float64, len(texts))
+        return list(map(int, texts))
+    except ValueError:
+        for text, line in zip(texts, lines):
+            try:
+                kind(text)
+            except ValueError:
+                what = "numeric" if kind is float else "integer"
+                raise FormatError(f"{path}: line {line}: non-{what} {name} {text!r}") from None
+        raise
+
+
+def csv_columns(path: Path | str,
+                columns: Sequence[str]) -> tuple[list[int], list[list[str]]]:
+    """The line of each data row of a CSV, and the texts of each of ``columns``.
+
+    Rows are gathered 64 at a time, few enough to stay in cache; no list
+    of all rows is built.
+    """
+    rows = csv_rows(path, columns)
+    _, header = next(rows)
+    picks = [itemgetter(header.index(name)) for name in columns]
+    lines, texts = [], [[] for _ in columns]
+    while chunk := list(islice(rows, 64)):
+        chunk_lines, fields = zip(*chunk)
+        lines.extend(chunk_lines)
+        for column, pick in zip(texts, picks):
+            column.extend(map(pick, fields))
+    return lines, texts
+
+
 def write_matrix_csv(
     path: Path | str,
     test_names: Sequence[str],
@@ -428,33 +476,29 @@ def write_matrix_csv(
             writer.writerow([name] + [repr(cell(v)) for v in row])
 
 
-def read_matrix_csv(path: Path | str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Read a named matrix; every row needs the header's field count, every
-    cell a number, and test and reference names must each be distinct."""
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        rows = [(reader.line_num, row) for row in reader if row]
-    if len(rows) < 2:
-        raise FormatError(f"{path}: matrix CSV needs a header and one row")
-    header_line, header = rows[0]
+def _read_matrix(path: Path | str):
+    """``read_matrix_csv``'s result and the line of each matrix row."""
+    rows = csv_rows(path, ())
+    header_line, header = next(rows)
     ref_names = tuple(header[1:])
     if len(set(ref_names)) < len(ref_names):
         raise FormatError(f"{path}: line {header_line}: repeated reference names")
-    test_names = tuple(row[0] for _, row in rows[1:])
-    values = np.empty((len(test_names), len(ref_names)))
-    for i, (line, row) in enumerate(rows[1:]):
-        if len(row) != len(header):
-            raise FormatError(
-                f"{path}: line {line}: ragged matrix CSV, {len(row)} fields "
-                f"where the header has {len(header)}"
-            )
-        if row[0] in test_names[:i]:
-            raise FormatError(f"{path}: line {line}: repeated test name {row[0]!r}")
-        try:
-            values[i] = [float(v) for v in row[1:]]
-        except ValueError:
-            raise FormatError(f"{path}: line {line}: non-numeric cell") from None
-    return test_names, ref_names, values
+    body = list(rows)
+    if not body:
+        raise FormatError(f"{path}: matrix CSV needs a header and one row")
+    lines = [line for line, _ in body]
+    test_names = tuple(row[0] for _, row in body)
+    for i, line in enumerate(lines):
+        if test_names[i] in test_names[:i]:
+            raise FormatError(f"{path}: line {line}: repeated test name {test_names[i]!r}")
+    cells = parse_column(path, "cell", [v for _, row in body for v in row[1:]],
+                         [line for line in lines for _ in ref_names])
+    return test_names, ref_names, cells.reshape(len(body), len(ref_names)), lines
+
+
+def read_matrix_csv(path: Path | str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """Read a named matrix of numbers; test and reference names are each distinct."""
+    return _read_matrix(path)[:3]
 
 
 def write_contingency_csv(path: Path | str, table: ContingencyTable) -> None:
@@ -462,17 +506,20 @@ def write_contingency_csv(path: Path | str, table: ContingencyTable) -> None:
 
 
 def read_contingency_csv(path: Path | str) -> ContingencyTable:
-    test_names, ref_names, values = read_matrix_csv(path)
-    counts = values.astype(np.int64)
-    if (counts != values).any():
-        raise FormatError(f"{path}: contingency counts must be integers")
-    return ContingencyTable(test_names, ref_names, counts)
+    test_names, ref_names, values, lines = _read_matrix(path)
+    # Range first: the int64 cast of NaN, inf or 2**63 is undefined.
+    bad = np.argwhere(~((values >= 0) & (values < 2.0**63) & (values == np.floor(values))))
+    if bad.size:
+        raise FormatError(f"{path}: line {lines[bad[0, 0]]}: contingency counts "
+                          "must be non-negative integers")
+    return ContingencyTable(test_names, ref_names, values.astype(np.int64))
 
 
 def read_relation_csv(path: Path | str) -> LegendRelation:
-    test_names, ref_names, values = read_matrix_csv(path)
-    if not np.isin(values, (0.0, 1.0)).all():
-        raise FormatError(f"{path}: relation entries must be 0 or 1")
+    test_names, ref_names, values, lines = _read_matrix(path)
+    bad = np.argwhere(~np.isin(values, (0.0, 1.0)))
+    if bad.size:
+        raise FormatError(f"{path}: line {lines[bad[0, 0]]}: relation entries must be 0 or 1")
     return LegendRelation(test_names, ref_names, values.astype(np.int8))
 
 
@@ -482,7 +529,12 @@ def write_relation_csv(path: Path | str, rel: LegendRelation) -> None:
 
 def read_overrides_csv(path: Path | str) -> list[Override]:
     columns = ("test_label", "reference_label", "value", "note")
-    return [
-        Override(row["test_label"], row["reference_label"], row["value"], row["note"])
-        for _, row in _csv_rows(path, columns, ints=("value",))
-    ]
+    lines, (tests, refs, values, notes) = csv_columns(path, columns)
+    overrides = []
+    for line, *fields in zip(lines, tests, refs,
+                             parse_column(path, "value", values, lines, int), notes):
+        try:
+            overrides.append(Override(*fields))
+        except SpecmapError as exc:
+            raise exc.at(f"{path}: line {line}")
+    return overrides

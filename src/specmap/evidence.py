@@ -10,26 +10,21 @@ Vectors are held in a columnar ``EvidenceTable``: the vector ids in
 first-appearance order, one relation row per vector, and ``(n, classes)``
 shape, texture and spatial arrays in the relation's reference-class order.
 ``score_table`` is the one fuzzy-AND kernel; ``combine`` scores a single
-``EvidenceVector`` through it.  The long-format CSV reader fills the table
-in one pass and rejects, with the offending line, rows whose width differs
-from the header, non-numeric memberships, class names outside the relation,
-repeated ``(id, class_name)`` pairs and memberships that are NaN or outside
-[0, 1]; a vector with two color names or a missing class, and a color name
-outside the relation, are rejected as well.
+``EvidenceVector`` through it.  ``read_evidence_csv`` fills the table from
+a long-format CSV read through ``compare.csv_columns``; ``compare.csv_rows``
+holds the CSV rules.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import chain, cycle, repeat
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .compare import LegendRelation
-from .errors import ConfigError, DataError, FormatError
+from .compare import LegendRelation, csv_columns, parse_column
+from .errors import ConfigError, DataError
 
 _MEMBERSHIPS = ("shape", "texture", "spatial")
 _COLUMNS = ("id", "color_name", "class_name") + _MEMBERSHIPS
@@ -121,64 +116,16 @@ def _codes(values: list[str]) -> tuple[list[str], np.ndarray]:
                                        len(values))
 
 
-def _floats(path, name: str, texts: list[str], lines: list[int]) -> np.ndarray:
-    """``texts`` parsed with ``float``; a ``FormatError`` names the first bad line."""
-    try:
-        return np.fromiter(map(float, texts), np.float64, len(texts))
-    except ValueError:
-        for text, line in zip(texts, lines):
-            try:
-                float(text)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: line {line}: {name} {text!r} is not a number"
-                ) from None
-        raise
-
-
 def read_evidence_csv(path: Path | str, rel: LegendRelation) -> EvidenceTable:
     """Read ``id,color_name,class_name,shape,texture,spatial`` rows.
 
-    Every vector id must supply exactly one row per reference class of the
-    relation, all with the same color name.  Blank lines are skipped and
-    extra named columns ignored.
+    Every vector id must supply one row per reference class of the relation,
+    all with the same color name, and memberships in [0, 1].  Extra named
+    columns are ignored.  Each refusal names the path and the line at fault,
+    but a vector lacking classes has no one line and names only the path.
     """
-    ids: list[str] = []
-    colors: list[str] = []
-    classes: list[str] = []
-    texts: tuple[list[str], ...] = ([], [], [])
-    lines: list[int] = []
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        position = {name: i for i, name in enumerate(header or ())}
-        if not set(_COLUMNS) <= set(position):
-            raise FormatError(
-                f"{path}: expected columns id,color_name,class_name,"
-                "shape,texture,spatial"
-            )
-        width = len(header)
-        pick = itemgetter(*(position[name] for name in _COLUMNS))
-        add_id, add_color, add_class, add_line = (
-            ids.append, colors.append, classes.append, lines.append)
-        add_shape, add_texture, add_spatial = (t.append for t in texts)
-        for row in reader:
-            if len(row) != width:
-                if not row:
-                    continue
-                raise FormatError(
-                    f"{path}: line {reader.line_num}: {len(row)} fields, "
-                    f"header has {width}"
-                )
-            vid, color_name, class_name, shape, texture, spatial = pick(row)
-            add_id(vid)
-            add_color(color_name)
-            add_class(class_name)
-            add_shape(shape)
-            add_texture(texture)
-            add_spatial(spatial)
-            add_line(reader.line_num)
-    memberships = [_floats(path, name, column, lines)
+    lines, (ids, colors, classes, *texts) = csv_columns(path, _COLUMNS)
+    memberships = [parse_column(path, name, column, lines)
                    for name, column in zip(_MEMBERSHIPS, texts)]
 
     rc = len(rel.ref_names)
@@ -224,7 +171,7 @@ def read_evidence_csv(path: Path | str, rel: LegendRelation) -> EvidenceTable:
     vector_rows = rows[color[first]]
     if (vector_rows < 0).any():
         k = first[np.flatnonzero(vector_rows < 0)[0]]
-        raise ConfigError(f"unknown color name {colors[k]!r}")
+        raise ConfigError(f"{path}: line {lines[k]}: unknown color name {colors[k]!r}")
 
     grids = []
     for values in memberships:

@@ -104,11 +104,13 @@ class CalibrationResult(NamedTuple):
     clamped: int         # count of valid samples clipped into [0, 1]
 
 
-def apply_calibration(raw: np.ndarray, meta: BandMetadata) -> CalibrationResult:
+def apply_calibration(raw: np.ndarray, meta: BandMetadata,
+                      row0: int = 0) -> CalibrationResult:
     """Scale one raw plane to reflectance: ``raw * gain + offset`` clamped to [0, 1].
 
     Out-of-range results are clipped and counted, not rejected: slight
-    negatives after offset are routine sensor noise.
+    negatives after offset are routine sensor noise.  ``row0`` is the image
+    row of the plane's first row, which a refusal names.
     """
     raw = np.asarray(raw)
     nodata = meta.nodata_value
@@ -118,7 +120,8 @@ def apply_calibration(raw: np.ndarray, meta: BandMetadata) -> CalibrationResult:
         bad = np.isinf(raw) if nan_nodata else ~np.isfinite(raw)
         if bad.any():
             r, c = np.argwhere(bad)[0]
-            raise DataError(f"non-finite raw sample at row {r}, col {c}")
+            raise DataError(f"band {meta.band_id}: non-finite raw sample at row "
+                            f"{row0 + r}, col {c}")
     if nodata is None:
         valid = np.ones(raw.shape, dtype=bool)
     elif nan_nodata:
@@ -181,8 +184,16 @@ def payload_path(header_path: Path | str) -> Path:
     return Path(header_path).with_suffix(".bin")
 
 
+def read_text(path: Path | str) -> str:
+    """The text of a UTF-8 file; other bytes are a ``FormatError`` naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise FormatError(f"{path}: not UTF-8 text") from None
+
+
 def read_header(path: Path | str) -> dict[str, str]:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("//", 1)[0].strip()
@@ -446,6 +457,14 @@ class ImageWriter:
         invalid = ~validity
         plane_bytes = self.height * self.width * dt.itemsize
         for i, meta in enumerate(self.bands):
+            # A valid NaN or inf would be written as a raw sample that reading
+            # refuses or, in an integer image, cast to some valid value.
+            broken = ~np.isfinite(samples[i])
+            broken &= validity
+            if broken.any():
+                r, c = np.argwhere(broken)[0]
+                raise DataError(f"band {meta.band_id}: valid sample at row {row0 + r}, "
+                                f"col {c} is not finite")
             nodata = meta.nodata_value
             enc = (samples[i] - meta.offset) / meta.gain
             if dt.kind in "ui":
@@ -592,7 +611,10 @@ class ImageSource:
                 # The raw rows land in the band's own output plane, which the
                 # calibrated values then overwrite: no second buffer.
                 raw = self._read_raw(f, i, row0, row1, samples[i])
-                values, valid, _ = apply_calibration(raw, meta)
+                try:
+                    values, valid, _ = apply_calibration(raw, meta, row0)
+                except DataError as exc:
+                    raise exc.at(self.header_path)
                 samples[i] = values
                 validity &= valid
         samples[:, ~validity] = 0.0

@@ -525,9 +525,6 @@ class _Token:
     col: int
 
 
-_EOF = _Token("eof", "<end of file>", 0, 0)
-
-
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     line, line_start = 1, 0
@@ -555,11 +552,14 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.declared: dict[str, float] = {}
+        # The end of input sits just past the last token.
+        last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
+        self.eof = _Token("eof", "<end of file>", last.line, last.col + len(last.text))
 
     # -- token plumbing ----------------------------------------------------
 
     def _peek(self) -> _Token:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else _EOF
+        return self.tokens[self.pos] if self.pos < len(self.tokens) else self.eof
 
     def _next(self) -> _Token:
         tok = self._peek()
@@ -589,7 +589,7 @@ class _Parser:
         ruleless: list[RulelessClass] = []
         fallback: tuple[int, str, tuple[int, int, int]] | None = None
         policy = "last-match"
-        while self._peek() is not _EOF:
+        while self._peek() is not self.eof:
             tok = self._peek()
             if tok.kind != "ident":
                 self._error("expected a declaration keyword")
@@ -608,7 +608,7 @@ class _Parser:
             else:
                 self._error("expected bands/policy/rule/class/fallback")
         if fallback is None:
-            self._error("missing fallback declaration", _EOF)
+            self._error("missing fallback declaration", self.eof)
         if not rules:
             raise RuleSyntaxError("rule file declares no rules", 1, 1)
         return RuleSet(
@@ -625,10 +625,11 @@ class _Parser:
         self._expect("ident", "bands")
         self._expect("op", ":")
         while True:
-            sym = self._expect("ident").text
+            sym = self._expect("ident")
+            if sym.text in self.declared:
+                raise RuleSyntaxError(f"repeated band symbol {sym.text!r}", sym.line, sym.col)
             self._expect("op", "@")
-            wav = float(self._expect("number").text)
-            self.declared[sym] = wav
+            self.declared[sym.text] = float(self._expect("number").text)
             if not self._accept("op", ","):
                 break
 
@@ -642,13 +643,19 @@ class _Parser:
             self._error(f"policy must be one of {MATCH_POLICIES}")
         return policy
 
+    def _index(self) -> int:
+        tok = self._expect("number")
+        if "." in tok.text:
+            self._error("expected an integer index", tok)
+        return int(tok.text)
+
     def _parse_color(self) -> tuple[int, int, int]:
         self._expect("ident", "color")
         return parse_color(self._expect("color").text)
 
     def _parse_rule(self) -> Rule:
         self._expect("ident", "rule")
-        index = int(self._expect("number").text)
+        index = self._index()
         name = self._expect("string").text[1:-1]
         color = self._parse_color()
         self._expect("op", "{")
@@ -660,14 +667,14 @@ class _Parser:
 
     def _parse_class(self) -> RulelessClass:
         self._expect("ident", "class")
-        index = int(self._expect("number").text)
+        index = self._index()
         name = self._expect("string").text[1:-1]
         color = self._parse_color()
         return RulelessClass(index, name, color)
 
     def _parse_fallback(self) -> tuple[int, str, tuple[int, int, int]]:
         self._expect("ident", "fallback")
-        index = int(self._expect("number").text)
+        index = self._index()
         name = self._expect("string").text[1:-1]
         color = (0, 0, 0)
         if self._peek().kind == "ident" and self._peek().text == "color":

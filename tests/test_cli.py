@@ -3,6 +3,7 @@ import hashlib
 import json
 import tracemalloc
 from importlib.resources import files
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,32 @@ def test_missing_band_wavelength_names_the_header(runner, tmp_path):
     ])
     assert result.exit_code == 1
     assert "scene.hdr: missing header key 'band.2.wavelength'" in result.output
+
+
+def test_rule_file_that_is_not_utf8_exits_1(runner, tmp_path):
+    write_scene(tmp_path / "scene.hdr", 16, 16, seed=12, block=4)
+    rules = tmp_path / "specl.rules"
+    rules.write_bytes(Path(SPECL_PATH).read_bytes() + b"// \xff\n")
+    result = runner.invoke(main, ["classify", "--rules", str(rules),
+                                  "--in", str(tmp_path / "scene.hdr"),
+                                  "--out", str(tmp_path / "map.hdr")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {rules}: not UTF-8 text\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
+
+
+def test_raster_header_that_is_not_utf8_exits_1(runner, tmp_path):
+    write_scene(tmp_path / "scene.hdr", 16, 16, seed=12, block=4)
+    write_map(CategoricalMap(np.ones((16, 16), dtype=np.uint16), legend(1)),
+              tmp_path / "map.hdr")
+    with open(tmp_path / "map.hdr", "ab") as f:
+        f.write(b"// \xff\n")
+    result = runner.invoke(main, ["segment", "--in", str(tmp_path / "map.hdr"),
+                                  "--image", str(tmp_path / "scene.hdr"),
+                                  "--out-prefix", str(tmp_path / "out")])
+    assert result.exit_code == 1, result.output
+    assert result.output == f"error: {tmp_path / 'map.hdr'}: not UTF-8 text\n"
+    assert isinstance(result.exception, SystemExit)  # no traceback
 
 
 @pytest.mark.parametrize("command", ["classify", "segment", "compare"])

@@ -541,6 +541,39 @@ def test_malformed_row_is_format_error_naming_line(tmp_path, reader, header, goo
         reader(p)
 
 
+@pytest.mark.parametrize("fault", ["not_utf8", "oversized_field", "repeated_column"])
+@pytest.mark.parametrize("reader, header, good, int_column", ROW_READERS,
+                         ids=[r[0].__name__ for r in ROW_READERS])
+def test_csv_rule_breach_is_format_error_naming_line(tmp_path, reader, header, good,
+                                                     int_column, fault):
+    header, good = list(header), list(good)
+    if fault == "repeated_column":
+        header.append(int_column)
+        good.append("0")
+    elif fault == "oversized_field":
+        good[0] = "a" * (128 * 1024 + 1)
+    text = "\n".join(",".join(r) for r in (header, good)) + "\n"
+    p = tmp_path / "in.csv"
+    p.write_bytes(text.encode("utf-8") + (b"\xff\n" if fault == "not_utf8" else b""))
+    message = {
+        "not_utf8": r"in\.csv: line 3: not UTF-8 text",
+        "oversized_field": r"in\.csv: line 2: field larger than field limit",
+        "repeated_column": rf"in\.csv: line 1: header names '{int_column}' 2 times",
+    }[fault]
+    with pytest.raises(FormatError, match=message):
+        reader(p)
+
+
+@pytest.mark.parametrize("reader, header, good, int_column", ROW_READERS,
+                         ids=[r[0].__name__ for r in ROW_READERS])
+def test_blank_lines_before_the_header_are_skipped(tmp_path, reader, header, good,
+                                                   int_column):
+    plain, blank = tmp_path / "plain.csv", tmp_path / "blank.csv"
+    plain.write_text(",".join(header) + "\n" + ",".join(good) + "\n")
+    blank.write_text("\n\n" + ",".join(header) + "\n\n" + ",".join(good) + "\n\n")
+    assert reader(blank) == reader(plain)
+
+
 class TestCsvIO:
     @pytest.mark.parametrize("text, fault", [
         (",a,b\nx,1,0\ny,0\n", "line 3: ragged"),

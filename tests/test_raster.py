@@ -343,6 +343,19 @@ class TestImageIO:
         write_image(MultiSpectralImage(bands, samples, validity, "u16"), tmp_path / "b.hdr")
         assert np.array_equal(read_image(tmp_path / "b.hdr").validity, validity)
 
+    @pytest.mark.parametrize("dtype_name", ["f64", "u16"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_valid_non_finite_sample_rejected(self, tmp_path, dtype_name, value):
+        # f64 used to write a NaN that reading refused; u16 cast it to a
+        # valid raw 0.
+        image = synth_scene(6, 4, seed=8, block=2, nodata_fraction=0.0)
+        image.samples[1, 4, 2] = value
+        with pytest.raises(DataError, match="band 2: valid sample at row 4, col 2 is not finite"):
+            with ImageWriter(tmp_path / "a.hdr", image.bands, 6, 4, dtype_name) as writer:
+                writer.write(image.samples[:, :3], image.validity[:3])
+                writer.write(image.samples[:, 3:], image.validity[3:])
+        assert not list(tmp_path.iterdir())
+
     def test_strip_writes_equal_one_whole_write(self, tmp_path):
         image = synth_scene(10, 6, seed=7, block=3, nodata_fraction=0.1)
         write_image(image, tmp_path / "whole.hdr")
@@ -542,6 +555,19 @@ class TestStreaming:
             f.truncate(5 * 8 * 4 * 2 + 3)
         with pytest.raises(TruncatedFileError, match="a.bin"):
             source.read_rows(0, 8)
+
+    def test_non_finite_raw_refusal_names_the_header_and_image_row(self, tmp_path):
+        image = synth_scene(100, 4, seed=3, block=4, nodata_fraction=0.0)
+        write_image(MultiSpectralImage(image.bands, image.samples, image.validity, "f64"),
+                    tmp_path / "a.hdr")
+        raw = np.frombuffer(bytearray((tmp_path / "a.bin").read_bytes()), "<f8")
+        raw.reshape(6, 100, 4)[0, 70, 1] = np.nan
+        (tmp_path / "a.bin").write_bytes(raw.tobytes())
+        message = r"a\.hdr: band 1: non-finite raw sample at row 70, col 1$"
+        with pytest.raises(DataError, match=message):
+            open_image(tmp_path / "a.hdr").read_rows(64, 100)
+        with pytest.raises(DataError, match=message):
+            read_image(tmp_path / "a.hdr")
 
     @pytest.mark.parametrize("row0, row1", [(2, 6), (3, 1), (-1, 1)])
     def test_row_range_outside_image_rejected(self, tmp_path, row0, row1):

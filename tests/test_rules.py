@@ -80,6 +80,29 @@ class TestParser:
             parse_rules(HEADER + 'rule 1 "x" color #000000 { b4 <= }\nfallback 9 "f"\n')
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("text, token", [
+        (HEADER + 'rule 1.5 "x" color #000000 { b4 <= 0.5 }\nfallback 9 "f"\n', (2, 6)),
+        (HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 }\nclass 2. "c" color #111111\n'
+         'fallback 9 "f"\n', (3, 7)),
+        (HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 }\nfallback .9 "f"\n', (3, 10)),
+    ], ids=["rule", "class", "fallback"])
+    def test_fractional_index_rejected_at_its_token(self, text, token):
+        with pytest.raises(RuleSyntaxError, match="expected an integer index") as err:
+            parse_rules(text)
+        assert (err.value.line, err.value.column) == token
+
+    def test_repeated_band_symbol_rejected_at_its_token(self):
+        with pytest.raises(RuleSyntaxError, match="repeated band symbol 'b1'") as err:
+            parse_rules('bands: b1@0.48, b1@0.56\n'
+                        'rule 1 "x" color #000000 { b1 <= 0.5 }\nfallback 9 "f"\n')
+        assert (err.value.line, err.value.column) == (1, 17)
+
+    def test_text_cut_mid_rule_reports_the_end_of_the_last_token(self):
+        rule = 'rule 1 "x" color #000000 { b4 <= 0.5'
+        with pytest.raises(RuleSyntaxError, match="end of file") as err:
+            parse_rules(HEADER + rule + "  // cut here\n")
+        assert (err.value.line, err.value.column) == (2, len(rule) + 1)
+
     def test_missing_fallback_rejected(self):
         with pytest.raises(RuleSyntaxError, match="fallback"):
             parse_rules(HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 }\n')
