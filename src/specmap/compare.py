@@ -2,7 +2,8 @@
 
 Covers contingency-table construction, the eight-step hybrid harmonization
 protocol (steps 1-7 data-driven, step 8 as an auditable human override
-file) and the CVPAI2 association index of a binary legend relation.
+file), the CVPAI2 association index of a binary legend relation and
+``csv_rows``, the one reader of every CSV input, which holds its rules.
 """
 
 from __future__ import annotations
