@@ -22,15 +22,17 @@ import click
 import numpy as np
 
 from . import __version__, raster
-# ``classify``, ``connected_components``, ``reconstruct``, ``rmse_map`` and
-# ``combine`` are not called here; the benchmark's span tracer
+# ``classify``, ``read_map``, ``connected_components``, ``cross_aura``,
+# ``build_superpixel_table``, ``reconstruct``, ``rmse_map``, ``combine`` and
+# the whole-plane writers ``write_segmentation``, ``write_aura`` and
+# ``write_rmse`` are not called here; the benchmark's span tracer
 # (bench/traced.py) wraps them by name in this module.
 from .classify import (
     PixelVisitCounter,
     classify,  # noqa: F401
     classify_streamed,
     open_map,
-    read_map,
+    read_map,  # noqa: F401
     write_map,
 )
 from .compare import (
@@ -53,13 +55,14 @@ from .compare import (
 from .errors import SpecmapError
 from .evidence import combine, read_evidence_csv, score_table, write_scores_csv  # noqa: F401
 from .rules import parse_rules
-from .segmentation import (
+from .segmentation import (  # noqa: F401
     TwoPassLabeler,
     build_superpixel_table,
-    connected_components,  # noqa: F401
+    connected_components,
     cross_aura,
-    reconstruct,  # noqa: F401
-    rmse_map,  # noqa: F401
+    describe_segments,
+    reconstruct,
+    rmse_map,
     write_aura,
     write_mean_view,
     write_rmse,
@@ -222,12 +225,11 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
 @click.option("--out-prefix", "out_prefix", required=True, type=click.Path(path_type=Path))
 @click.option("--adjacency", type=click.Choice(["4", "8"]), default="8")
 @click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
-              help="Rows per strip for labeling and image reads (default: about "
-                   "131 072 pixels per strip). The image is read twice, one "
-                   "strip at a time. Planes are held whole until no later step "
-                   "reads them: the label map and aura until the superpixel "
-                   "table is built, the segment ids until the reconstruction "
-                   "is written, the RMSE plane until it is written.")
+              help="Rows per strip (default: about 131 072 pixels per strip). "
+                   "The map is read twice and the image three times, one strip "
+                   "at a time, and every output is written a strip at a time, "
+                   "so memory holds strips plus per-run labeling state and "
+                   "the per-segment table, never a whole plane.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_json):
     """Segment a categorical map and describe, rebuild and score it."""
@@ -242,33 +244,24 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
     paths = {f.what: f.path for f in outputs}
 
     def work() -> dict:
-        cmap = read_map(map_path)
-        rows = _strip_rows(strip_height, cmap.width)
-        labeler = TwoPassLabeler(cmap.width, adjacency)
-        for r0, r1 in raster.strip_bounds(cmap.height, rows):
-            labeler.feed(cmap.labels[r0:r1])
-        seg = labeler.finalize()
+        labels = open_map(map_path)
         source = raster.open_image(image_path)
-        aura = cross_aura(cmap, adjacency)
-        # Pass A: the band sums.  Pass B: mean view, RMSE and reconstruction.
-        # Each plane is dropped once written and no later step reads it.
-        table = build_superpixel_table(
-            cmap, seg, raster.stream_strips(source, rows), aura)
-        conserved = int(table.counts.sum())
-        if conserved != int(np.count_nonzero(seg.segment_ids)):
+        rows = _strip_rows(strip_height, labels.width)
+        labeler = TwoPassLabeler(labels.width, adjacency)
+        for r0, r1 in raster.strip_bounds(labels.height, rows):
+            labeler.feed(labels.rows(r0, r1))
+        painter = labeler.resolve()
+        # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.
+        table, scored = describe_segments(labels, painter, source, rows, adjacency,
+                                          paths["segmentation"], paths["aura"])
+        if int(table.counts.sum()) != painter.labelled_pixels:
             raise SpecmapError("pixel-count conservation violated")
-        write_segmentation(seg, paths["segmentation"])
-        write_aura(aura, paths["aura"])
-        del cmap, aura
-        rmse = write_mean_view(seg, table, source, rows, paths["reconstruction"])
-        segments = seg.segment_count
-        del seg
-        write_rmse(rmse, paths["rmse"])
-        stats = rmse.stats()
-        del rmse
+        del painter
+        stats = write_mean_view(table, source, rows, scored, paths["segmentation"],
+                                paths["reconstruction"], paths["rmse"])
         write_superpixel_csv(table, paths["superpixels"])
         return {
-            "segments": segments,
+            "segments": len(table),
             "rmse_min": stats.minimum,
             "rmse_max": stats.maximum,
             "rmse_mean": stats.mean,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import re
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -392,22 +392,37 @@ def csv_rows(path: Path | str, columns: Sequence[str]) -> Iterator[tuple[int, li
 
     The one CSV reader of every table input.  The text is UTF-8 and blank
     lines are skipped, before the header too.  The header names each of
-    ``columns`` once, and every later row has the header's field count.
-    Anything else, and any ``csv`` module error, is a ``FormatError`` naming
-    the path and line; a file with no header names only the path.
+    ``columns`` once, and every later row has the header's field count.  A
+    quoted field must be closed before the end of the text.  Anything else,
+    and any ``csv`` module error, is a ``FormatError`` naming the path and
+    line; a file with no header names only the path.
     """
     try:
         with open(path, newline="", encoding="utf-8") as f:
-            reader = csv.reader(f)
-            header = next(filter(None, reader), None)
+            ended = []
+
+            def end_mark():
+                ended.append(True)
+                yield "\n"
+
+            # The mark after the last line is a blank row, unless a quoted
+            # field is still open: the ``csv`` module then ends the field
+            # and its row there, without an error.
+            reader = csv.reader(chain(f, end_mark()))
+            rows = filter(None, reader)
+            header = next(rows, None)
             if header is None:
                 raise FormatError(f"{path}: no header line")
+            if ended:
+                raise _open_quote(path, reader.line_num, header[-1])
             for name in columns:
                 if header.count(name) != 1:
                     raise FormatError(f"{path}: line {reader.line_num}: header names "
                                       f"{name!r} {header.count(name)} times, not once")
             yield reader.line_num, header
-            for row in filter(None, reader):
+            for row in rows:
+                if ended:
+                    raise _open_quote(path, reader.line_num, row[-1])
                 if len(row) != len(header):
                     raise FormatError(f"{path}: line {reader.line_num}: ragged CSV, "
                                       f"{len(row)} fields where the header has {len(header)}")
@@ -419,6 +434,21 @@ def csv_rows(path: Path | str, columns: Sequence[str]) -> Iterator[tuple[int, li
             # Only an undecodable byte escapes to a lone surrogate.
             line = next(n for n, text in enumerate(f, 1) if re.search("[\udc80-\udcff]", text))
         raise FormatError(f"{path}: line {line}: not UTF-8 text") from None
+
+
+#: A line break as text files split lines at; a quoted field keeps it.
+_LINE_BREAK = re.compile("\r\n|\r|\n")
+
+
+def _open_quote(path, line: int, field: str) -> FormatError:
+    """The refusal of a quoted ``field`` left open until the end mark on ``line``.
+
+    Each line the field spans ends in a line break, the mark's too, apart
+    from the last line of a text that does not end in one.
+    """
+    text = field[:-1]  # without the mark's break
+    spanned = len(_LINE_BREAK.findall(text)) + (not text.endswith(("\n", "\r")))
+    return FormatError(f"{path}: line {line - spanned}: quoted field is never closed")
 
 
 def parse_column(path: Path | str, name: str, texts: Sequence[str],

@@ -6,8 +6,9 @@ same stem and a ``.bin`` suffix.  Samples are calibrated to reflectance in
 [0, 1] at read time; the original storage encoding is remembered so that
 ``write_image(read_image(p))`` is byte-identical.  ``read_image``, strip
 reads, ``read_raster`` and map reads share ``ImageSource``'s one payload
-reader, and ``write_image`` and strip writes share ``ImageWriter``'s one
-encoder.
+reader.  ``write_raster`` and every strip write share ``RasterWriter``'s
+one payload writer, and ``write_image`` and image strip writes share
+``ImageWriter``'s one encoder on top of it.
 
 Each format rule has one home that the writer and the reader both call, so
 a file is checked the same way on write as on read, and a reader only adds
@@ -104,6 +105,15 @@ class CalibrationResult(NamedTuple):
     clamped: int         # count of valid samples clipped into [0, 1]
 
 
+def _valid_samples(raw: np.ndarray, nodata: float | None) -> np.ndarray:
+    """Where a raw plane holds data: not ``nodata``, and not NaN for a NaN nodata."""
+    if nodata is None:
+        return np.ones(raw.shape, dtype=bool)
+    if math.isnan(nodata):
+        return ~np.isnan(raw)
+    return raw != nodata
+
+
 def apply_calibration(raw: np.ndarray, meta: BandMetadata,
                       row0: int = 0) -> CalibrationResult:
     """Scale one raw plane to reflectance: ``raw * gain + offset`` clamped to [0, 1].
@@ -122,12 +132,7 @@ def apply_calibration(raw: np.ndarray, meta: BandMetadata,
             r, c = np.argwhere(bad)[0]
             raise DataError(f"band {meta.band_id}: non-finite raw sample at row "
                             f"{row0 + r}, col {c}")
-    if nodata is None:
-        valid = np.ones(raw.shape, dtype=bool)
-    elif nan_nodata:
-        valid = ~np.isnan(raw)
-    else:
-        valid = raw != nodata
+    valid = _valid_samples(raw, nodata)
     out = raw.astype(np.float64) * meta.gain + meta.offset
     clamped = int(np.count_nonzero(valid & ((out < 0.0) | (out > 1.0))))
     np.clip(out, 0.0, 1.0, out=out)
@@ -294,11 +299,8 @@ def write_raster(
     dtype_name: str,
 ) -> None:
     """Write (bands, h, w) raw planes plus a header carrying ``extra`` entries."""
-    header_path = Path(header_path)
-    dt = _dtype_for(dtype_name)
-    write_header(header_path, _layout_entries(header_path, *planes.shape, dtype_name)
-                 + extra)
-    np.ascontiguousarray(planes, dtype=dt).tofile(payload_path(header_path))
+    with RasterWriter(header_path, extra, *planes.shape, dtype_name) as writer:
+        writer.write(planes)
 
 
 def _check_sizes(header_path, nbands: int, height: int, width: int) -> None:
@@ -391,44 +393,27 @@ def write_image(image: MultiSpectralImage, header_path: Path | str) -> None:
         writer.write(image.samples, image.validity)
 
 
-class ImageWriter:
-    """Writes an image's rows top to bottom, strip by strip: the one encoder.
+class RasterWriter:
+    """Writes a raster's raw rows top to bottom, strip by strip: the one payload writer.
 
-    The header is written on opening.  Each ``write`` encodes the next rows
-    of every band back to the storage dtype, inverting calibration, and puts
-    them in place in the band-sequential payload.  Used as a context
-    manager; a failed write, or a close before every row is written,
-    removes the header and payload, so no partial image is left behind.
+    The header, its layout entries then ``extra``, is written on opening.
+    Each ``write`` puts the next rows of every band in place in the
+    band-sequential payload.  Used as a context manager; a failed write, or
+    a close before every row is written, removes the header and payload, so
+    no partial raster is left behind.
     """
 
-    def __init__(self, header_path: Path | str, bands, height: int, width: int,
-                 dtype_name: str):
+    def __init__(self, header_path: Path | str, extra: list[tuple[str, str]],
+                 nbands: int, height: int, width: int, dtype_name: str):
         self.header_path = Path(header_path)
-        self.bands = tuple(bands)
-        self.height, self.width = height, width
+        self.nbands, self.height, self.width = nbands, height, width
         self._dt = _dtype_for(dtype_name)
         self._next_row = 0
-        for meta in self.bands:
-            # A nodata value reading cannot honour would lose the mask
-            # or make the image unreadable.
-            nodata = meta.nodata_value
-            if nodata is not None and not _nodata_fits(nodata, self._dt):
-                raise ConfigError(
-                    f"band {meta.band_id}: nodata value {nodata!r} is not "
-                    f"{_nodata_rule(dtype_name)}"
-                )
-        extra: list[tuple[str, str]] = []
-        for n, meta in enumerate(self.bands, start=1):
-            extra.append((f"band.{n}.wavelength", repr(meta.center_wavelength)))
-            extra.append((f"band.{n}.gain", repr(meta.gain)))
-            extra.append((f"band.{n}.offset", repr(meta.offset)))
-            if meta.nodata_value is not None:
-                extra.append((f"band.{n}.nodata", repr(meta.nodata_value)))
         write_header(self.header_path, _layout_entries(
-            self.header_path, len(self.bands), height, width, dtype_name) + extra)
+            self.header_path, nbands, height, width, dtype_name) + extra)
         self._payload = open(payload_path(self.header_path), "wb")
 
-    def __enter__(self) -> ImageWriter:
+    def __enter__(self) -> RasterWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
@@ -443,19 +428,72 @@ class ImageWriter:
                 f"{self.height} rows"
             )
 
+    def _check_strip(self, shape: tuple[int, ...]) -> int:
+        """Rows of a ``shape`` strip, refused unless it fits at the next row."""
+        nrows = shape[1] if len(shape) == 3 else -1
+        if shape != (self.nbands, nrows, self.width) \
+                or self._next_row + nrows > self.height:
+            raise DimensionMismatchError(
+                f"{self.header_path}: cannot write a {shape} strip at row "
+                f"{self._next_row} of a ({self.nbands}, {self.height}, {self.width}) "
+                "raster"
+            )
+        return nrows
+
+    def _put(self, band: int, plane: np.ndarray) -> None:
+        """Write ``plane`` as ``band``'s rows from the next row on."""
+        row_bytes = self.width * self._dt.itemsize
+        self._payload.seek(band * self.height * row_bytes + self._next_row * row_bytes)
+        self._payload.write(np.ascontiguousarray(plane, dtype=self._dt))
+
+    def write(self, planes: np.ndarray) -> None:
+        """Write the next ``planes.shape[1]`` rows of every band, cast to the dtype."""
+        nrows = self._check_strip(planes.shape)
+        for band, plane in enumerate(planes):
+            self._put(band, plane)
+        self._next_row += nrows
+
+
+class ImageWriter(RasterWriter):
+    """Writes an image's rows strip by strip: the one encoder.
+
+    Each ``write`` encodes the next rows of every band back to the storage
+    dtype, inverting calibration; ``RasterWriter`` puts them in place.
+    """
+
+    def __init__(self, header_path: Path | str, bands, height: int, width: int,
+                 dtype_name: str):
+        self.bands = tuple(bands)
+        dt = _dtype_for(dtype_name)
+        for meta in self.bands:
+            # A nodata value reading cannot honour would lose the mask
+            # or make the image unreadable.
+            nodata = meta.nodata_value
+            if nodata is not None and not _nodata_fits(nodata, dt):
+                raise ConfigError(
+                    f"band {meta.band_id}: nodata value {nodata!r} is not "
+                    f"{_nodata_rule(dtype_name)}"
+                )
+        extra: list[tuple[str, str]] = []
+        for n, meta in enumerate(self.bands, start=1):
+            extra.append((f"band.{n}.wavelength", repr(meta.center_wavelength)))
+            extra.append((f"band.{n}.gain", repr(meta.gain)))
+            extra.append((f"band.{n}.offset", repr(meta.offset)))
+            if meta.nodata_value is not None:
+                extra.append((f"band.{n}.nodata", repr(meta.nodata_value)))
+        super().__init__(header_path, extra, len(self.bands), height, width, dtype_name)
+
     def write(self, samples: np.ndarray, validity: np.ndarray) -> None:
         """Encode and write the next ``validity.shape[0]`` rows."""
         row0 = self._next_row
-        nrows = validity.shape[0]
-        if samples.shape != (len(self.bands), nrows, self.width) \
-                or validity.shape[1:] != (self.width,) or row0 + nrows > self.height:
+        nrows = self._check_strip(samples.shape)
+        if validity.shape != (nrows, self.width):
             raise DimensionMismatchError(
-                f"{self.header_path}: cannot write a {samples.shape} strip at row "
-                f"{row0} of a ({len(self.bands)}, {self.height}, {self.width}) image"
+                f"{self.header_path}: validity of shape {validity.shape} for a "
+                f"{samples.shape} strip"
             )
         dt = self._dt
         invalid = ~validity
-        plane_bytes = self.height * self.width * dt.itemsize
         for i, meta in enumerate(self.bands):
             # A valid NaN or inf would be written as a raw sample that reading
             # refuses or, in an integer image, cast to some valid value.
@@ -488,8 +526,7 @@ class ImageWriter:
                         "nodata value to encode them with"
                     )
                 plane[invalid] = dt.type(nodata)
-            self._payload.seek(i * plane_bytes + row0 * self.width * dt.itemsize)
-            self._payload.write(plane)
+            self._put(i, plane)
         self._next_row += nrows
 
 
@@ -588,6 +625,18 @@ class ImageSource:
             for i in range(self.nbands):
                 self._read_raw(f, i, row0, row1, raw[i])
         return raw
+
+    def read_validity(self, row0: int, row1: int) -> np.ndarray:
+        """Validity of rows [row0, row1), as ``read_rows`` gives it, from the
+        stored samples alone: no band is calibrated."""
+        self._check_rows(row0, row1)
+        validity = np.ones((row1 - row0, self.width), dtype=bool)
+        buffer = np.empty((row1 - row0, self.width), dtype=self._dt)
+        with open(self._ppath, "rb") as f:
+            for i, meta in enumerate(self.bands):
+                validity &= _valid_samples(self._read_raw(f, i, row0, row1, buffer),
+                                           meta.nodata_value)
+        return validity
 
     def _read_raw(self, f, band: int, row0: int, row1: int, buffer: np.ndarray) -> np.ndarray:
         """Read ``band``'s stored rows [row0, row1) into the first bytes of

@@ -547,10 +547,20 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+#: Deepest parenthesis nesting rule text may use.  Deeper text is refused at
+#: the first '(' past it, well before Python's recursion limit.
+MAX_NESTING = 100
+
+
+class _TooDeep(RuleSyntaxError):
+    """Nesting past ``MAX_NESTING``: no reading of the text can avoid it."""
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # parentheses open at ``pos``
         self.declared: dict[str, float] = {}
         # The end of input sits just past the last token.
         last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
@@ -575,6 +585,17 @@ class _Parser:
         if tok.kind != kind or (text is not None and tok.text != text):
             self._error(f"expected {text or kind}")
         return self._next()
+
+    def _open(self) -> None:
+        tok = self._expect("op", "(")
+        if self.depth == MAX_NESTING:
+            raise _TooDeep(f"parentheses nested deeper than {MAX_NESTING}",
+                           tok.line, tok.col)
+        self.depth += 1
+
+    def _close(self) -> None:
+        self._expect("op", ")")
+        self.depth -= 1
 
     def _accept(self, kind: str, text: str | None = None) -> _Token | None:
         tok = self._peek()
@@ -699,22 +720,24 @@ class _Parser:
         tok = self._peek()
         if tok.kind == "ident" and tok.text == "requires":
             self._next()
-            self._expect("op", "(")
+            self._open()
             sym = self._band_symbol()
             self._expect("op", ",")
             child = self._parse_or()
-            self._expect("op", ")")
+            self._close()
             return RequiresBand(sym, child)
         if tok.kind == "op" and tok.text == "(":
             # Try a boolean group first; fall back to a numeric comparison.
-            save = self.pos
+            save = self.pos, self.depth
             try:
-                self._next()
+                self._open()
                 node = self._parse_or()
-                self._expect("op", ")")
+                self._close()
                 return node
+            except _TooDeep:
+                raise
             except RuleSyntaxError:
-                self.pos = save
+                self.pos, self.depth = save
         return self._parse_comparison()
 
     def _parse_comparison(self):
@@ -765,9 +788,9 @@ class _Parser:
         if tok.kind == "ident":
             return BandRef(self._band_symbol())
         if tok.kind == "op" and tok.text == "(":
-            self._next()
+            self._open()
             node = self._parse_num()
-            self._expect("op", ")")
+            self._close()
             return node
         self._error("expected a number, band or '('")
 

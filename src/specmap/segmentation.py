@@ -7,14 +7,20 @@ hook-and-compress rounds (Shiloach & Vishkin) and numbers the components in
 row-major first-encounter order, which makes output maps reproducible byte
 for byte.  The labeler accepts rows incrementally, so strip-streamed
 labeling needs no overlap rows and merges across seams by construction.
-The run graph is int32 while the run count fits it (int64 beyond), and
-pass 2 writes the ids one fed block at a time.
+It keeps each run as a (start column, length) record and the run graph as
+int32 while the run count fits it (int64 beyond); ``SegmentPainter`` then
+writes the final ids of any rows from those records, so ids are painted a
+strip at a time and no id plane need exist.
 
 The superpixel description is a columnar ``SuperpixelTable`` (one array per
-attribute, one entry per segment), folded in strip by strip from the image
-strips: scattered counts, labels, minima/maxima and band sums.  The
-mean-view reconstruction of any block of rows is a single gather from its
-means, so ``write_mean_view`` writes and scores it one image strip at a time.
+attribute, one entry per segment), folded in strip by strip: scattered
+counts, labels, minima/maxima and band sums.  ``describe_segments`` (pass A)
+paints each strip's ids and cross-aura, writes both and folds the table;
+``write_mean_view`` (pass B) reads the ids back, writes each strip's
+mean-view reconstruction and RMSE, and summarizes the RMSE with
+``strip_rmse_stats``, whose bits equal ``RmseMap.stats``'s.  Both passes
+hold strips, O(runs) labeling state and O(segments) table state, never a
+whole plane.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from typing import Iterable
 import numpy as np
 
 from . import raster
-from .classify import NODATA, CategoricalMap
+from .classify import NODATA, CategoricalMap, MapSource
 from .errors import (
     ConfigError,
     DataError,
@@ -221,14 +227,17 @@ def _drain(parts: list[np.ndarray]) -> np.ndarray:
 
 
 class TwoPassLabeler:
-    """Feed label rows top to bottom, then finalize to a SegmentationMap.
+    """Feed label rows top to bottom, then resolve them to segment ids.
 
     Pass 1 (``feed``) encodes each row as runs of equal labels, numbered
-    consecutively in row-major order, and collects (run, run-above) edges
-    against the row fed before, so strips need no overlap rows.  Pass 2
-    (``finalize``) resolves the edges to components and numbers them by
-    their first run, which is their first pixel in row-major order; it
-    hands the fed rows over, so the labeler then holds none.
+    consecutively in row-major order, keeps a (start column, length) record
+    of each run, and collects (run, run-above) edges against the row fed
+    before, so strips need no overlap rows.  Pass 2 (``resolve``) resolves
+    the edges to components and numbers them by their first run, which is
+    their first pixel in row-major order; the ``SegmentPainter`` it returns
+    writes the ids of any rows.  ``finalize`` paints every row into one
+    ``SegmentationMap``.  Either hands the fed runs over, so the labeler
+    then holds none.
     """
 
     def __init__(self, width: int, adjacency: int = 8, stats: OpStats | None = None):
@@ -236,8 +245,13 @@ class TwoPassLabeler:
         self.width = width
         self.adjacency = adjacency
         self.stats = stats
+        self._reset()
+
+    def _reset(self) -> None:
         self._n_runs = 0
-        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (starts, valid)
+        self._row_runs: list[np.ndarray] = []  # runs in each fed row, per block
+        self._cols: list[np.ndarray] = []      # start column of each run, per block
+        self._lens: list[np.ndarray] = []      # length of each run, per block
         self._heads: list[np.ndarray] = []
         self._tails: list[np.ndarray] = []
         self._prev = None  # (values, starts, run ids) of the last row fed
@@ -268,49 +282,99 @@ class TwoPassLabeler:
         for heads, tails in pairs:
             self._heads.append(heads)
             self._tails.append(tails)
-        self._blocks.append((start, valid))
         self._prev = tuple(a[-1:].copy() for a in cur)
+        del cur, ids
+        end = valid  # not read again
+        end[:, :-1] &= (rows[:, :-1] != rows[:, 1:]) | ~valid[:, 1:]
+        # Flat positions: both lists are in run order, and a run's start and
+        # end share a row.  A column, a length and a row's run count all
+        # fit the narrowest unsigned type that holds the width.
+        first, last = np.flatnonzero(start), np.flatnonzero(end)
+        narrow = np.min_scalar_type(self.width)
+        self._cols.append((first % self.width).astype(narrow))
+        self._lens.append((last - first + 1).astype(narrow))
+        self._row_runs.append(np.count_nonzero(start, axis=1).astype(narrow))
         if self.stats is not None:
             self.stats.pixel_visits += int(rows.size)
 
-    def finalize(self) -> SegmentationMap:
-        """Number the components, writing ids one fed block at a time.
-
-        Every temporary is the size of one fed block or of the run graph;
-        each block's rows are dropped once its ids are written.
-        """
-        if not self._blocks:
+    def resolve(self) -> SegmentPainter:
+        """Number the components; returns the painter of their ids."""
+        if not self._cols:
             raise DataError("cannot segment an empty map: no pixels fed to the labeler")
-        blocks, self._blocks = self._blocks[::-1], []
-        n, self._n_runs, self._prev = self._n_runs, 0, None
+        n = self._n_runs
         dtype = _run_dtype(n)
         # Only the callee holds the edges, so each round frees the last.
         root = _resolve_runs(n, _drain(self._heads).astype(dtype, copy=False),
                              _drain(self._tails).astype(dtype, copy=False),
                              self.stats)
-        height = sum(start.shape[0] for start, _ in blocks)
-        seg = np.zeros((height, self.width), dtype=np.int32)
-        if self.stats is not None:
-            self.stats.pixel_visits += seg.size  # second pass
-        if n == 0:
-            return SegmentationMap(seg, 0)
         rank = np.cumsum(root == np.arange(n, dtype=dtype), dtype=np.int32)
-        final_of_run = rank[root]
+        segment_of_run = rank[root]
         del root
-        r0, base = 0, 0  # first row and first run id of the block
-        while blocks:
-            start, valid = blocks.pop()
-            # Pixels before the block's first run start read run base - 1,
-            # or wrap to the last run before the map's first; all are
-            # nodata and zeroed.
-            run_of_px = np.cumsum(start, dtype=dtype).reshape(start.shape)
-            base_next = base + int(run_of_px[-1, -1])
-            run_of_px += base - 1
-            out = seg[r0:r0 + start.shape[0]]
-            np.take(final_of_run, run_of_px, out=out)
-            out *= valid
-            r0, base = r0 + start.shape[0], base_next
-        return SegmentationMap(seg, int(rank[-1]))
+        painter = SegmentPainter(self.width, _drain(self._row_runs), _drain(self._cols),
+                                 _drain(self._lens), segment_of_run,
+                                 int(rank[-1]) if n else 0, self.stats)
+        self._reset()
+        return painter
+
+    def finalize(self) -> SegmentationMap:
+        """Resolve, then paint every row into one id plane, a strip at a time."""
+        painter = self.resolve()
+        seg = np.empty((painter.height, self.width), dtype=np.int32)
+        for r0, r1 in raster.strip_bounds(painter.height,
+                                          raster.default_strip_height(self.width)):
+            seg[r0:r1] = painter.paint(r0, r1)
+        return SegmentationMap(seg, painter.segment_count)
+
+
+class SegmentPainter:
+    """The final segment ids of any rows of a labeled map, from its runs.
+
+    Holds a (start column, length, segment id) record per run and the first
+    run of each row: O(runs + rows), never a plane.
+    """
+
+    def __init__(self, width: int, row_runs: np.ndarray, cols: np.ndarray,
+                 lens: np.ndarray, segment_of_run: np.ndarray, segment_count: int,
+                 stats: OpStats | None = None):
+        self.width = width
+        self.height = len(row_runs)
+        self.segment_count = segment_count
+        self.stats = stats
+        self._first = np.zeros(self.height + 1, dtype=np.int64)
+        np.cumsum(row_runs, out=self._first[1:])
+        self._cols, self._lens, self._segment = cols, lens, segment_of_run
+
+    @property
+    def labelled_pixels(self) -> int:
+        """Pixels in some run: every pixel the map does not mark nodata."""
+        return int(self._lens.sum(dtype=np.int64))
+
+    def paint(self, row0: int, row1: int) -> np.ndarray:
+        """int32 segment ids of rows [row0, row1); 0 where the map is nodata."""
+        if not 0 <= row0 <= row1 <= self.height:
+            raise ConfigError(f"cannot paint rows [{row0}, {row1}) of a "
+                              f"{self.height}-row map")
+        w = self.width
+        k0, k1 = self._first[row0], self._first[row1]
+        m = int(k1 - k0)
+        # The rows' pixels alternate a nodata gap and a run, then end with a
+        # gap: one repeat of (0, id) pairs by (gap, length) writes them all.
+        row_of_run = np.repeat(np.arange(row1 - row0, dtype=np.int64),
+                               np.diff(self._first[row0:row1 + 1]))
+        starts = row_of_run * w + self._cols[k0:k1]
+        sizes = np.empty(2 * m + 1, dtype=np.int64)
+        sizes[1::2] = self._lens[k0:k1]
+        gaps = sizes[0::2]
+        gaps[:m] = starts
+        gaps[m] = (row1 - row0) * w
+        starts += sizes[1::2]
+        gaps[1:] -= starts  # each run's end
+        values = np.zeros(2 * m + 1, dtype=np.int32)
+        values[1::2] = self._segment[k0:k1]
+        out = np.repeat(values, sizes).reshape(row1 - row0, w)
+        if self.stats is not None:
+            self.stats.pixel_visits += out.size
+        return out
 
 
 def connected_components(
@@ -340,10 +404,21 @@ def cross_aura(
     labels = cmap.labels
     if labels.size == 0:
         raise DataError("cannot contour an empty map")
+    counts = _aura_counts(labels, adjacency)
+    if stats is not None:
+        stats.pixel_visits += int(labels.size) * len(_offsets(adjacency))
+    return CrossAuraMap(counts, adjacency)
+
+
+def _aura_counts(labels: np.ndarray, adjacency: int) -> np.ndarray:
+    """u8 cross-aura counts of a block of rows, neighbors outside it not counted.
+
+    Rows with their neighbors above and below in the block count as in the
+    whole map, so a strip needs one halo row on each side.
+    """
     h, w = labels.shape
     counts = np.zeros((h, w), dtype=np.uint8)
-    offsets = _offsets(adjacency)
-    for dr, dc in offsets:
+    for dr, dc in _offsets(adjacency):
         r0, r1 = max(0, -dr), min(h, h - dr)
         c0, c1 = max(0, -dc), min(w, w - dc)
         if r0 >= r1 or c0 >= c1:
@@ -351,9 +426,7 @@ def cross_aura(
         counts[r0:r1, c0:c1] += (
             labels[r0:r1, c0:c1] != labels[r0 + dr : r1 + dr, c0 + dc : c1 + dc]
         )
-    if stats is not None:
-        stats.pixel_visits += int(labels.size) * len(offsets)
-    return CrossAuraMap(counts, adjacency)
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -371,79 +444,139 @@ def build_superpixel_table(
 
     ``image`` is a whole image or its strips top to bottom, as
     ``raster.stream_strips`` yields them.  Every column is folded in strip
-    by strip, so each temporary is the size of one strip.  Each band sum
-    folds its samples in row-major pixel order whatever the strip height:
-    adding up per-strip totals would associate the additions differently
-    and could change the last bit.  The integer columns are exact in any
-    order.
+    by strip (``_TableFold``), so each temporary is the size of one strip.
     """
     shape = cmap.labels.shape
     if seg.segment_ids.shape != shape or aura.counts.shape != shape:
         raise DimensionMismatchError("map, segmentation and aura shapes differ")
     if isinstance(image, MultiSpectralImage):
         image = [Strip(0, image.bands, image.samples, image.validity)]
-    n = seg.segment_count
-    counts = np.zeros(n + 1, dtype=np.int64)
-    label_of = np.full(n + 1, -1, dtype=np.int64)  # -1 until a member is seen
-    perim = np.zeros(n + 1, dtype=np.int64)
-    min_row = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    min_col = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-    max_row = np.full(n + 1, -1, dtype=np.int64)
-    max_col = np.full(n + 1, -1, dtype=np.int64)
-    sums = None  # (bands, n + 1); column 0 gathers nodata pixels
-    row0 = 0
+    fold = _TableFold(seg.segment_count)
     for strip in image:
         samples = strip.core_samples
-        nrows = samples.shape[1]
+        row0, nrows = fold.rows, samples.shape[1]
         if strip.core_start != row0 or samples.shape[2] != shape[1] \
                 or row0 + nrows > shape[0]:
             raise DimensionMismatchError("image shape differs from map shape")
-        if sums is None:
-            sums = np.zeros((samples.shape[0], n + 1), dtype=np.float64)
         rows = slice(row0, row0 + nrows)
-        ids = seg.segment_ids[rows]
+        fold.add(seg.segment_ids[rows], cmap.labels[rows], aura.counts[rows], samples)
+    if fold.rows != shape[0]:
+        raise DimensionMismatchError("image shape differs from map shape")
+    return fold.table()
+
+
+class _TableFold:
+    """The superpixel table's columns, folded in one block of rows at a time.
+
+    Each band sum folds its samples in row-major pixel order whatever the
+    block height: adding up per-block totals would associate the additions
+    differently and could change the last bit.  The integer columns are
+    exact in any order.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.rows = 0  # rows folded so far
+        self.counts = np.zeros(n + 1, dtype=np.int64)
+        self.label_of = np.full(n + 1, -1, dtype=np.int64)  # -1 until a member is seen
+        self.perim = np.zeros(n + 1, dtype=np.int64)
+        self.min_row = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
+        self.min_col = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
+        self.max_row = np.full(n + 1, -1, dtype=np.int64)
+        self.max_col = np.full(n + 1, -1, dtype=np.int64)
+        self.sums = None  # (bands, n + 1); column 0 gathers nodata pixels
+
+    def add(self, ids: np.ndarray, labels: np.ndarray, aura: np.ndarray,
+            samples: np.ndarray) -> None:
+        """Fold the next rows: their segment ids, map labels, aura counts and
+        (bands, rows, width) image samples."""
+        if self.sums is None:
+            self.sums = np.zeros((samples.shape[0], self.n + 1), dtype=np.float64)
         for b, plane in enumerate(samples):
-            np.add.at(sums[b], ids.ravel(), plane.ravel())
+            np.add.at(self.sums[b], ids.ravel(), plane.ravel())
         valid = ids > 0
         flat = ids[valid]
-        np.add.at(counts, flat, 1)
-        labels = cmap.labels[rows][valid]
-        before = label_of[flat]
-        label_of[flat] = labels
+        np.add.at(self.counts, flat, 1)
+        labels = labels[valid]
+        before = self.label_of[flat]
+        self.label_of[flat] = labels
         if ((before >= 0) & (before != labels)).any() \
-                or (label_of[flat] != labels).any():
+                or (self.label_of[flat] != labels).any():
             raise DataError("segmentation is not label-homogeneous over the map")
-        np.add.at(perim, flat, aura.counts[rows][valid].astype(np.int64))
+        np.add.at(self.perim, flat, aura[valid].astype(np.int64))
         rr, cc = np.nonzero(valid)
-        rr += row0
-        np.minimum.at(min_row, flat, rr)
-        np.minimum.at(min_col, flat, cc)
-        np.maximum.at(max_row, flat, rr)
-        np.maximum.at(max_col, flat, cc)
-        row0 += nrows
-    if row0 != shape[0]:
+        rr += self.rows
+        np.minimum.at(self.min_row, flat, rr)
+        np.minimum.at(self.min_col, flat, cc)
+        np.maximum.at(self.max_row, flat, rr)
+        np.maximum.at(self.max_col, flat, cc)
+        self.rows += ids.shape[0]
+
+    def table(self) -> SuperpixelTable:
+        n = self.n
+        area = self.counts[1:]
+        p = self.perim[1:].astype(np.float64)
+        # Evaluated left to right as ((4 pi) area) / (p p): another order can
+        # change the last bit and so the CSV's repr digits.  Only an
+        # image-filling segment has no contour; it counts as a disc.
+        compactness = np.ones(n, dtype=np.float64)
+        has_contour = p > 0
+        compactness[has_contour] = np.minimum(
+            1.0, 4.0 * math.pi * area[has_contour] / (p[has_contour] * p[has_contour])
+        )
+        return SuperpixelTable(
+            counts=area,
+            labels=self.label_of[1:],
+            min_row=self.min_row[1:],
+            min_col=self.min_col[1:],
+            max_row=self.max_row[1:],
+            max_col=self.max_col[1:],
+            perimeter=self.perim[1:],
+            compactness=compactness,
+            sums=self.sums[:, 1:],
+        )
+
+
+def describe_segments(
+    labels: MapSource | CategoricalMap,
+    painter: SegmentPainter,
+    source: raster.ImageSource,
+    strip_height: int,
+    adjacency: int,
+    seg_path: Path | str,
+    aura_path: Path | str,
+) -> tuple[SuperpixelTable, int]:
+    """Pass A: write the segmentation and aura, and fold the superpixel table.
+
+    Each image strip's ids are painted by ``painter`` and its aura counted
+    from ``labels.rows`` with one halo row on each side; both are written
+    as they are made.  ``labels`` is the map ``painter`` was labeled from.
+    Returns the table and the number of pixels the RMSE scores: labelled
+    and valid in the image.
+    """
+    h, w = painter.height, painter.width
+    if (source.height, source.width) != (h, w):
         raise DimensionMismatchError("image shape differs from map shape")
-    area = counts[1:]
-    p = perim[1:].astype(np.float64)
-    # Evaluated left to right as ((4 pi) area) / (p p): another order can
-    # change the last bit and so the CSV's repr digits.  Only an
-    # image-filling segment has no contour; it counts as a disc.
-    compactness = np.ones(n, dtype=np.float64)
-    has_contour = p > 0
-    compactness[has_contour] = np.minimum(
-        1.0, 4.0 * math.pi * area[has_contour] / (p[has_contour] * p[has_contour])
-    )
-    return SuperpixelTable(
-        counts=area,
-        labels=label_of[1:],
-        min_row=min_row[1:],
-        min_col=min_col[1:],
-        max_row=max_row[1:],
-        max_col=max_col[1:],
-        perimeter=perim[1:],
-        compactness=compactness,
-        sums=sums[:, 1:],
-    )
+    fold = _TableFold(painter.segment_count)
+    scored = 0
+    with raster.RasterWriter(seg_path, _segmentation_header(painter.segment_count),
+                             1, h, w, "u32") as seg_out, \
+            raster.RasterWriter(aura_path, _aura_header(adjacency),
+                                1, h, w, "u8") as aura_out:
+        for strip in raster.stream_strips(source, strip_height):
+            r0 = strip.core_start
+            r1 = r0 + strip.core_validity.shape[0]
+            lo = max(r0 - 1, 0)
+            block = labels.rows(lo, min(r1 + 1, h))
+            core = slice(r0 - lo, r1 - lo)
+            ids = painter.paint(r0, r1)
+            aura = _aura_counts(block, adjacency)[core]
+            # Ids are non-negative, so their int32 and u32 bits agree.
+            seg_out.write(ids[np.newaxis].view(np.uint32))
+            aura_out.write(aura[np.newaxis])
+            fold.add(ids, block[core], aura, strip.core_samples)
+            scored += int(np.count_nonzero(strip.core_validity & (ids > 0)))
+    return fold.table(), scored
 
 
 #: Rows per write; bounds the record buffer, and so the bytes built at once.
@@ -585,44 +718,183 @@ def rmse_map(original: MultiSpectralImage, reconstruction: MultiSpectralImage) -
 
 
 def write_mean_view(
-    seg: SegmentationMap,
     table: SuperpixelTable,
     source: raster.ImageSource,
     strip_height: int,
-    header_path: Path | str,
-) -> RmseMap:
-    """Strip form of ``reconstruct`` then ``rmse_map``, for an image on disk.
+    scored: int,
+    seg_path: Path | str,
+    recon_path: Path | str,
+    rmse_path: Path | str,
+) -> RmseStats:
+    """Pass B: strip form of ``reconstruct``, ``rmse_map``, ``write_rmse`` and
+    ``RmseMap.stats``, for an image and segmentation on disk.
 
-    Writes the mean view of ``source`` to ``header_path`` one strip at a
-    time, with ``ImageWriter``, and returns the RMSE plane.  Both equal the
+    Reads the ids back from ``seg_path`` one image strip at a time, writes
+    the strip's mean view to ``recon_path`` with ``ImageWriter`` and its
+    RMSE to ``rmse_path``, and summarizes the ``scored`` valid RMSE values
+    (``describe_segments`` counts them).  Files and summary equal the
     whole-image functions' outputs bit for bit.  A pixel's RMSE is valid
     where the image and the segmentation both are.  ``ImageWriter`` refuses
     a table of another band count.
     """
-    if len(table) != seg.segment_count:
-        raise DataError(
-            f"table has {len(table)} rows for {seg.segment_count} segments"
-        )
-    if (source.height, source.width) != seg.segment_ids.shape:
+    segments = _segmentation_source(seg_path)
+    if (source.height, source.width) != (segments.height, segments.width):
         raise DimensionMismatchError("image shape differs from segmentation shape")
-    if len(source.bands) < 2:
-        raise DataError("an image needs at least 2 bands")
-    means = mean_view(table)
-    values = np.empty(seg.segment_ids.shape, dtype=np.float64)
-    validity = np.empty(seg.segment_ids.shape, dtype=bool)
-    with raster.ImageWriter(header_path, source.bands, source.height, source.width,
-                            source.dtype_name) as writer:
+    if len(table) != int(segments.header["segments"]):
+        raise DataError(
+            f"table has {len(table)} rows for {segments.header['segments']} segments"
+        )
+    return strip_rmse_stats(
+        scored,
+        _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_path),
+        _scored_rmse(rmse_path, segments, source, strip_height),
+    )
+
+
+def _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_path):
+    """Write the reconstruction and RMSE strip by strip, yielding each strip's
+    valid RMSE values; the files are complete once the generator is."""
+    h, w = source.height, source.width
+    with raster.ImageWriter(recon_path, source.bands, h, w, source.dtype_name) as recon_out, \
+            raster.RasterWriter(rmse_path, _RMSE_HEADER, 1, h, w, "f64") as rmse_out:
         for strip in raster.stream_strips(source, strip_height):
-            rows = slice(strip.core_start,
-                         strip.core_start + strip.core_validity.shape[0])
-            ids = seg.segment_ids[rows]
-            recon = means[:, ids]
-            writer.write(recon, ids > 0)
-            valid = strip.core_validity & (ids > 0)
+            r0 = strip.core_start
+            ids = _read_ids(segments, r0, r0 + strip.core_validity.shape[0])
+            labelled = ids > 0
+            recon = _mean_rows(table, ids, labelled)
+            recon_out.write(recon, labelled)
+            valid = strip.core_validity & labelled
             part = pixel_rmse(strip.core_samples, recon)
             part[~valid] = 0.0
-            values[rows], validity[rows] = part, valid
-    return RmseMap(values, validity)
+            rmse_out.write(part[np.newaxis])
+            yield part[valid]
+
+
+def _mean_rows(table: SuperpixelTable, ids: np.ndarray, labelled: np.ndarray) -> np.ndarray:
+    """(bands, rows, width) mean view of a block of ids; 0.0 where unlabelled.
+
+    Each mean divides the gathered sum by the gathered count, the operands
+    ``mean_view`` divides, so the bits are the same without its
+    (bands, segments + 1) table.
+    """
+    if len(table) == 0:
+        return np.zeros((table.sums.shape[0], *ids.shape), dtype=np.float64)
+    out = np.empty((table.sums.shape[0], *ids.shape), dtype=np.float64)
+    at = ids - 1  # unlabelled pixels wrap to the last segment and are zeroed
+    counts = np.take(table.counts, at, mode="wrap").astype(np.float64)
+    for sums, plane in zip(table.sums, out):
+        np.take(sums, at, out=plane, mode="wrap")
+        plane /= counts
+    if not labelled.all():
+        out[:, ~labelled] = 0.0
+    return out
+
+
+def _scored_rmse(rmse_path, segments, source, strip_height):
+    """The valid values of a written RMSE plane, strip by strip.
+
+    The payload stores an invalid pixel as 0.0, which is also the valid RMSE
+    of a single-pixel segment, so validity is derived again as
+    ``rmse_map`` defines it: labelled (id > 0) and valid in the image.
+    """
+    values = raster.ImageSource(rmse_path, calibrated=False)
+    for r0, r1 in raster.strip_bounds(source.height, strip_height):
+        valid = source.read_validity(r0, r1)
+        valid &= _read_ids(segments, r0, r1) > 0
+        yield values.read_raw_rows(r0, r1)[0][valid]
+
+
+#: Most values one leaf of the summation tree takes: one ``np.add.reduce``
+#: each, and the most ``_tree_sum`` buffers.
+_SUM_LEAF = 1 << 16
+
+#: numpy sums nodes of at most this many values without splitting them.
+_PAIRWISE_BLOCK = 128
+
+
+def _tree_sum(count: int, chunks: Iterable[np.ndarray], leaf: int = _SUM_LEAF):
+    """``np.add.reduce`` of the ``count`` float64 values ``chunks`` yields, bit
+    for bit, holding at most ``leaf`` of them; refuses any other count.
+
+    numpy sums a contiguous float64 array pairwise: a node of n values over
+    ``_PAIRWISE_BLOCK`` splits at n // 2 rounded down to a multiple of 8,
+    and smaller nodes are summed whole.  A node's sum thus depends only on
+    its own values, so every node of at most ``leaf`` values is summed by
+    ``np.add.reduce`` and the partial sums are joined up the same tree.
+    """
+    leaf = max(leaf, _PAIRWISE_BLOCK)
+    queue = _ValueQueue(chunks)
+
+    def node(n: int):
+        if n <= leaf:
+            return np.add.reduce(queue.take(n))
+        half = n // 2
+        half -= half % 8
+        return node(half) + node(n - half)
+
+    total = node(count)
+    queue.finish()
+    return total
+
+
+class _ValueQueue:
+    """Values from a stream of 1-D chunks, taken in order in runs of any length."""
+
+    def __init__(self, chunks: Iterable[np.ndarray]):
+        self._chunks = iter(chunks)
+        self._head = np.empty(0, dtype=np.float64)
+
+    def take(self, n: int) -> np.ndarray:
+        parts = []
+        while n > len(self._head):
+            parts.append(self._head)
+            n -= len(self._head)
+            self._head = next(self._chunks, None)
+            if self._head is None:
+                raise DataError("fewer valid RMSE values than counted")
+        parts.append(self._head[:n])
+        self._head = self._head[n:]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    def finish(self) -> None:
+        """Drain the stream; a value left over is a DataError."""
+        left = len(self._head) + sum(len(chunk) for chunk in self._chunks)
+        if left:
+            raise DataError(f"{left} more valid RMSE values than counted")
+
+
+def strip_rmse_stats(count: int, first: Iterable[np.ndarray],
+                     second: Iterable[np.ndarray]) -> RmseStats:
+    """``RmseMap.stats`` of ``count`` valid RMSE values, bit for bit, from two
+    passes over them in row-major order.
+
+    ``first`` and ``second`` each yield the values strip by strip; ``first``
+    is always run to its end, and ``second`` is started only after, for the
+    squared deviations from the mean.  Both sums follow ``np.add.reduce``'s
+    pairwise tree (``_tree_sum``), so memory holds strips, never the values.
+    """
+    lo, hi = np.inf, -np.inf
+
+    def extremes(chunks):
+        nonlocal lo, hi
+        for chunk in chunks:
+            if chunk.size:
+                lo, hi = min(lo, chunk.min()), max(hi, chunk.max())
+            yield chunk
+
+    total = _tree_sum(count, extremes(first))
+    if count == 0:
+        return RmseStats(0.0, 0.0, 0.0, 0.0)
+    mean = total / count
+
+    def squared_deviations(chunks):
+        for chunk in chunks:
+            chunk = chunk - mean
+            chunk *= chunk
+            yield chunk
+
+    square_sum = _tree_sum(count, squared_deviations(second))
+    return RmseStats(float(lo), float(hi), float(mean), float(np.sqrt(square_sum / count)))
 
 
 # ---------------------------------------------------------------------------
@@ -630,17 +902,37 @@ def write_mean_view(
 # ---------------------------------------------------------------------------
 
 
+#: Header entries of each written plane after its layout.
+_RMSE_HEADER = [("maptype", "rmse")]
+
+
+def _segmentation_header(segment_count: int) -> list[tuple[str, str]]:
+    return [("maptype", "segmentation"), ("segments", str(segment_count))]
+
+
+def _aura_header(adjacency: int) -> list[tuple[str, str]]:
+    return [("maptype", "cross-aura"), ("adjacency", str(adjacency))]
+
+
 def write_segmentation(seg: SegmentationMap, header_path: Path | str) -> None:
-    extra = [("maptype", "segmentation"), ("segments", str(seg.segment_count))]
     # Ids are non-negative, so their int32 and u32 bits agree: no copy.
     planes = seg.segment_ids[np.newaxis, :, :].view(np.uint32)
-    raster.write_raster(header_path, extra, planes, "u32")
+    raster.write_raster(header_path, _segmentation_header(seg.segment_count), planes, "u32")
+
+
+def _segmentation_source(header_path: Path | str) -> raster.ImageSource:
+    return raster.open_map_raster(
+        header_path, "segmentation", "u32", "a segmentation is one band of u32 ids")
+
+
+def _read_ids(source: raster.ImageSource, row0: int, row1: int) -> np.ndarray:
+    """int32 ids of rows [row0, row1) of a segmentation this package wrote."""
+    return source.read_raw_rows(row0, row1)[0].view(np.int32)
 
 
 def read_segmentation(header_path: Path | str) -> SegmentationMap:
     """Read a segmentation; ids or a count int32 cannot hold are refused."""
-    source = raster.open_map_raster(
-        header_path, "segmentation", "u32", "a segmentation is one band of u32 ids")
+    source = _segmentation_source(header_path)
     count = raster._header_int(source.header, "segments", header_path)
     limit = np.iinfo(np.int32).max
     if not 0 <= count <= limit:
@@ -657,10 +949,9 @@ def read_segmentation(header_path: Path | str) -> SegmentationMap:
 
 
 def write_aura(aura: CrossAuraMap, header_path: Path | str) -> None:
-    extra = [("maptype", "cross-aura"), ("adjacency", str(aura.adjacency))]
-    raster.write_raster(header_path, extra, aura.counts[np.newaxis, :, :], "u8")
+    raster.write_raster(header_path, _aura_header(aura.adjacency),
+                        aura.counts[np.newaxis, :, :], "u8")
 
 
 def write_rmse(rmse: RmseMap, header_path: Path | str) -> None:
-    extra = [("maptype", "rmse")]
-    raster.write_raster(header_path, extra, rmse.values[np.newaxis, :, :], "f64")
+    raster.write_raster(header_path, _RMSE_HEADER, rmse.values[np.newaxis, :, :], "f64")

@@ -290,6 +290,19 @@ def test_rule_file_that_is_not_utf8_exits_1(runner, tmp_path):
     assert isinstance(result.exception, SystemExit)  # no traceback
 
 
+def test_deeply_nested_rule_exits_1_without_traceback(runner, tmp_path):
+    write_scene(tmp_path / "scene.hdr", 4, 4, seed=1, block=2)
+    rules = Path(SPECL_PATH).read_text(encoding="utf-8")
+    rules += 'rule 99 "deep" color #123456 { ' + "(" * 2000 + "b4 <= 0.5" + ")" * 2000 + " }\n"
+    (tmp_path / "deep.rules").write_text(rules, encoding="utf-8")
+    result = runner.invoke(main, ["classify", "--rules", str(tmp_path / "deep.rules"),
+                                  "--in", str(tmp_path / "scene.hdr"),
+                                  "--out", str(tmp_path / "map.hdr")])
+    assert result.exit_code == 1
+    assert result.output.startswith("error: parentheses nested deeper than 100")
+    assert "Traceback" not in result.output
+
+
 def test_raster_header_that_is_not_utf8_exits_1(runner, tmp_path):
     write_scene(tmp_path / "scene.hdr", 16, 16, seed=12, block=4)
     write_map(CategoricalMap(np.ones((16, 16), dtype=np.uint16), legend(1)),
@@ -491,16 +504,49 @@ class TestSegmentCommand:
         # each take this much.
         assert peak < n_bands * h * w * 8
 
+    def test_memory_does_not_grow_with_the_height(self, runner, tmp_path):
+        """Quadrupling the height adds under 1 traced byte per added pixel.
+
+        32-px blocks: the per-run labeling state and the per-segment table
+        grow by a small fraction of a byte per pixel.  Any whole plane
+        held, even the u8 aura, adds at least 1 byte per pixel; the planes
+        held whole before strip painting added 16.5.  Every file is over
+        1 MiB at both heights, so the manifest's 1 MiB hashing chunk is
+        the same size in both runs.
+        """
+        rng = np.random.default_rng(29)
+        w = 512
+        peaks = {}
+        for h in (256, 1024):
+            blocks = rng.integers(1, 5, size=(h // 32, w // 32))
+            labels = np.kron(blocks, np.ones((32, 32), dtype=np.int32))
+            write_map(CategoricalMap(labels, legend(4)), tmp_path / f"map{h}.hdr")
+            bands = tuple(BandMetadata(i + 1, 0.4 + 0.1 * i) for i in range(2))
+            write_image(MultiSpectralImage(bands, rng.random((2, h, w)),
+                                           np.ones((h, w), dtype=bool)),
+                        tmp_path / f"img{h}.hdr")
+            tracemalloc.start()
+            try:
+                result = invoke(runner, "segment", "--in", tmp_path / f"map{h}.hdr",
+                                "--image", tmp_path / f"img{h}.hdr",
+                                "--out-prefix", tmp_path / f"out{h}", "--stream", 16)
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+        assert (peaks[1024] - peaks[256]) / (768 * w) < 1
+
     def test_memory_per_pixel_on_noisy_runs(self, runner, tmp_path):
         """Segment's traced peak per pixel on a per-pixel noisy map.
 
         Two labels at random give about one run per two pixels and two
         large components, so the planes and the run graph set the peak,
-        not the table.  Held whole: u16 labels, fed run starts and
-        validity, int32 segment ids, the u8 aura and the RMSE plane.
-        Whole-plane temporaries in labeling, the table and the RMSE stats
-        peaked at ~82 bytes per pixel here, an int64 run graph at ~49;
-        block-sized temporaries and an int32 run graph at ~28.
+        not the table.  Whole-plane temporaries in labeling, the table and
+        the RMSE stats peaked at ~82 bytes per pixel here, an int64 run
+        graph at ~49; block-sized temporaries and an int32 run graph at ~28
+        with the u16 labels, fed run starts and validity, segment ids, aura
+        and RMSE plane held whole; strip-painted ids and strip-written
+        planes at ~24, where the run graph and its edges set the peak.
         """
         rng = np.random.default_rng(23)
         h, w = 512, 512

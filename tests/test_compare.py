@@ -574,6 +574,29 @@ def test_blank_lines_before_the_header_are_skipped(tmp_path, reader, header, goo
     assert reader(blank) == reader(plain)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("test_label,reference_label,value,note\nx,a,0,\"why\ny,b,1,because\n", 2),
+    ("test_label,reference_label,value,note\nx,a,0,why\ny,b,1,\"because", 3),
+    ("test_label,reference_label,value,note\n\nx,\"a\nb\",0,\"why\r\n\r\ny,b,1,no\n", 4),
+    ("test_label,reference_label,value,\"note\nx,a,0,why\n", 1),
+], ids=["swallows_later_lines", "last_line", "after_a_quoted_line_break", "header"])
+def test_quote_open_at_the_end_is_refused_naming_its_line(tmp_path, text, line):
+    # The csv module's default dialect used to end the field at the end of
+    # the text, so an open quote swallowed every later line silently.
+    p = tmp_path / "in.csv"
+    p.write_bytes(text.encode("utf-8"))
+    with pytest.raises(FormatError, match=rf"in\.csv: line {line}: quoted field is never "
+                                          "closed"):
+        read_overrides_csv(p)
+
+
+def test_text_after_a_closing_quote_joins_the_field(tmp_path):
+    p = tmp_path / "in.csv"
+    p.write_text('test_label,reference_label,value,note\nx,a,0,"b"c\n"y",b,1,"d\ne"\n')
+    assert [(o.test_label, o.note) for o in read_overrides_csv(p)] == [
+        ("x", "bc"), ("y", "d\ne")]
+
+
 class TestCsvIO:
     @pytest.mark.parametrize("text, fault", [
         (",a,b\nx,1,0\ny,0\n", "line 3: ragged"),

@@ -6,7 +6,8 @@ fault, its line.  Refusals about the file as a whole name only the path:
 a file with no header, a matrix with no rows and an evidence vector that
 lacks classes.  An edit that breaks a CSV rule outright (a byte that is
 not UTF-8, a field over the ``csv`` module's size limit, a header naming a
-required column twice) must be refused.
+required column twice, a quote that opens a field and is never closed) must
+be refused.
 """
 
 import re
@@ -124,7 +125,7 @@ def _must_refuse(name, edit) -> bool:
     op, *args = edit
     if op == "repeat_column":
         return not (READERS[name][3] and args[0] == 0)
-    return op == "insert_ff" or (op == "set" and args[2] == OVERSIZED)
+    return op == "insert_ff" or (op == "set" and args[2] in (OVERSIZED, '"'))
 
 
 @pytest.fixture(scope="module")
@@ -153,6 +154,9 @@ def work(tmp_path_factory):
 @example(case=("contingency", ("set", 2, 2, "inf")))
 @example(case=("relation", ("set", 1, 1, "2")))
 @example(case=("evidence", ("set", 1, 1, "purple")))
+# A quote left open, which used to swallow every later line silently.
+@example(case=("overrides", ("set", 1, 3, '"')))
+@example(case=("relation", ("set", 1, 1, '"')))
 def test_mutated_csv_is_read_or_refused_naming_its_line(work, case):
     name, edit = case
     read, rows, kind, _ = READERS[name]

@@ -18,6 +18,7 @@ from specmap.raster import (
     ImageWriter,
     ImageSource,
     MultiSpectralImage,
+    RasterWriter,
     apply_calibration,
     open_image,
     read_header,
@@ -28,6 +29,7 @@ from specmap.raster import (
     strip_ledger,
     write_header,
     write_image,
+    write_raster,
 )
 
 from specmap.classify import CategoricalMap, write_map
@@ -386,6 +388,30 @@ class TestImageIO:
                 writer.write(image.samples[:, :4], image.validity[:4])
         assert not list(tmp_path.iterdir())
 
+    def test_raw_strip_writes_equal_one_write_raster(self, tmp_path):
+        planes = np.random.default_rng(5).integers(0, 1000, size=(3, 10, 6))
+        extra = [("maptype", "test")]
+        write_raster(tmp_path / "whole.hdr", extra, planes, "u16")
+        with RasterWriter(tmp_path / "strips.hdr", extra, 3, 10, 6, "u16") as writer:
+            for r0 in range(0, 10, 4):
+                writer.write(planes[:, r0:r0 + 4])
+        for suffix in (".hdr", ".bin"):
+            assert filecmp.cmp(tmp_path / f"whole{suffix}", tmp_path / f"strips{suffix}",
+                               shallow=False)
+
+    @pytest.mark.parametrize("strips, error", [
+        ([(0, 3)], "closed after 3 of 6 rows"),
+        ([(0, 4), (0, 4)], "cannot write a \\(1, 4, 4\\) strip at row 4"),
+        ([(0, 6, 3)], "cannot write a \\(1, 6, 3\\) strip at row 0"),
+    ], ids=["short", "past_the_end", "narrow"])
+    def test_raw_writer_leaves_no_partial_raster(self, tmp_path, strips, error):
+        planes = np.zeros((1, 6, 4), dtype=np.uint8)
+        with pytest.raises((DataError, DimensionMismatchError), match=error):
+            with RasterWriter(tmp_path / "a.hdr", [], 1, 6, 4, "u8") as writer:
+                for r0, r1, *width in strips:
+                    writer.write(planes[:, r0:r1, :width[0] if width else 4])
+        assert not list(tmp_path.iterdir())
+
     def test_whole_image_read_ledgers_no_strip_bytes(self, tmp_path):
         write_image(synth_scene(16, 8, seed=4, block=4), tmp_path / "a.hdr")
         strip_ledger.reset()
@@ -502,6 +528,28 @@ class TestStreaming:
         image = image_from_planes(planes)
         write_image(image, tmp_path / "a.hdr")
         return image, open_image(tmp_path / "a.hdr")
+
+    @pytest.mark.parametrize("dtype_name, nodata", [
+        ("u16", 0.0), ("f64", np.nan), ("f64", None),
+    ], ids=["u16", "nan", "none"])
+    def test_validity_read_alone_equals_read_rows(self, tmp_path, dtype_name, nodata):
+        rng = np.random.default_rng(6)
+        validity = rng.random((9, 5)) < 0.7
+        gain = 1 / 65535 if dtype_name == "u16" else 1.0
+        bands = tuple(BandMetadata(i + 1, 0.5 + 0.1 * i, gain, nodata_value=nodata)
+                      for i in range(3))
+        samples = rng.random((3, 9, 5)) * 0.9 + 0.05
+        if nodata is None:
+            validity[:] = True
+        samples[:, ~validity] = 0.0
+        write_image(MultiSpectralImage(bands, samples, validity, dtype_name),
+                    tmp_path / "a.hdr")
+        source = open_image(tmp_path / "a.hdr")
+        for r0, r1 in ((0, 9), (2, 5), (8, 9)):
+            assert np.array_equal(source.read_validity(r0, r1), source.read_rows(r0, r1)[1])
+        assert np.array_equal(source.read_validity(0, 9), validity)
+        with pytest.raises(ConfigError, match="cannot read rows"):
+            source.read_validity(3, 3)
 
     def test_partition_4_4_2(self, tmp_path):
         strips = list(stream_strips(self._image(tmp_path)[1], 4))

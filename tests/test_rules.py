@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from specmap.errors import ConfigError, RuleSyntaxError
 from specmap.rules import (
     _BLOCK_PIXELS,
+    MAX_NESTING,
     And,
     BandRef,
     Cmp,
@@ -102,6 +103,19 @@ class TestParser:
         with pytest.raises(RuleSyntaxError, match="end of file") as err:
             parse_rules(HEADER + rule + "  // cut here\n")
         assert (err.value.line, err.value.column) == (2, len(rule) + 1)
+
+    @pytest.mark.parametrize("inner, outer", [
+        ("b4 <= 0.5", ""), ("b4", " <= 0.5"),
+    ], ids=["boolean", "numeric"])
+    def test_deep_nesting_rejected_at_the_first_paren_past_the_limit(self, inner, outer):
+        # 2 000 levels used to end in a RecursionError.
+        prefix = 'rule 1 "x" color #000000 { '
+        text = "(" * 2000 + inner + ")" * 2000 + outer
+        with pytest.raises(RuleSyntaxError, match=f"nested deeper than {MAX_NESTING}") as err:
+            parse_rules(HEADER + prefix + text + ' }\nfallback 9 "f"\n')
+        assert (err.value.line, err.value.column) == (2, len(prefix) + MAX_NESTING + 1)
+        nested = "(" * MAX_NESTING + inner + ")" * MAX_NESTING + outer
+        assert parse_expr(nested) == parse_expr(inner + outer)
 
     def test_missing_fallback_rejected(self):
         with pytest.raises(RuleSyntaxError, match="fallback"):

@@ -8,11 +8,13 @@ import pytest
 
 from specmap import raster
 from specmap.classify import CategoricalMap
-from specmap.errors import DataError, DimensionMismatchError, FormatError
+from specmap.errors import ConfigError, DataError, DimensionMismatchError, FormatError
 from specmap.raster import Strip
 from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
     _encode_column,
+    _mean_rows,
+    _tree_sum,
     OpStats,
     RmseMap,
     SegmentationMap,
@@ -24,7 +26,9 @@ from specmap.segmentation import (
     pixel_rmse,
     read_segmentation,
     reconstruct,
+    mean_view,
     rmse_map,
+    strip_rmse_stats,
     write_segmentation,
     write_superpixel_csv,
 )
@@ -205,6 +209,47 @@ class TestConnectedComponents:
                 oracle, count = flood_fill_segments(labels, adjacency)
                 assert got.segment_count == count
                 assert segmentations_bijective(got.segment_ids, oracle)
+
+    def test_strip_painted_ids_equal_finalize_and_the_oracle(self, rng):
+        for trial in range(40):
+            h = int(rng.integers(1, 24))
+            w = int(rng.integers(1, 24))
+            labels = rng.integers(1, 4, size=(h, w)).astype(np.int32)
+            labels[rng.random((h, w)) < 0.1] = 0
+            if trial == 0:
+                labels[:] = 0  # no run at all
+            cuts = sorted({0, h, *rng.integers(0, h + 1, size=3).tolist()})
+            for adjacency in (4, 8):
+                whole = TwoPassLabeler(w, adjacency)
+                whole.feed(labels)
+                want = whole.finalize()
+                stats = OpStats()
+                fed = TwoPassLabeler(w, adjacency, stats)
+                for r0, r1 in zip(cuts, cuts[1:]):
+                    fed.feed(labels[r0:r1])
+                painter = fed.resolve()
+                assert painter.segment_count == want.segment_count
+                assert painter.labelled_pixels == np.count_nonzero(labels)
+                # Strips of another height than the feeds, in any order.
+                step = int(rng.integers(1, h + 1))
+                bounds = [(r0, min(r0 + step, h)) for r0 in range(0, h, step)]
+                painted = np.empty((h, w), dtype=np.int32)
+                for r0, r1 in reversed(bounds):
+                    painted[r0:r1] = painter.paint(r0, r1)
+                assert np.array_equal(painted, want.segment_ids)
+                assert stats.pixel_visits == 2 * h * w
+                assert painter.paint(h, h).shape == (0, w)
+                oracle, count = flood_fill_segments(labels, adjacency)
+                assert painter.segment_count == count
+                assert segmentations_bijective(painted, oracle)
+
+    def test_painting_outside_the_map_refused(self):
+        labeler = TwoPassLabeler(3, 8)
+        labeler.feed(np.ones((2, 3), dtype=np.int32))
+        painter = labeler.resolve()
+        for r0, r1 in ((-1, 1), (1, 3), (2, 1)):
+            with pytest.raises(ConfigError, match="cannot paint rows"):
+                painter.paint(r0, r1)
 
     def test_visit_and_union_accounting(self, rng):
         labels = rng.integers(1, 4, size=(30, 30)).astype(np.int32)
@@ -709,6 +754,13 @@ class TestReconstructAndRmse:
             got = (stats.minimum, stats.maximum, stats.mean, stats.stdev)
             assert np.array(got).tobytes() == np.array(want, dtype=np.float64).tobytes()
 
+    def test_strip_means_equal_the_mean_view_bit_for_bit(self, rng):
+        cmap, seg, image, aura = _table_inputs(rng)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        ids = seg.segment_ids
+        got = _mean_rows(table, ids, ids > 0)
+        assert got.tobytes() == mean_view(table)[:, ids].tobytes()
+
     def test_rmse_stats_hold_one_copy_of_the_valid_values(self, rng):
         values = rng.random((256, 256))
         validity = rng.random(values.shape) < 0.9
@@ -745,3 +797,72 @@ class TestReconstructAndRmse:
         b = random_image(rng, 2, 5, 4)
         with pytest.raises(DimensionMismatchError):
             rmse_map(a, b)
+
+
+#: Lengths around the pairwise tree's 8-wide blocks, its 128-value leaves,
+#: numpy's 8 192-element buffer and odd splits far up the tree.
+SUM_LENGTHS = [*range(1, 300), 1000, 4097, 8191, 8192, 8193, 65537, 100003, 300001,
+               1048577, 4194304]
+
+
+def _chunked(values, rng):
+    """``values`` as consecutive views of random lengths, some empty."""
+    cuts = np.sort(rng.integers(0, len(values) + 1, size=int(rng.integers(0, 12))))
+    return np.split(values, cuts)
+
+
+def _rmse_like(rng, n):
+    values = rng.random(n) * 10.0 ** rng.uniform(-4, 1, n)
+    values[rng.random(n) < 0.1] = 0.0  # single-pixel segments score exactly 0.0
+    return values
+
+
+class TestStripRmseStats:
+    """The strip summary's bits rest on numpy's pairwise summation tree.
+
+    If numpy changes that tree, these tests fail: ``_tree_sum`` must then
+    follow the new tree, or ``segment`` reports other RMSE bits than
+    ``RmseMap.stats``.
+    """
+
+    @pytest.mark.parametrize("leaf", [128, 1000, 8192, 131072])
+    def test_tree_sum_equals_add_reduce(self, rng, leaf):
+        for n in [n for n in SUM_LENGTHS if n <= 300001]:
+            values = _rmse_like(rng, n)
+            got = _tree_sum(n, _chunked(values, rng), leaf)
+            assert got.tobytes() == np.add.reduce(values).tobytes(), (n, leaf)
+
+    def test_equals_rmse_map_stats_bit_for_bit(self, rng):
+        for n in SUM_LENGTHS:
+            values = _rmse_like(rng, n)
+            want = RmseMap(values.copy(), np.ones(n, dtype=bool)).stats()
+            got = strip_rmse_stats(n, _chunked(values, rng), _chunked(values, rng))
+            assert np.array(dataclasses.astuple(got)).tobytes() == \
+                np.array(dataclasses.astuple(want)).tobytes(), f"numpy's sum tree moved, n={n}"
+
+    def test_valid_values_of_a_plane(self, rng):
+        values = _rmse_like(rng, 37 * 23).reshape(37, 23)
+        for validity in (rng.random(values.shape) < 0.6, np.zeros(values.shape, bool)):
+            want = RmseMap(np.where(validity, values, 0.0), validity).stats()
+            strips = [values[r0:r0 + 5][validity[r0:r0 + 5]] for r0 in range(0, 37, 5)]
+            got = strip_rmse_stats(int(validity.sum()), iter(strips), iter(strips))
+            assert np.array(dataclasses.astuple(got)).tobytes() == \
+                np.array(dataclasses.astuple(want)).tobytes()
+        assert dataclasses.astuple(want) == (0.0, 0.0, 0.0, 0.0)
+
+    def test_runs_the_first_pass_to_its_end(self):
+        seen = []
+
+        def first():
+            for chunk in ([2.0], [], [4.0], []):
+                seen.append(chunk)
+                yield np.array(chunk)
+
+        stats = strip_rmse_stats(2, first(), iter([np.array([2.0, 4.0])]))
+        assert len(seen) == 4
+        assert dataclasses.astuple(stats) == (2.0, 4.0, 3.0, 1.0)
+
+    @pytest.mark.parametrize("count, message", [(3, "fewer"), (1, "1 more")])
+    def test_other_count_refused(self, count, message):
+        with pytest.raises(DataError, match=message):
+            strip_rmse_stats(count, iter([np.array([1.0]), np.array([2.0])]), iter([]))
