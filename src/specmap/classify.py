@@ -126,14 +126,6 @@ class CategoricalMap:
     def height(self) -> int:
         return self.labels.shape[0]
 
-    @property
-    def cardinality(self) -> int:
-        return len(self.legend)
-
-    @property
-    def validity(self) -> np.ndarray:
-        return self.labels != NODATA
-
     def rows(self, row0: int, row1: int) -> np.ndarray:
         """u16 labels of rows [row0, row1), as ``MapSource.rows`` reads them."""
         return self.labels[row0:row1]

@@ -226,10 +226,10 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
 @click.option("--adjacency", type=click.Choice(["4", "8"]), default="8")
 @click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
               help="Rows per strip (default: about 131 072 pixels per strip). "
-                   "The map is read twice and the image three times, one strip "
-                   "at a time, and every output is written a strip at a time, "
-                   "so memory holds strips plus per-run labeling state and "
-                   "the per-segment table, never a whole plane.")
+                   "The map and the image are each read twice, one strip at a "
+                   "time, and every output is written a strip at a time, so "
+                   "memory holds strips plus per-run labeling state and the "
+                   "per-segment table, never a whole plane.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_json):
     """Segment a categorical map and describe, rebuild and score it."""
@@ -252,12 +252,12 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
             labeler.feed(labels.rows(r0, r1))
         painter = labeler.resolve()
         # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.
-        table, scored = describe_segments(labels, painter, source, rows, adjacency,
-                                          paths["segmentation"], paths["aura"])
+        table = describe_segments(labels, painter, source, rows, adjacency,
+                                  paths["segmentation"], paths["aura"])
         if int(table.counts.sum()) != painter.labelled_pixels:
             raise SpecmapError("pixel-count conservation violated")
         del painter
-        stats = write_mean_view(table, source, rows, scored, paths["segmentation"],
+        stats = write_mean_view(table, source, rows, paths["segmentation"],
                                 paths["reconstruction"], paths["rmse"])
         write_superpixel_csv(table, paths["superpixels"])
         return {

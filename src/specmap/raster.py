@@ -105,15 +105,6 @@ class CalibrationResult(NamedTuple):
     clamped: int         # count of valid samples clipped into [0, 1]
 
 
-def _valid_samples(raw: np.ndarray, nodata: float | None) -> np.ndarray:
-    """Where a raw plane holds data: not ``nodata``, and not NaN for a NaN nodata."""
-    if nodata is None:
-        return np.ones(raw.shape, dtype=bool)
-    if math.isnan(nodata):
-        return ~np.isnan(raw)
-    return raw != nodata
-
-
 def apply_calibration(raw: np.ndarray, meta: BandMetadata,
                       row0: int = 0) -> CalibrationResult:
     """Scale one raw plane to reflectance: ``raw * gain + offset`` clamped to [0, 1].
@@ -132,7 +123,12 @@ def apply_calibration(raw: np.ndarray, meta: BandMetadata,
             r, c = np.argwhere(bad)[0]
             raise DataError(f"band {meta.band_id}: non-finite raw sample at row "
                             f"{row0 + r}, col {c}")
-    valid = _valid_samples(raw, nodata)
+    if nodata is None:
+        valid = np.ones(raw.shape, dtype=bool)
+    elif nan_nodata:
+        valid = ~np.isnan(raw)
+    else:
+        valid = raw != nodata
     out = raw.astype(np.float64) * meta.gain + meta.offset
     clamped = int(np.count_nonzero(valid & ((out < 0.0) | (out > 1.0))))
     np.clip(out, 0.0, 1.0, out=out)
@@ -625,18 +621,6 @@ class ImageSource:
             for i in range(self.nbands):
                 self._read_raw(f, i, row0, row1, raw[i])
         return raw
-
-    def read_validity(self, row0: int, row1: int) -> np.ndarray:
-        """Validity of rows [row0, row1), as ``read_rows`` gives it, from the
-        stored samples alone: no band is calibrated."""
-        self._check_rows(row0, row1)
-        validity = np.ones((row1 - row0, self.width), dtype=bool)
-        buffer = np.empty((row1 - row0, self.width), dtype=self._dt)
-        with open(self._ppath, "rb") as f:
-            for i, meta in enumerate(self.bands):
-                validity &= _valid_samples(self._read_raw(f, i, row0, row1, buffer),
-                                           meta.nodata_value)
-        return validity
 
     def _read_raw(self, f, band: int, row0: int, row1: int, buffer: np.ndarray) -> np.ndarray:
         """Read ``band``'s stored rows [row0, row1) into the first bytes of

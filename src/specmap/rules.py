@@ -547,8 +547,10 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
-#: Deepest parenthesis nesting rule text may use.  Deeper text is refused at
-#: the first '(' past it, well before Python's recursion limit.
+#: Most levels an expression may nest, well inside Python's recursion limit.
+#: Each '(' and each '+', '-' or '/' operator is one level over what it
+#: holds, so a chain of n operators is n levels deep.  Deeper text is refused
+#: at the first token past the limit.
 MAX_NESTING = 100
 
 
@@ -560,7 +562,9 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.depth = 0  # parentheses open at ``pos``
+        # Levels read around ``pos``: open parentheses, and operators whose
+        # right operand holds ``pos``.
+        self.depth = 0
         self.declared: dict[str, float] = {}
         # The end of input sits just past the last token.
         last = self.tokens[-1] if self.tokens else _Token("", "", 1, 1)
@@ -586,11 +590,16 @@ class _Parser:
             self._error(f"expected {text or kind}")
         return self._next()
 
-    def _open(self) -> None:
-        tok = self._expect("op", "(")
-        if self.depth == MAX_NESTING:
-            raise _TooDeep(f"parentheses nested deeper than {MAX_NESTING}",
+    def _deeper(self, tok: _Token, levels: int) -> None:
+        """Refuse ``tok`` when the node it makes, ``levels`` deep, passes
+        ``MAX_NESTING`` under the ``depth`` levels around it."""
+        if self.depth + levels > MAX_NESTING:
+            what = "parentheses" if tok.text == "(" else f"operator {tok.text!r}"
+            raise _TooDeep(f"{what} nested deeper than {MAX_NESTING} levels",
                            tok.line, tok.col)
+
+    def _open(self) -> None:
+        self._deeper(self._expect("op", "("), 1)
         self.depth += 1
 
     def _close(self) -> None:
@@ -741,7 +750,7 @@ class _Parser:
         return self._parse_comparison()
 
     def _parse_comparison(self):
-        first = self._parse_num()
+        first = self._parse_num()[0]
         tok = self._peek()
         if tok.kind != "op" or tok.text not in _CMP_OPS:
             self._error("expected a comparison operator")
@@ -749,7 +758,7 @@ class _Parser:
         ops: list[str] = []
         while self._peek().kind == "op" and self._peek().text in _CMP_OPS:
             ops.append(self._next().text)
-            terms.append(self._parse_num())
+            terms.append(self._parse_num()[0])
         # a <= x <= b desugars into (a <= x) AND (x <= b)
         comparisons = [
             Cmp(terms[i], ops[i], terms[i + 1]) for i in range(len(ops))
@@ -764,34 +773,40 @@ class _Parser:
             )
         return tok.text
 
+    # Numeric parsers return (node, the levels it nests).
+
     def _parse_num(self):
-        node = self._parse_term()
-        while True:
-            if self._accept("op", "+"):
-                node = Sum(node, self._parse_term())
-            elif self._accept("op", "-"):
-                node = Diff(node, self._parse_term())
-            else:
-                return node
+        return self._parse_chain(self._parse_term, {"+": Sum, "-": Diff})
 
     def _parse_term(self):
-        node = self._parse_atom()
-        while self._accept("op", "/"):
-            node = Ratio(node, self._parse_atom())
-        return node
+        return self._parse_chain(self._parse_atom, {"/": Ratio})
+
+    def _parse_chain(self, operand, nodes):
+        """Left-associative ``operand``s joined by the operators ``nodes`` maps
+        to node types; each operator is one level over its deeper operand."""
+        node, levels = operand()
+        while (tok := self._peek()).kind == "op" and tok.text in nodes:
+            self._next()
+            self._deeper(tok, levels + 1)
+            self.depth += 1
+            right, right_levels = operand()
+            self.depth -= 1
+            node = nodes[tok.text](node, right)
+            levels = max(levels, right_levels) + 1
+        return node, levels
 
     def _parse_atom(self):
         tok = self._peek()
         if tok.kind == "number":
             self._next()
-            return Const(float(tok.text))
+            return Const(float(tok.text)), 0
         if tok.kind == "ident":
-            return BandRef(self._band_symbol())
+            return BandRef(self._band_symbol()), 0
         if tok.kind == "op" and tok.text == "(":
             self._open()
-            node = self._parse_num()
+            node, levels = self._parse_num()
             self._close()
-            return node
+            return node, levels + 1
         self._error("expected a number, band or '('")
 
 

@@ -14,13 +14,16 @@ strip at a time and no id plane need exist.
 
 The superpixel description is a columnar ``SuperpixelTable`` (one array per
 attribute, one entry per segment), folded in strip by strip: scattered
-counts, labels, minima/maxima and band sums.  ``describe_segments`` (pass A)
-paints each strip's ids and cross-aura, writes both and folds the table;
-``write_mean_view`` (pass B) reads the ids back, writes each strip's
-mean-view reconstruction and RMSE, and summarizes the RMSE with
-``strip_rmse_stats``, whose bits equal ``RmseMap.stats``'s.  Both passes
-hold strips, O(runs) labeling state and O(segments) table state, never a
-whole plane.
+counts, labels, minima/maxima and band sums.  Every pixel the map labels
+must be valid in the image, so no segment's mean or RMSE takes in a pixel
+without data: the fold refuses the first one that is not.
+``describe_segments`` (pass A) paints each strip's ids and cross-aura,
+writes both and folds the table; ``write_mean_view`` (pass B) reads the ids
+back, writes each strip's mean-view reconstruction and RMSE, and summarizes
+the RMSE with ``strip_rmse_stats``, whose bits equal ``RmseMap.stats``'s.
+Each pass reads the image once; the summary's second pass reads the written
+RMSE and ids only.  Both passes hold strips, O(runs) labeling state and
+O(segments) table state, never a whole plane.
 """
 
 from __future__ import annotations
@@ -459,7 +462,7 @@ def build_superpixel_table(
                 or row0 + nrows > shape[0]:
             raise DimensionMismatchError("image shape differs from map shape")
         rows = slice(row0, row0 + nrows)
-        fold.add(seg.segment_ids[rows], cmap.labels[rows], aura.counts[rows], samples)
+        fold.add(seg.segment_ids[rows], cmap.labels[rows], aura.counts[rows], strip)
     if fold.rows != shape[0]:
         raise DimensionMismatchError("image shape differs from map shape")
     return fold.table()
@@ -487,14 +490,21 @@ class _TableFold:
         self.sums = None  # (bands, n + 1); column 0 gathers nodata pixels
 
     def add(self, ids: np.ndarray, labels: np.ndarray, aura: np.ndarray,
-            samples: np.ndarray) -> None:
-        """Fold the next rows: their segment ids, map labels, aura counts and
-        (bands, rows, width) image samples."""
+            strip: Strip) -> None:
+        """Fold the next rows: their segment ids, map labels and aura counts,
+        and the image ``strip`` of the same rows.  The first labelled pixel
+        the image marks nodata, in row-major order, is a DataError."""
+        valid = ids > 0
+        without_data = valid & ~strip.core_validity
+        if without_data.any():
+            r, c = np.argwhere(without_data)[0]
+            raise DataError(f"the map labels row {self.rows + r}, col {c}, "
+                            "which the image marks nodata")
+        samples = strip.core_samples
         if self.sums is None:
             self.sums = np.zeros((samples.shape[0], self.n + 1), dtype=np.float64)
         for b, plane in enumerate(samples):
             np.add.at(self.sums[b], ids.ravel(), plane.ravel())
-        valid = ids > 0
         flat = ids[valid]
         np.add.at(self.counts, flat, 1)
         labels = labels[valid]
@@ -545,20 +555,19 @@ def describe_segments(
     adjacency: int,
     seg_path: Path | str,
     aura_path: Path | str,
-) -> tuple[SuperpixelTable, int]:
+) -> SuperpixelTable:
     """Pass A: write the segmentation and aura, and fold the superpixel table.
 
     Each image strip's ids are painted by ``painter`` and its aura counted
     from ``labels.rows`` with one halo row on each side; both are written
     as they are made.  ``labels`` is the map ``painter`` was labeled from.
-    Returns the table and the number of pixels the RMSE scores: labelled
-    and valid in the image.
+    A labelled pixel the image marks nodata is refused (``_TableFold.add``),
+    and the writers then remove both files.
     """
     h, w = painter.height, painter.width
     if (source.height, source.width) != (h, w):
         raise DimensionMismatchError("image shape differs from map shape")
     fold = _TableFold(painter.segment_count)
-    scored = 0
     with raster.RasterWriter(seg_path, _segmentation_header(painter.segment_count),
                              1, h, w, "u32") as seg_out, \
             raster.RasterWriter(aura_path, _aura_header(adjacency),
@@ -574,9 +583,8 @@ def describe_segments(
             # Ids are non-negative, so their int32 and u32 bits agree.
             seg_out.write(ids[np.newaxis].view(np.uint32))
             aura_out.write(aura[np.newaxis])
-            fold.add(ids, block[core], aura, strip.core_samples)
-            scored += int(np.count_nonzero(strip.core_validity & (ids > 0)))
-    return fold.table(), scored
+            fold.add(ids, block[core], aura, strip)
+    return fold.table()
 
 
 #: Rows per write; bounds the record buffer, and so the bytes built at once.
@@ -721,7 +729,6 @@ def write_mean_view(
     table: SuperpixelTable,
     source: raster.ImageSource,
     strip_height: int,
-    scored: int,
     seg_path: Path | str,
     recon_path: Path | str,
     rmse_path: Path | str,
@@ -731,11 +738,11 @@ def write_mean_view(
 
     Reads the ids back from ``seg_path`` one image strip at a time, writes
     the strip's mean view to ``recon_path`` with ``ImageWriter`` and its
-    RMSE to ``rmse_path``, and summarizes the ``scored`` valid RMSE values
-    (``describe_segments`` counts them).  Files and summary equal the
-    whole-image functions' outputs bit for bit.  A pixel's RMSE is valid
-    where the image and the segmentation both are.  ``ImageWriter`` refuses
-    a table of another band count.
+    RMSE to ``rmse_path``, and summarizes the RMSE of the table's pixels.
+    Files and summary equal the whole-image functions' outputs bit for bit.
+    A pixel's RMSE is valid where the segmentation is: ``describe_segments``
+    has refused a labelled pixel the image marks nodata.  ``ImageWriter``
+    refuses a table of another band count.
     """
     segments = _segmentation_source(seg_path)
     if (source.height, source.width) != (segments.height, segments.width):
@@ -745,9 +752,9 @@ def write_mean_view(
             f"table has {len(table)} rows for {segments.header['segments']} segments"
         )
     return strip_rmse_stats(
-        scored,
+        int(table.counts.sum()),
         _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_path),
-        _scored_rmse(rmse_path, segments, source, strip_height),
+        _written_rmse(rmse_path, segments, strip_height),
     )
 
 
@@ -763,11 +770,10 @@ def _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_pa
             labelled = ids > 0
             recon = _mean_rows(table, ids, labelled)
             recon_out.write(recon, labelled)
-            valid = strip.core_validity & labelled
             part = pixel_rmse(strip.core_samples, recon)
-            part[~valid] = 0.0
+            part[~labelled] = 0.0
             rmse_out.write(part[np.newaxis])
-            yield part[valid]
+            yield part[labelled]
 
 
 def _mean_rows(table: SuperpixelTable, ids: np.ndarray, labelled: np.ndarray) -> np.ndarray:
@@ -790,18 +796,16 @@ def _mean_rows(table: SuperpixelTable, ids: np.ndarray, labelled: np.ndarray) ->
     return out
 
 
-def _scored_rmse(rmse_path, segments, source, strip_height):
+def _written_rmse(rmse_path, segments, strip_height):
     """The valid values of a written RMSE plane, strip by strip.
 
     The payload stores an invalid pixel as 0.0, which is also the valid RMSE
-    of a single-pixel segment, so validity is derived again as
-    ``rmse_map`` defines it: labelled (id > 0) and valid in the image.
+    of a single-pixel segment, so validity is read from the segment ids: a
+    labelled pixel (id > 0) is valid in the image too.
     """
     values = raster.ImageSource(rmse_path, calibrated=False)
-    for r0, r1 in raster.strip_bounds(source.height, strip_height):
-        valid = source.read_validity(r0, r1)
-        valid &= _read_ids(segments, r0, r1) > 0
-        yield values.read_raw_rows(r0, r1)[0][valid]
+    for r0, r1 in raster.strip_bounds(values.height, strip_height):
+        yield values.read_raw_rows(r0, r1)[0][_read_ids(segments, r0, r1) > 0]
 
 
 #: Most values one leaf of the summation tree takes: one ``np.add.reduce``

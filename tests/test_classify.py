@@ -74,7 +74,7 @@ class TestClassify:
             got = classify(image_from_planes(planes), specl, policy=policy)
             expected = [specl_reference(v, policy) for v in vectors]
             assert got.labels[0].tolist() == expected
-        assert cmap.cardinality == 19
+        assert len(cmap.legend) == 19
 
     def test_unknown_policy_rejected_by_every_entry_point(self, specl, tmp_path):
         image = write_scene(tmp_path / "scene.hdr", 8, 6, seed=2, block=3)

@@ -11,9 +11,11 @@ from click.testing import CliRunner
 
 from specmap.classify import CategoricalMap, LegendEntry, read_map, write_map
 from specmap.cli import main
+from specmap.errors import DataError
 from specmap.raster import (
     STRIP_PIXELS,
     BandMetadata,
+    ImageSource,
     MultiSpectralImage,
     read_header,
     read_image,
@@ -292,15 +294,20 @@ def test_rule_file_that_is_not_utf8_exits_1(runner, tmp_path):
 
 def test_deeply_nested_rule_exits_1_without_traceback(runner, tmp_path):
     write_scene(tmp_path / "scene.hdr", 4, 4, seed=1, block=2)
-    rules = Path(SPECL_PATH).read_text(encoding="utf-8")
-    rules += 'rule 99 "deep" color #123456 { ' + "(" * 2000 + "b4 <= 0.5" + ")" * 2000 + " }\n"
-    (tmp_path / "deep.rules").write_text(rules, encoding="utf-8")
-    result = runner.invoke(main, ["classify", "--rules", str(tmp_path / "deep.rules"),
-                                  "--in", str(tmp_path / "scene.hdr"),
-                                  "--out", str(tmp_path / "map.hdr")])
-    assert result.exit_code == 1
-    assert result.output.startswith("error: parentheses nested deeper than 100")
-    assert "Traceback" not in result.output
+    # 600 chained terms used to parse and then end in a RecursionError.
+    for body, what in (("(" * 2000 + "b4 <= 0.5" + ")" * 2000, "parentheses"),
+                       (" - ".join(["b4"] * 600) + " > 0", "operator '-'"),
+                       (" - ".join(["b4"] * 2000) + " > 0", "operator '-'")):
+        rules = Path(SPECL_PATH).read_text(encoding="utf-8")
+        rules += 'rule 99 "deep" color #123456 { ' + body + " }\n"
+        (tmp_path / "deep.rules").write_text(rules, encoding="utf-8")
+        result = runner.invoke(main, ["classify", "--rules", str(tmp_path / "deep.rules"),
+                                      "--in", str(tmp_path / "scene.hdr"),
+                                      "--out", str(tmp_path / "map.hdr")])
+        assert result.exit_code == 1
+        assert result.output.startswith(f"error: {what} nested deeper than 100")
+        assert "Traceback" not in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
 
 
 def test_raster_header_that_is_not_utf8_exits_1(runner, tmp_path):
@@ -415,58 +422,99 @@ class TestSegmentCommand:
         invoke(runner, "classify", "--rules", SPECL_PATH,
                "--in", tmp_path / "scene.hdr", "--out", tmp_path / "map.hdr")
         image = read_image(tmp_path / "scene.hdr")
+        reports = {}
+        for name, stream in (("s1", ["--stream", 1]), ("s3", ["--stream", 3]),
+                             ("default", [])):
+            result = invoke(runner, "segment", "--in", tmp_path / "map.hdr",
+                            "--image", tmp_path / "scene.hdr",
+                            "--out-prefix", tmp_path / f"map-{name}",
+                            "--json", *stream)
+            assert result.exit_code == 0, result.output
+            report = json.loads(result.output)
+            reports[name] = {k: v for k, v in report.items()
+                             if k.startswith("rmse_")}
+        # The reference: whole-image library calls, sums checked against
+        # an in-order bincount fold over the whole image.
+        cmap = read_map(tmp_path / "map.hdr")
+        seg = connected_components(cmap, 8)
+        aura = cross_aura(cmap, 8)
+        table = build_superpixel_table(cmap, seg, image, aura)
+        valid = seg.segment_ids > 0
+        for b, plane in enumerate(image.samples):
+            fold = np.bincount(seg.segment_ids[valid], weights=plane[valid],
+                               minlength=seg.segment_count + 1)
+            assert np.array_equal(table.sums[b], fold[1:])
+        recon = reconstruct(seg, table, image)
+        rmse = rmse_map(image, recon)
+        ref = "map-ref"
+        write_segmentation(seg, tmp_path / f"{ref}.seg.hdr")
+        write_aura(aura, tmp_path / f"{ref}.aura.hdr")
+        write_superpixel_csv(table, tmp_path / f"{ref}.superpixels.csv")
+        write_image(recon, tmp_path / f"{ref}.recon.hdr")
+        write_rmse(rmse, tmp_path / f"{ref}.rmse.hdr")
+        outputs = ["seg.hdr", "seg.bin", "aura.hdr", "aura.bin", "superpixels.csv",
+                   "recon.hdr", "recon.bin", "rmse.hdr", "rmse.bin"]
+        for name in ("s1", "s3", "default"):
+            for out in outputs:
+                assert (tmp_path / f"map-{name}.{out}").read_bytes() == (
+                    tmp_path / f"{ref}.{out}").read_bytes(), (name, out)
+            assert reports[name] == {
+                "rmse_min": rmse.stats().minimum, "rmse_max": rmse.stats().maximum,
+                "rmse_mean": rmse.stats().mean, "rmse_stdev": rmse.stats().stdev,
+            }
         # A second map labels the pixels the image marks nodata: each takes
-        # a valid neighbour's label and joins its segment, so the mean view
-        # is valid there and the RMSE is not.
-        classified = read_map(tmp_path / "map.hdr")
-        labels = classified.labels.copy()
+        # a valid neighbour's label.  Such a pixel has no data for a mean or
+        # an RMSE, so every strip height refuses the first of them in pass A
+        # and leaves no output behind, as the whole-image reference does.
+        labels = cmap.labels.copy()
         rows, cols = np.nonzero(~image.validity)
         assert rows.size
         for r, c in zip(rows, cols):
-            near = classified.labels[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2]
+            near = cmap.labels[max(r - 1, 0):r + 2, max(c - 1, 0):c + 2]
             labels[r, c] = near[near > 0][0]
-        write_map(CategoricalMap(labels, classified.legend), tmp_path / "labelled.hdr")
-        for map_name in ("map", "labelled"):
-            reports = {}
-            for name, stream in (("s1", ["--stream", 1]), ("s3", ["--stream", 3]),
-                                 ("default", [])):
-                result = invoke(runner, "segment", "--in", tmp_path / f"{map_name}.hdr",
-                                "--image", tmp_path / "scene.hdr",
-                                "--out-prefix", tmp_path / f"{map_name}-{name}",
-                                "--json", *stream)
-                assert result.exit_code == 0, result.output
-                report = json.loads(result.output)
-                reports[name] = {k: v for k, v in report.items()
-                                 if k.startswith("rmse_")}
-            # The reference: whole-image library calls, sums checked against
-            # an in-order bincount fold over the whole image.
-            cmap = read_map(tmp_path / f"{map_name}.hdr")
-            seg = connected_components(cmap, 8)
-            aura = cross_aura(cmap, 8)
-            table = build_superpixel_table(cmap, seg, image, aura)
-            valid = seg.segment_ids > 0
-            for b, plane in enumerate(image.samples):
-                fold = np.bincount(seg.segment_ids[valid], weights=plane[valid],
-                                   minlength=seg.segment_count + 1)
-                assert np.array_equal(table.sums[b], fold[1:])
-            recon = reconstruct(seg, table, image)
-            rmse = rmse_map(image, recon)
-            ref = f"{map_name}-ref"
-            write_segmentation(seg, tmp_path / f"{ref}.seg.hdr")
-            write_aura(aura, tmp_path / f"{ref}.aura.hdr")
-            write_superpixel_csv(table, tmp_path / f"{ref}.superpixels.csv")
-            write_image(recon, tmp_path / f"{ref}.recon.hdr")
-            write_rmse(rmse, tmp_path / f"{ref}.rmse.hdr")
-            outputs = ["seg.hdr", "seg.bin", "aura.hdr", "aura.bin", "superpixels.csv",
-                       "recon.hdr", "recon.bin", "rmse.hdr", "rmse.bin"]
-            for name in ("s1", "s3", "default"):
-                for out in outputs:
-                    assert (tmp_path / f"{map_name}-{name}.{out}").read_bytes() == (
-                        tmp_path / f"{ref}.{out}").read_bytes(), (map_name, name, out)
-                assert reports[name] == {
-                    "rmse_min": rmse.stats().minimum, "rmse_max": rmse.stats().maximum,
-                    "rmse_mean": rmse.stats().mean, "rmse_stdev": rmse.stats().stdev,
-                }
+        labelled = CategoricalMap(labels, cmap.legend)
+        write_map(labelled, tmp_path / "labelled.hdr")
+        message = (f"the map labels row {rows[0]}, col {cols[0]}, "
+                   "which the image marks nodata")
+        for name, stream in (("s1", ["--stream", 1]), ("s3", ["--stream", 3]),
+                             ("default", [])):
+            prefix = tmp_path / f"labelled-{name}"
+            result = invoke(runner, "segment", "--in", tmp_path / "labelled.hdr",
+                            "--image", tmp_path / "scene.hdr",
+                            "--out-prefix", prefix, "--json", *stream)
+            assert result.exit_code == 1, result.output
+            assert result.output == f"error: {message}\n"
+            assert not list(tmp_path.glob(f"{prefix.name}.*")), name
+        with pytest.raises(DataError) as err:
+            build_superpixel_table(labelled, connected_components(labelled, 8), image,
+                                   cross_aura(labelled, 8))
+        assert str(err.value) == message
+
+    def test_image_payload_is_read_twice(self, runner, tmp_path, monkeypatch):
+        """Pass A and pass B read the image once each; the RMSE summary's
+        second pass reads the written RMSE and ids, not the image."""
+        write_scene(tmp_path / "scene.hdr", 37, 24, seed=18, block=16,
+                    nodata_fraction=0.02)
+        invoke(runner, "classify", "--rules", SPECL_PATH,
+               "--in", tmp_path / "scene.hdr", "--out", tmp_path / "map.hdr")
+        payload = (tmp_path / "scene.bin").stat().st_size
+        read = []
+        read_raw = ImageSource._read_raw
+
+        def counted(source, f, band, row0, row1, buffer):
+            raw = read_raw(source, f, band, row0, row1, buffer)
+            if source.header_path == tmp_path / "scene.hdr":
+                read.append(raw.nbytes)
+            return raw
+
+        monkeypatch.setattr(ImageSource, "_read_raw", counted)
+        for stream in (["--stream", 1], ["--stream", 3], []):
+            read.clear()
+            result = invoke(runner, "segment", "--in", tmp_path / "map.hdr",
+                            "--image", tmp_path / "scene.hdr",
+                            "--out-prefix", tmp_path / "out", *stream)
+            assert result.exit_code == 0, result.output
+            assert sum(read) == 2 * payload, stream
 
     def test_default_run_holds_one_image_strip(self, runner, tmp_path):
         width = 512

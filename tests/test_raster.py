@@ -529,28 +529,6 @@ class TestStreaming:
         write_image(image, tmp_path / "a.hdr")
         return image, open_image(tmp_path / "a.hdr")
 
-    @pytest.mark.parametrize("dtype_name, nodata", [
-        ("u16", 0.0), ("f64", np.nan), ("f64", None),
-    ], ids=["u16", "nan", "none"])
-    def test_validity_read_alone_equals_read_rows(self, tmp_path, dtype_name, nodata):
-        rng = np.random.default_rng(6)
-        validity = rng.random((9, 5)) < 0.7
-        gain = 1 / 65535 if dtype_name == "u16" else 1.0
-        bands = tuple(BandMetadata(i + 1, 0.5 + 0.1 * i, gain, nodata_value=nodata)
-                      for i in range(3))
-        samples = rng.random((3, 9, 5)) * 0.9 + 0.05
-        if nodata is None:
-            validity[:] = True
-        samples[:, ~validity] = 0.0
-        write_image(MultiSpectralImage(bands, samples, validity, dtype_name),
-                    tmp_path / "a.hdr")
-        source = open_image(tmp_path / "a.hdr")
-        for r0, r1 in ((0, 9), (2, 5), (8, 9)):
-            assert np.array_equal(source.read_validity(r0, r1), source.read_rows(r0, r1)[1])
-        assert np.array_equal(source.read_validity(0, 9), validity)
-        with pytest.raises(ConfigError, match="cannot read rows"):
-            source.read_validity(3, 3)
-
     def test_partition_4_4_2(self, tmp_path):
         strips = list(stream_strips(self._image(tmp_path)[1], 4))
         assert [s.core_samples.shape[1] for s in strips] == [4, 4, 2]

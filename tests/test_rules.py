@@ -117,6 +117,34 @@ class TestParser:
         nested = "(" * MAX_NESTING + inner + ")" * MAX_NESTING + outer
         assert parse_expr(nested) == parse_expr(inner + outer)
 
+    @pytest.mark.parametrize("terms", [600, 2000])
+    def test_long_operator_chain_rejected_at_the_first_operator_past_the_limit(
+            self, terms):
+        # 2 000 terms used to end in a RecursionError in parse_rules; 600
+        # parsed, then ended in one in compile_rules and in hash(expr).
+        prefix = 'rule 1 "x" color #000000 { '
+        text = " - ".join(["b1"] * terms) + " > 0"
+        with pytest.raises(RuleSyntaxError,
+                           match=f"operator '-' nested deeper than {MAX_NESTING}") as err:
+            parse_rules(HEADER + prefix + text + ' }\nfallback 9 "f"\n')
+        # The operator after MAX_NESTING + 1 terms is one level too deep.
+        limit = " - ".join(["b1"] * (MAX_NESTING + 1))
+        assert (err.value.line, err.value.column) == (2, len(prefix) + len(limit) + 2)
+
+    @pytest.mark.parametrize("at", [0, 1], ids=["left", "right"])
+    def test_parentheses_and_operators_add_up_to_the_limit(self, at):
+        # A group of 60 levels under 40 operators is 100 levels deep,
+        # whether it is the chain's first operand or its second.
+        terms = ["b3"] * 41
+        terms[at] = "(" * 60 + "b1" + ")" * 60
+        chain = " + ".join(terms)
+        terms[at] = "b1"
+        assert parse_expr(chain + " > 0") == parse_expr(" + ".join(terms) + " > 0")
+        with pytest.raises(RuleSyntaxError, match=r"operator '\+' nested deeper") as err:
+            parse_expr(chain + " + b3 > 0")
+        prefix = 'rule 1 "x" color #000000 { '
+        assert (err.value.line, err.value.column) == (2, len(prefix) + len(chain) + 2)
+
     def test_missing_fallback_rejected(self):
         with pytest.raises(RuleSyntaxError, match="fallback"):
             parse_rules(HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 }\n')
@@ -409,6 +437,18 @@ class TestCompiledProgram:
         _assert_program_matches_reference(specl, planes, validity)
         del planes["b7"]
         _assert_program_matches_reference(specl, planes, validity)
+
+    def test_operator_chain_at_the_limit_matches_reference(self, rng):
+        # MAX_NESTING operators, as many as a chain may hold, over all six bands.
+        ops = rng.choice(["+", "-", "/"], size=MAX_NESTING)
+        bands = rng.choice(SPECL_ORDER, size=MAX_NESTING)
+        text = "b1" + "".join(f" {op} {band}" for op, band in zip(ops, bands))
+        ruleset = parse_rules(HEADER + 'rule 1 "low" color #000000 { ' + text
+                              + ' <= 0.5 }\nrule 2 "high" color #111111 { ' + text
+                              + ' > 0.5 }\nfallback 9 "f"\n')
+        planes = {s: rng.random((4, 9)) for s in SPECL_ORDER}
+        validity = rng.random((4, 9)) >= 0.2
+        _assert_program_matches_reference(ruleset, planes, validity)
 
     def test_constant_only_conjunction(self):
         expr = parse_expr("0.0 <= 0.0 AND 0.0 <= 0.0 AND 0.0 <= 0.0")
