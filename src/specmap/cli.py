@@ -254,7 +254,7 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.
         table = describe_segments(labels, painter, source, rows, adjacency,
                                   paths["segmentation"], paths["aura"])
-        if int(table.counts.sum()) != painter.labelled_pixels:
+        if int(table.counts.sum(dtype=np.int64)) != painter.labelled_pixels:
             raise SpecmapError("pixel-count conservation violated")
         del painter
         stats = write_mean_view(table, source, rows, paths["segmentation"],

@@ -109,13 +109,14 @@ class SuperpixelTable:
     forms the (segment, stratum) 2-tuple.
     """
 
-    counts: np.ndarray       # (n,) int64 pixel count
-    labels: np.ndarray       # (n,) int64 map label
-    min_row: np.ndarray      # (n,) int64 bounding box, inclusive
+    counts: np.ndarray       # (n,) int32 pixel count (int64 past 2**31 pixels)
+    labels: np.ndarray       # (n,) int32 map label
+    min_row: np.ndarray      # (n,) int32 bounding box, inclusive (as counts)
     min_col: np.ndarray
     max_row: np.ndarray
     max_col: np.ndarray
-    perimeter: np.ndarray    # (n,) int64 sum of member cross-aura counts
+    perimeter: np.ndarray    # (n,) int32 sum of member cross-aura counts
+                             # (int64 past 2**31 / 8 pixels)
     compactness: np.ndarray  # (n,) float64 in (0, 1]
     sums: np.ndarray         # (bands, n) float64 per-band sample sums
 
@@ -217,9 +218,10 @@ def _resolve_runs(n: int, heads: np.ndarray, tails: np.ndarray,
     return parent
 
 
-def _run_dtype(n: int) -> type:
-    """int32 while ``n`` run ids fit it, else int64: the run graph's dtype."""
-    return np.int32 if n <= np.iinfo(np.int32).max else np.int64
+def _int_dtype(bound: int) -> type:
+    """int32 while values up to ``bound`` fit it, else int64: the dtype of
+    the run graph and of the superpixel table's integer columns."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
 def _drain(parts: list[np.ndarray]) -> np.ndarray:
@@ -272,7 +274,7 @@ class TwoPassLabeler:
         start[:, 1:] &= (rows[:, 1:] != rows[:, :-1]) | ~valid[:, :-1]
         # Runs never cross a row end, so one running count over the block
         # numbers them; ids of nodata pixels are never read.
-        ids = np.cumsum(start, dtype=_run_dtype(self._n_runs + rows.size))
+        ids = np.cumsum(start, dtype=_int_dtype(self._n_runs + rows.size))
         ids = ids.reshape(rows.shape)
         ids += self._n_runs - 1
         self._n_runs = int(ids[-1, -1]) + 1
@@ -305,7 +307,7 @@ class TwoPassLabeler:
         if not self._cols:
             raise DataError("cannot segment an empty map: no pixels fed to the labeler")
         n = self._n_runs
-        dtype = _run_dtype(n)
+        dtype = _int_dtype(n)
         # Only the callee holds the edges, so each round frees the last.
         root = _resolve_runs(n, _drain(self._heads).astype(dtype, copy=False),
                              _drain(self._tails).astype(dtype, copy=False),
@@ -454,7 +456,7 @@ def build_superpixel_table(
         raise DimensionMismatchError("map, segmentation and aura shapes differ")
     if isinstance(image, MultiSpectralImage):
         image = [Strip(0, image.bands, image.samples, image.validity)]
-    fold = _TableFold(seg.segment_count)
+    fold = _TableFold(seg.segment_count, shape[0] * shape[1])
     for strip in image:
         samples = strip.core_samples
         row0, nrows = fold.rows, samples.shape[1]
@@ -468,25 +470,33 @@ def build_superpixel_table(
     return fold.table()
 
 
+#: Rows of the table's compactness computed at once; bounds its float64
+#: temporaries.
+_TABLE_BLOCK_ROWS = 1 << 14
+
+
 class _TableFold:
     """The superpixel table's columns, folded in one block of rows at a time.
 
     Each band sum folds its samples in row-major pixel order whatever the
     block height: adding up per-block totals would associate the additions
     differently and could change the last bit.  The integer columns are
-    exact in any order.
+    exact in any order, and as narrow as an image of ``pixels`` allows: a
+    count or bbox coordinate is below ``pixels``, a perimeter at most
+    ``8 * pixels`` (``_int_dtype``).
     """
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, pixels: int):
         self.n = n
         self.rows = 0  # rows folded so far
-        self.counts = np.zeros(n + 1, dtype=np.int64)
-        self.label_of = np.full(n + 1, -1, dtype=np.int64)  # -1 until a member is seen
-        self.perim = np.zeros(n + 1, dtype=np.int64)
-        self.min_row = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-        self.min_col = np.full(n + 1, np.iinfo(np.int64).max, dtype=np.int64)
-        self.max_row = np.full(n + 1, -1, dtype=np.int64)
-        self.max_col = np.full(n + 1, -1, dtype=np.int64)
+        ints = _int_dtype(pixels)
+        self.counts = np.zeros(n + 1, dtype=ints)
+        self.label_of = np.full(n + 1, -1, dtype=np.int32)  # -1 until a member is seen
+        self.perim = np.zeros(n + 1, dtype=_int_dtype(8 * pixels))
+        self.min_row = np.full(n + 1, np.iinfo(ints).max, dtype=ints)
+        self.min_col = np.full(n + 1, np.iinfo(ints).max, dtype=ints)
+        self.max_row = np.full(n + 1, -1, dtype=ints)
+        self.max_col = np.full(n + 1, -1, dtype=ints)
         self.sums = None  # (bands, n + 1); column 0 gathers nodata pixels
 
     def add(self, ids: np.ndarray, labels: np.ndarray, aura: np.ndarray,
@@ -505,17 +515,21 @@ class _TableFold:
             self.sums = np.zeros((samples.shape[0], self.n + 1), dtype=np.float64)
         for b, plane in enumerate(samples):
             np.add.at(self.sums[b], ids.ravel(), plane.ravel())
+        # ``ufunc.at`` takes a slow path unless its operands share the
+        # column's dtype, so each is cast to it first.
+        ints = self.counts.dtype.type
         flat = ids[valid]
-        np.add.at(self.counts, flat, 1)
+        np.add.at(self.counts, flat, ints(1))
         labels = labels[valid]
         before = self.label_of[flat]
         self.label_of[flat] = labels
         if ((before >= 0) & (before != labels)).any() \
                 or (self.label_of[flat] != labels).any():
             raise DataError("segmentation is not label-homogeneous over the map")
-        np.add.at(self.perim, flat, aura[valid].astype(np.int64))
+        np.add.at(self.perim, flat, aura[valid].astype(self.perim.dtype))
         rr, cc = np.nonzero(valid)
         rr += self.rows
+        rr, cc = rr.astype(ints, copy=False), cc.astype(ints, copy=False)
         np.minimum.at(self.min_row, flat, rr)
         np.minimum.at(self.min_col, flat, cc)
         np.maximum.at(self.max_row, flat, rr)
@@ -524,18 +538,20 @@ class _TableFold:
 
     def table(self) -> SuperpixelTable:
         n = self.n
-        area = self.counts[1:]
-        p = self.perim[1:].astype(np.float64)
-        # Evaluated left to right as ((4 pi) area) / (p p): another order can
-        # change the last bit and so the CSV's repr digits.  Only an
-        # image-filling segment has no contour; it counts as a disc.
         compactness = np.ones(n, dtype=np.float64)
-        has_contour = p > 0
-        compactness[has_contour] = np.minimum(
-            1.0, 4.0 * math.pi * area[has_contour] / (p[has_contour] * p[has_contour])
-        )
+        for r0 in range(0, n, _TABLE_BLOCK_ROWS):
+            r1 = min(r0 + _TABLE_BLOCK_ROWS, n)
+            area = self.counts[1 + r0:1 + r1]
+            p = self.perim[1 + r0:1 + r1].astype(np.float64)
+            # Evaluated left to right as ((4 pi) area) / (p p): another order
+            # can change the last bit and so the CSV's repr digits.  Only an
+            # image-filling segment has no contour; it counts as a disc.
+            has_contour = p > 0
+            compactness[r0:r1][has_contour] = np.minimum(
+                1.0, 4.0 * math.pi * area[has_contour] / (p[has_contour] * p[has_contour])
+            )
         return SuperpixelTable(
-            counts=area,
+            counts=self.counts[1:],
             labels=self.label_of[1:],
             min_row=self.min_row[1:],
             min_col=self.min_col[1:],
@@ -567,7 +583,7 @@ def describe_segments(
     h, w = painter.height, painter.width
     if (source.height, source.width) != (h, w):
         raise DimensionMismatchError("image shape differs from map shape")
-    fold = _TableFold(painter.segment_count)
+    fold = _TableFold(painter.segment_count, h * w)
     with raster.RasterWriter(seg_path, _segmentation_header(painter.segment_count),
                              1, h, w, "u32") as seg_out, \
             raster.RasterWriter(aura_path, _aura_header(adjacency),
@@ -615,19 +631,43 @@ def _encode_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     their bit pattern, so ``-0.0`` and ``0.0`` (whose ``repr``s differ)
     stay apart; every member of a bit-pattern group formats the same.  An
     int column within ``[0, 2n)`` indexes the decimals of ``0..max``
-    directly.  Codes take the narrowest unsigned dtype that holds them.
+    directly and is its own codes; other codes take the narrowest unsigned
+    dtype that holds them.
     """
     if column.dtype.kind == "f":
-        bits = np.ascontiguousarray(column, dtype=np.float64).view(np.uint64)
-        keys, codes = np.unique(bits, return_inverse=True)
+        keys, codes = _sorted_codes(
+            np.ascontiguousarray(column, dtype=np.float64).view(np.uint64))
         fields = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype="S")
-    elif column.min(initial=0) >= 0 and column.max(initial=0) < 2 * len(column):
-        fields = _decimals(np.arange(column.max() + 1))
+    elif column.min(initial=0) >= 0 and int(column.max(initial=0)) < 2 * len(column):
+        fields = _decimals(np.arange(int(column.max()) + 1))
         codes = column
     else:
-        keys, codes = np.unique(column, return_inverse=True)
+        keys, codes = _sorted_codes(column)
         fields = np.array([str(v) for v in keys.tolist()], dtype="S")
-    return fields, codes.astype(np.uint16 if len(fields) <= 1 << 16 else np.uint32)
+    return fields, codes
+
+
+def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` with narrow codes.
+
+    One argsort orders the values; a value starts a new key where it differs
+    from the one before it in that order, and each row's code is the number
+    of keys started before its own.  The codes are u16 while the keys fit
+    it, else u32, and no int64 inverse is made.
+    """
+    order = np.argsort(values)
+    ordered = values[order]
+    new = np.empty(len(values), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    keys = ordered[new]
+    del ordered
+    new[:1] = False
+    ranks = np.cumsum(new, dtype=np.uint16 if len(keys) <= 1 << 16 else np.uint32)
+    del new
+    codes = np.empty_like(ranks)
+    codes[order] = ranks
+    return keys, codes
 
 
 def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
@@ -752,7 +792,7 @@ def write_mean_view(
             f"table has {len(table)} rows for {segments.header['segments']} segments"
         )
     return strip_rmse_stats(
-        int(table.counts.sum()),
+        int(table.counts.sum(dtype=np.int64)),
         _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_path),
         _written_rmse(rmse_path, segments, strip_height),
     )
