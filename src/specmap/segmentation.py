@@ -109,14 +109,14 @@ class SuperpixelTable:
     forms the (segment, stratum) 2-tuple.
     """
 
-    counts: np.ndarray       # (n,) int32 pixel count (int64 past 2**31 pixels)
+    counts: np.ndarray       # (n,) int32 pixel count (int64 from 2**31 pixels)
     labels: np.ndarray       # (n,) int32 map label
-    min_row: np.ndarray      # (n,) int32 bounding box, inclusive (as counts)
+    min_row: np.ndarray      # (n,) bounding box, inclusive, in counts' dtype
     min_col: np.ndarray
     max_row: np.ndarray
     max_col: np.ndarray
     perimeter: np.ndarray    # (n,) int32 sum of member cross-aura counts
-                             # (int64 past 2**31 / 8 pixels)
+                             # (int64 from 2**28 pixels)
     compactness: np.ndarray  # (n,) float64 in (0, 1]
     sums: np.ndarray         # (bands, n) float64 per-band sample sums
 
@@ -220,7 +220,7 @@ def _resolve_runs(n: int, heads: np.ndarray, tails: np.ndarray,
 
 def _int_dtype(bound: int) -> type:
     """int32 while values up to ``bound`` fit it, else int64: the dtype of
-    the run graph and of the superpixel table's integer columns."""
+    the run graph and of the table's count, bbox and perimeter columns."""
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import math
 import re
 import tracemalloc
 
@@ -12,7 +13,10 @@ from specmap.errors import ConfigError, DataError, DimensionMismatchError, Forma
 from specmap.raster import Strip
 from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
+    _TABLE_BLOCK_ROWS,
+    _TableFold,
     _encode_column,
+    _int_dtype,
     _mean_rows,
     _tree_sum,
     OpStats,
@@ -512,6 +516,76 @@ class TestSuperpixelTable:
             for f in dataclasses.fields(table):
                 assert np.array_equal(getattr(table, f.name), getattr(whole, f.name))
 
+    def test_int_dtype_at_the_int32_boundary(self):
+        assert _int_dtype(np.iinfo(np.int32).max) is np.int32
+        assert _int_dtype(np.iinfo(np.int32).max + 1) is np.int64
+
+    @pytest.mark.parametrize("pixels, ints, perimeter", [
+        ((2**31 - 1) // 8, np.int32, np.int32),
+        ((2**31 - 1) // 8 + 1, np.int32, np.int64),
+        (2**31 - 1, np.int32, np.int64),
+        (2**31, np.int64, np.int64),
+    ])
+    def test_integer_columns_widen_past_their_bound(self, pixels, ints, perimeter):
+        """A count or bbox coordinate is below the image's pixel count and a
+        perimeter at most 8 times it: each column is int32 while its bound
+        fits.  Only the fold's (segments + 1)-entry columns are allocated."""
+        fold = _TableFold(3, pixels)
+        for column in (fold.counts, fold.min_row, fold.min_col, fold.max_row, fold.max_col):
+            assert column.dtype == ints
+        assert fold.perim.dtype == perimeter
+        assert fold.label_of.dtype == np.int32
+
+    def test_int64_columns_hold_the_same_table(self, rng, tmp_path):
+        cmap, seg, image, aura = _table_inputs(rng, h=13, w=9, nodata=0.1)
+        narrow = build_superpixel_table(cmap, seg, image, aura)
+        fold = _TableFold(seg.segment_count, 2**31)
+        fold.add(seg.segment_ids, cmap.labels, aura.counts,
+                 Strip(0, image.bands, image.samples, image.validity))
+        wide = fold.table()
+        assert narrow.counts.dtype == np.int32 and wide.counts.dtype == np.int64
+        for f in dataclasses.fields(wide):
+            assert np.array_equal(getattr(wide, f.name), getattr(narrow, f.name))
+        write_superpixel_csv(narrow, tmp_path / "narrow.csv")
+        write_superpixel_csv(wide, tmp_path / "wide.csv")
+        assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
+
+    def test_blockwise_compactness_equals_whole_column_bits(self, rng):
+        cmap = random_map(rng, 128, 512, 20)
+        table = build_superpixel_table(cmap, connected_components(cmap, 8),
+                                       random_image(rng, 2, 128, 512), cross_aura(cmap, 8))
+        assert len(table) > 2 * _TABLE_BLOCK_ROWS
+        area = table.counts.astype(np.int64)
+        p = table.perimeter.astype(np.float64)
+        want = np.ones(len(table))
+        has_contour = p > 0
+        want[has_contour] = np.minimum(
+            1.0, 4.0 * math.pi * area[has_contour] / (p[has_contour] * p[has_contour]))
+        assert np.array_equal(table.compactness.view(np.uint64), want.view(np.uint64))
+
+    def test_table_bytes_per_row(self):
+        """What the per-pixel table keeps: 7 int64 columns and 7 float64
+        ones kept 112 bytes per row; with int32 integer columns, 84."""
+        inputs = _per_pixel_table_inputs()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            table = build_superpixel_table(*inputs)
+            kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert len(table) > 190_000
+        assert kept / len(table) < 98
+
+
+def _per_pixel_table_inputs():
+    """The ~200 k-segment, 6-band per-pixel scene of the memory tests."""
+    rng = np.random.default_rng(12)
+    cmap = random_map(rng, 240, 1024, 20)
+    image = random_image(rng, 6, 240, 1024)
+    image.samples[:] = np.round(image.samples * 10000) / 10000
+    return cmap, connected_components(cmap, 8), image, cross_aura(cmap, 8)
+
 
 def _reference_csv(table, path):
     """The superpixel CSV written row by row with ``csv.writer`` and ``repr``."""
@@ -660,6 +734,57 @@ class TestSuperpixelCsv:
         finally:
             tracemalloc.stop()
         assert peak / len(table) < 120
+
+    def test_writer_codes_memory_per_row(self, tmp_path):
+        """The writer's traced peak above entry on the per-pixel table:
+        80.5 bytes per row with int64 inverses narrowed afterwards and int
+        columns copied to codes; 48.1 with narrow codes written in place."""
+        table = build_superpixel_table(*_per_pixel_table_inputs())
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            write_superpixel_csv(table, tmp_path / "table.csv")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / len(table) < 64
+
+    @pytest.mark.parametrize("distinct", [1, 12, 65_536, 65_537])
+    def test_float_codes_equal_np_unique(self, rng, distinct):
+        """Fields are the ``repr`` of ``np.unique``'s bit-pattern keys and
+        codes its inverse, u16 up to 65 536 keys and u32 past them."""
+        special = np.array([-0.0, 0.0, 5e-324, -5e-324, np.nextafter(2.0**-1022, 0),
+                            2.0**-1022, np.inf, -np.inf, np.nan, 1.0 / 3.0])
+        values = np.concatenate([special, 1.0 + np.arange(distinct) / 1024])[:distinct]
+        column = np.concatenate([values, rng.choice(values, 2 * distinct)])
+        rng.shuffle(column)
+        keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
+        assert len(keys) == distinct
+        fields, codes = _encode_column(column)
+        assert fields.tolist() == [repr(v).encode() for v in keys.view(np.float64).tolist()]
+        assert codes.dtype == (np.uint16 if distinct <= 1 << 16 else np.uint32)
+        assert np.array_equal(codes, inverse)
+
+    def test_direct_int_column_is_its_own_codes(self, rng):
+        column = rng.integers(0, 2000, 1000).astype(np.int32)
+        column[0] = 1999  # the direct rule's largest value, 2n - 1
+        fields, codes = _encode_column(column)
+        assert codes is column
+        # digits are right-aligned after NUL padding, which the writer drops
+        got = [f.lstrip(b"\0") for f in fields[codes].tolist()]
+        assert got == [str(v).encode() for v in column.tolist()]
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("low, high", [(-5, 100), (0, 5000)])
+    def test_other_int_column_codes_equal_np_unique(self, rng, dtype, low, high):
+        """A negative value, or one at least 2n, leaves the direct rule."""
+        column = rng.integers(low, high, 1000).astype(dtype)
+        column[0] = low if low < 0 else 2000
+        keys, inverse = np.unique(column, return_inverse=True)
+        fields, codes = _encode_column(column)
+        assert fields.tolist() == [str(v).encode() for v in keys.tolist()]
+        assert codes.dtype == np.uint16
+        assert np.array_equal(codes, inverse)
 
 
 class TestReconstructAndRmse:
