@@ -251,15 +251,21 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         for r0, r1 in raster.strip_bounds(labels.height, rows):
             labeler.feed(labels.rows(r0, r1))
         painter = labeler.resolve()
-        # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.
+        # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.  Each
+        # removes its own files if it fails; a later failure removes pass A's.
         table = describe_segments(labels, painter, source, rows, adjacency,
                                   paths["segmentation"], paths["aura"])
-        if int(table.counts.sum(dtype=np.int64)) != painter.labelled_pixels:
-            raise SpecmapError("pixel-count conservation violated")
-        del painter
-        stats = write_mean_view(table, source, rows, paths["segmentation"],
-                                paths["reconstruction"], paths["rmse"])
-        write_superpixel_csv(table, paths["superpixels"])
+        try:
+            if int(table.counts.sum(dtype=np.int64)) != painter.labelled_pixels:
+                raise SpecmapError("pixel-count conservation violated")
+            del painter
+            stats = write_mean_view(table, source, rows, paths["segmentation"],
+                                    paths["reconstruction"], paths["rmse"])
+            write_superpixel_csv(table, paths["superpixels"])
+        except BaseException:
+            for _, path in _parts(outputs):
+                path.unlink(missing_ok=True)
+            raise
         return {
             "segments": len(table),
             "rmse_min": stats.minimum,
@@ -291,6 +297,14 @@ def _read_image_streamed(image_path: Path, strip_height: int) -> raster.MultiSpe
 # ---------------------------------------------------------------------------
 
 
+#: (file stem, ``HarmonizationTrace`` field) of each step matrix ``compare`` writes.
+_STEP_MATRICES = (
+    ("step2_joint", "joint"), ("step3_ref_given_test", "ref_given_test"),
+    ("step4_kept_by_row", "kept_by_row"), ("step5_test_given_ref", "test_given_ref"),
+    ("step6_kept_by_col", "kept_by_col"), ("step7_temporary", "temporary"),
+)
+
+
 @main.command("compare")
 @click.option("--test", "test_path", type=click.Path(path_type=Path), default=None)
 @click.option("--ref", "ref_path", type=click.Path(path_type=Path), default=None)
@@ -319,10 +333,8 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
     if counts_path is None and (test_path is None or ref_path is None):
         click.echo("error: give either --counts or both --test and --ref", err=True)
         sys.exit(2)
-    names = [f"{step}.csv" for step in (
-        "contingency", "step2_joint", "step3_ref_given_test", "step4_kept_by_row",
-        "step5_test_given_ref", "step6_kept_by_col", "step7_temporary", "step8_final",
-    )] + ["report.json", "report.txt"]
+    names = ["contingency.csv", *(f"{stem}.csv" for stem, _ in _STEP_MATRICES),
+             "step8_final.csv", "report.json", "report.txt"]
     paths = {name: out_dir / name for name in names}
 
     def work() -> dict:
@@ -332,19 +344,14 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
         if counts_path is not None:
             table = read_contingency_csv(counts_path)
         else:
-            test_map = open_map(test_path)
-            ref_map = open_map(ref_path)
-            if translate_test is not None:
-                translation = build_translation(
-                    read_legend_mapping(translate_test), resolution
-                )
-                test_map = translate_legend(test_map, translation)
-            if translate_ref is not None:
-                translation = build_translation(
-                    read_legend_mapping(translate_ref), resolution
-                )
-                ref_map = translate_legend(ref_map, translation)
-            table = build_contingency(test_map, ref_map, strip_height)
+            maps = []
+            for path, mapping in ((test_path, translate_test), (ref_path, translate_ref)):
+                cmap = open_map(path)
+                if mapping is not None:
+                    translation = build_translation(read_legend_mapping(mapping), resolution)
+                    cmap = translate_legend(cmap, translation)
+                maps.append(cmap)
+            table = build_contingency(*maps, strip_height)
         trace = harmonize(table, th1, th2)
         overrides = (
             read_overrides_csv(overrides_path) if overrides_path is not None else []
@@ -353,12 +360,8 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
         index = cvpai2(relation)
         t, r = table.test_names, table.ref_names
         write_contingency_csv(paths["contingency.csv"], table)
-        write_matrix_csv(paths["step2_joint.csv"], t, r, trace.joint)
-        write_matrix_csv(paths["step3_ref_given_test.csv"], t, r, trace.ref_given_test)
-        write_matrix_csv(paths["step4_kept_by_row.csv"], t, r, trace.kept_by_row)
-        write_matrix_csv(paths["step5_test_given_ref.csv"], t, r, trace.test_given_ref)
-        write_matrix_csv(paths["step6_kept_by_col.csv"], t, r, trace.kept_by_col)
-        write_matrix_csv(paths["step7_temporary.csv"], t, r, trace.temporary)
+        for stem, field in _STEP_MATRICES:
+            write_matrix_csv(paths[f"{stem}.csv"], t, r, getattr(trace, field))
         write_relation_csv(paths["step8_final.csv"], relation)
         report = {
             "cvpai2": index,

@@ -665,12 +665,14 @@ class _Parser:
 
     def _parse_policy(self) -> str:
         self._expect("ident", "policy")
-        parts = [self._expect("ident").text]
+        first = self._expect("ident")
+        parts = [first.text]
         while self._accept("op", "-"):
             parts.append(self._expect("ident").text)
         policy = "-".join(parts)
         if policy not in MATCH_POLICIES:
-            self._error(f"policy must be one of {MATCH_POLICIES}")
+            raise RuleSyntaxError(f"policy must be one of {MATCH_POLICIES}, got {policy!r}",
+                                  first.line, first.col)
         return policy
 
     def _index(self) -> int:

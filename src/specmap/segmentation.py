@@ -23,7 +23,9 @@ back, writes each strip's mean-view reconstruction and RMSE, and summarizes
 the RMSE with ``strip_rmse_stats``, whose bits equal ``RmseMap.stats``'s.
 Each pass reads the image once; the summary's second pass reads the written
 RMSE and ids only.  Both passes hold strips, O(runs) labeling state and
-O(segments) table state, never a whole plane.
+O(segments) table state, never a whole plane.  The whole-image reference
+runs their code over one strip: ``build_superpixel_table`` is pass A's
+``_TableFold`` and ``reconstruct`` pass B's ``_mean_rows``.
 """
 
 from __future__ import annotations
@@ -85,14 +87,6 @@ class SegmentationMap:
         seen[ids] = True
         if not seen[1:].all():
             raise DataError("segment ids are not dense")
-
-    @property
-    def width(self) -> int:
-        return self.segment_ids.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.segment_ids.shape[0]
 
 
 @dataclass
@@ -386,8 +380,6 @@ def connected_components(
     cmap: CategoricalMap, adjacency: int = 8, stats: OpStats | None = None
 ) -> SegmentationMap:
     """Label maximal connected same-label regions; nodata forms no segment."""
-    if cmap.labels.size == 0:
-        raise DataError("cannot segment an empty map")
     labeler = TwoPassLabeler(cmap.width, adjacency, stats)
     labeler.feed(cmap.labels)
     return labeler.finalize()
@@ -442,31 +434,23 @@ def _aura_counts(labels: np.ndarray, adjacency: int) -> np.ndarray:
 def build_superpixel_table(
     cmap: CategoricalMap,
     seg: SegmentationMap,
-    image: MultiSpectralImage | Iterable[Strip],
+    image: MultiSpectralImage,
     aura: CrossAuraMap,
 ) -> SuperpixelTable:
     """Per segment: area, label, bbox, per-band sums, perimeter, compactness.
 
-    ``image`` is a whole image or its strips top to bottom, as
-    ``raster.stream_strips`` yields them.  Every column is folded in strip
-    by strip (``_TableFold``), so each temporary is the size of one strip.
+    The whole-image form of pass A's fold (``describe_segments``): one
+    ``_TableFold.add`` over the image as a single strip, so the columns equal
+    pass A's bit for bit and a labelled pixel without data is refused alike.
     """
     shape = cmap.labels.shape
     if seg.segment_ids.shape != shape or aura.counts.shape != shape:
         raise DimensionMismatchError("map, segmentation and aura shapes differ")
-    if isinstance(image, MultiSpectralImage):
-        image = [Strip(0, image.bands, image.samples, image.validity)]
-    fold = _TableFold(seg.segment_count, shape[0] * shape[1])
-    for strip in image:
-        samples = strip.core_samples
-        row0, nrows = fold.rows, samples.shape[1]
-        if strip.core_start != row0 or samples.shape[2] != shape[1] \
-                or row0 + nrows > shape[0]:
-            raise DimensionMismatchError("image shape differs from map shape")
-        rows = slice(row0, row0 + nrows)
-        fold.add(seg.segment_ids[rows], cmap.labels[rows], aura.counts[rows], strip)
-    if fold.rows != shape[0]:
+    if image.samples.shape[1:] != shape:
         raise DimensionMismatchError("image shape differs from map shape")
+    fold = _TableFold(seg.segment_count, cmap.labels.size, len(image.bands))
+    fold.add(seg.segment_ids, cmap.labels, aura.counts,
+             Strip(0, image.bands, image.samples, image.validity))
     return fold.table()
 
 
@@ -486,8 +470,7 @@ class _TableFold:
     ``8 * pixels`` (``_int_dtype``).
     """
 
-    def __init__(self, n: int, pixels: int):
-        self.n = n
+    def __init__(self, n: int, pixels: int, bands: int):
         self.rows = 0  # rows folded so far
         ints = _int_dtype(pixels)
         self.counts = np.zeros(n + 1, dtype=ints)
@@ -497,7 +480,7 @@ class _TableFold:
         self.min_col = np.full(n + 1, np.iinfo(ints).max, dtype=ints)
         self.max_row = np.full(n + 1, -1, dtype=ints)
         self.max_col = np.full(n + 1, -1, dtype=ints)
-        self.sums = None  # (bands, n + 1); column 0 gathers nodata pixels
+        self.sums = np.zeros((bands, n + 1), dtype=np.float64)  # column 0: unlabelled
 
     def add(self, ids: np.ndarray, labels: np.ndarray, aura: np.ndarray,
             strip: Strip) -> None:
@@ -510,10 +493,7 @@ class _TableFold:
             r, c = np.argwhere(without_data)[0]
             raise DataError(f"the map labels row {self.rows + r}, col {c}, "
                             "which the image marks nodata")
-        samples = strip.core_samples
-        if self.sums is None:
-            self.sums = np.zeros((samples.shape[0], self.n + 1), dtype=np.float64)
-        for b, plane in enumerate(samples):
+        for b, plane in enumerate(strip.core_samples):
             np.add.at(self.sums[b], ids.ravel(), plane.ravel())
         # ``ufunc.at`` takes a slow path unless its operands share the
         # column's dtype, so each is cast to it first.
@@ -537,7 +517,7 @@ class _TableFold:
         self.rows += ids.shape[0]
 
     def table(self) -> SuperpixelTable:
-        n = self.n
+        n = len(self.counts) - 1
         compactness = np.ones(n, dtype=np.float64)
         for r0 in range(0, n, _TABLE_BLOCK_ROWS):
             r1 = min(r0 + _TABLE_BLOCK_ROWS, n)
@@ -583,7 +563,7 @@ def describe_segments(
     h, w = painter.height, painter.width
     if (source.height, source.width) != (h, w):
         raise DimensionMismatchError("image shape differs from map shape")
-    fold = _TableFold(painter.segment_count, h * w)
+    fold = _TableFold(painter.segment_count, h * w, source.nbands)
     with raster.RasterWriter(seg_path, _segmentation_header(painter.segment_count),
                              1, h, w, "u32") as seg_out, \
             raster.RasterWriter(aura_path, _aura_header(adjacency),
@@ -716,22 +696,12 @@ def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def mean_view(table: SuperpixelTable) -> np.ndarray:
-    """(bands, n + 1) per-segment band means; column 0, for nodata, is zero.
-
-    Indexing it with a block of segment ids gives that block's mean view.
-    """
-    means = np.zeros((table.sums.shape[0], len(table) + 1), dtype=np.float64)
-    np.divide(table.sums, table.counts, out=means[:, 1:])
-    return means
-
-
 def reconstruct(
     seg: SegmentationMap,
     table: SuperpixelTable,
     image: MultiSpectralImage,
 ) -> MultiSpectralImage:
-    """Replace every pixel by its segment's per-band mean ("mean view")."""
+    """Replace every pixel by its segment's band means, as pass B (``_mean_rows``)."""
     if len(table) != seg.segment_count:
         raise DataError(
             f"table has {len(table)} rows for {seg.segment_count} segments"
@@ -742,8 +712,9 @@ def reconstruct(
         raise DimensionMismatchError(
             f"table has {table.sums.shape[0]} bands, image has {len(image.bands)}"
         )
-    out = mean_view(table)[:, seg.segment_ids]
-    return MultiSpectralImage(image.bands, out, seg.segment_ids > 0, image.dtype_name)
+    labelled = seg.segment_ids > 0
+    out = _mean_rows(table, seg.segment_ids, labelled)
+    return MultiSpectralImage(image.bands, out, labelled, image.dtype_name)
 
 
 def pixel_rmse(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -819,9 +790,8 @@ def _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_pa
 def _mean_rows(table: SuperpixelTable, ids: np.ndarray, labelled: np.ndarray) -> np.ndarray:
     """(bands, rows, width) mean view of a block of ids; 0.0 where unlabelled.
 
-    Each mean divides the gathered sum by the gathered count, the operands
-    ``mean_view`` divides, so the bits are the same without its
-    (bands, segments + 1) table.
+    Each pixel's band sum and pixel count are gathered from the table and
+    divided there, so no (bands, segments) table of means is made.
     """
     if len(table) == 0:
         return np.zeros((table.sums.shape[0], *ids.shape), dtype=np.float64)

@@ -630,6 +630,33 @@ class TestSegmentCommand:
         assert "image shape differs from map shape" in result.output
         assert not list(tmp_path.glob("out*"))
 
+    @pytest.mark.parametrize("fault", ["unlabelled_without_nodata", "mean_is_nodata"])
+    def test_refusal_after_pass_a_leaves_no_output(self, runner, tmp_path, fault):
+        """Pass B refuses a mean view it cannot encode; the segmentation and
+        aura that pass A wrote go too, so no output lacks its manifest."""
+        if fault == "unlabelled_without_nodata":
+            labels = np.array([[1, 0], [1, 1]])
+            plane, dtype_name, encoding = np.full((2, 2), 0.25), "f64", {}
+            message = ("band 1: invalid pixels present but no nodata value to "
+                       "encode them with")
+        else:  # raw 999 and 1001 average to the bands' nodata value
+            labels = np.array([[1, 1]])
+            plane, dtype_name = np.array([[999, 1001]]) / 2000, "u16"
+            encoding = {"gain": 1 / 2000, "nodata_value": 1000}
+            message = "band 1: valid sample at row 0, col 0 encodes to the nodata value 1000.0"
+        bands = (BandMetadata(1, 0.48, **encoding), BandMetadata(2, 0.56, **encoding))
+        write_map(CategoricalMap(labels, legend(1)), tmp_path / "map.hdr")
+        write_image(MultiSpectralImage(bands, np.stack([plane, plane]),
+                                       np.ones(labels.shape, dtype=bool), dtype_name),
+                    tmp_path / "img.hdr")
+        result = runner.invoke(main, [
+            "segment", "--in", str(tmp_path / "map.hdr"),
+            "--image", str(tmp_path / "img.hdr"), "--out-prefix", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert result.output == f"error: {message}\n"
+        assert not list(tmp_path.glob("out*"))
+
     def test_superpixel_csv_header(self, runner, tmp_path):
         self._write_map_and_image(tmp_path, NINE_SEGMENT_MAP)
         invoke(runner, "segment", "--in", tmp_path / "map.hdr",

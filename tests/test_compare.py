@@ -574,6 +574,17 @@ def test_blank_lines_before_the_header_are_skipped(tmp_path, reader, header, goo
     assert reader(blank) == reader(plain)
 
 
+@pytest.mark.parametrize("reader, header, good, int_column", ROW_READERS,
+                         ids=[r[0].__name__ for r in ROW_READERS])
+def test_csv_of_blank_lines_is_refused_for_its_missing_header(tmp_path, reader, header,
+                                                              good, int_column):
+    p = tmp_path / "in.csv"
+    p.write_text("\n\r\n\n")
+    with pytest.raises(FormatError) as err:
+        reader(p)
+    assert str(err.value) == f"{p}: no header line"
+
+
 @pytest.mark.parametrize("text, line", [
     ("test_label,reference_label,value,note\nx,a,0,\"why\ny,b,1,because\n", 2),
     ("test_label,reference_label,value,note\nx,a,0,why\ny,b,1,\"because", 3),

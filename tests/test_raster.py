@@ -144,6 +144,13 @@ class TestImageIO:
         with pytest.raises(TruncatedFileError):
             open_image(hdr)
 
+    def test_missing_payload_is_refused_naming_it(self, tmp_path):
+        hdr = _write_fixture(tmp_path, bytes(range(8)))
+        (tmp_path / "img.bin").unlink()
+        with pytest.raises(FormatError) as err:
+            ImageSource(hdr)
+        assert str(err.value) == f"{hdr}: payload {tmp_path / 'img.bin'} does not exist"
+
     def test_unknown_dtype(self, tmp_path):
         hdr = _write_fixture(tmp_path, bytes(range(8)), dtype="u13")
         with pytest.raises(FormatError):

@@ -149,6 +149,29 @@ class TestParser:
         with pytest.raises(RuleSyntaxError, match="fallback"):
             parse_rules(HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 }\n')
 
+    @pytest.mark.parametrize("text, message, position", [
+        (HEADER + 'rule 1 "x color #000000 { b4 <= 0.5 }\nfallback 9 "f"\n',
+         """cannot tokenize '"x color #'""", (2, 8)),
+        (HEADER + '42\nrule 1 "x" color #000000 { b4 <= 0.5 }\nfallback 9 "f"\n',
+         "expected a declaration keyword, got '42'", (2, 1)),
+        (HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 }\nfallback 9 "f"\nfallback 8 "g"\n',
+         "duplicate fallback declaration, got 'fallback'", (4, 1)),
+        (HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 }\nrules 2 "y"\nfallback 9 "f"\n',
+         "expected bands/policy/rule/class/fallback, got 'rules'", (3, 1)),
+        (HEADER + 'fallback 9 "f"\n', "rule file declares no rules", (1, 1)),
+        # The policy is named at its first word, not at the token after it.
+        ('policy any-match\n' + HEADER + 'rule 1 "x" color #000000 { b4 <= 0.5 }\n'
+         'fallback 9 "f"\n',
+         "policy must be one of ('last-match', 'first-match'), got 'any-match'", (1, 8)),
+    ], ids=["tokenize", "keyword", "fallback_twice", "unknown_keyword", "no_rules",
+            "policy"])
+    def test_file_level_refusal_names_its_position(self, text, message, position):
+        with pytest.raises(RuleSyntaxError) as err:
+            parse_rules(text)
+        line, column = position
+        assert str(err.value) == f"{message} (line {line}, column {column})"
+        assert (err.value.line, err.value.column) == position
+
     def test_duplicate_indices_rejected(self):
         text = (
             HEADER

@@ -30,7 +30,6 @@ from specmap.segmentation import (
     pixel_rmse,
     read_segmentation,
     reconstruct,
-    mean_view,
     rmse_map,
     strip_rmse_stats,
     write_segmentation,
@@ -270,6 +269,8 @@ class TestConnectedComponents:
         labeler.feed(np.zeros((3, 0), dtype=np.int32))  # rows without pixels
         with pytest.raises(DataError):
             labeler.finalize()
+        with pytest.raises(DataError, match="cannot segment an empty map"):
+            connected_components(cat(np.zeros((0, 4)), 1))  # the labeler refuses it
 
     def test_finalize_hands_over_the_fed_rows(self, rng):
         labels = rng.integers(1, 4, size=(9, 7)).astype(np.int32)
@@ -411,6 +412,16 @@ def _table_inputs(rng, h=12, w=12, n_labels=4, n_bands=3, nodata=0.0):
     return cmap, seg, image, aura
 
 
+def _fold_strips(cmap, seg, image, aura, rows):
+    """The table folded ``rows`` rows at a time, as pass A folds it."""
+    h, w = cmap.labels.shape
+    fold = _TableFold(seg.segment_count, h * w, len(image.bands))
+    for r0, r1 in raster.strip_bounds(h, rows):
+        fold.add(seg.segment_ids[r0:r1], cmap.labels[r0:r1], aura.counts[r0:r1],
+                 Strip(r0, image.bands, image.samples[:, r0:r1], image.validity[r0:r1]))
+    return fold.table()
+
+
 class TestSuperpixelTable:
     def test_single_segment_constant(self):
         cmap = cat(np.ones((4, 5)))
@@ -500,19 +511,14 @@ class TestSuperpixelTable:
         labels = cmap.labels.copy()
         labels[3] = 2  # one segment, two labels, in different strips
         wrong = CategoricalMap(labels, legend(2))
-        strips = [Strip(r, image.bands, image.samples[:, r:r + 1],
-                        image.validity[r:r + 1]) for r in range(4)]
         with pytest.raises(DataError, match="label-homogeneous"):
-            build_superpixel_table(wrong, seg, strips, cross_aura(wrong, 8))
+            _fold_strips(wrong, seg, image, cross_aura(wrong, 8), 1)
 
     def test_strip_fed_table_equals_whole_image_table(self, rng):
         cmap, seg, image, aura = _table_inputs(rng, h=13, w=9, nodata=0.1)
         whole = build_superpixel_table(cmap, seg, image, aura)
         for rows in (1, 4):
-            strips = [Strip(r0, image.bands, image.samples[:, r0:r1],
-                            image.validity[r0:r1])
-                      for r0, r1 in raster.strip_bounds(13, rows)]
-            table = build_superpixel_table(cmap, seg, strips, aura)
+            table = _fold_strips(cmap, seg, image, aura, rows)
             for f in dataclasses.fields(table):
                 assert np.array_equal(getattr(table, f.name), getattr(whole, f.name))
 
@@ -530,7 +536,7 @@ class TestSuperpixelTable:
         """A count or bbox coordinate is below the image's pixel count and a
         perimeter at most 8 times it: each column is int32 while its bound
         fits.  Only the fold's (segments + 1)-entry columns are allocated."""
-        fold = _TableFold(3, pixels)
+        fold = _TableFold(3, pixels, 2)
         for column in (fold.counts, fold.min_row, fold.min_col, fold.max_row, fold.max_col):
             assert column.dtype == ints
         assert fold.perim.dtype == perimeter
@@ -539,7 +545,7 @@ class TestSuperpixelTable:
     def test_int64_columns_hold_the_same_table(self, rng, tmp_path):
         cmap, seg, image, aura = _table_inputs(rng, h=13, w=9, nodata=0.1)
         narrow = build_superpixel_table(cmap, seg, image, aura)
-        fold = _TableFold(seg.segment_count, 2**31)
+        fold = _TableFold(seg.segment_count, 2**31, len(image.bands))
         fold.add(seg.segment_ids, cmap.labels, aura.counts,
                  Strip(0, image.bands, image.samples, image.validity))
         wide = fold.table()
@@ -884,7 +890,9 @@ class TestReconstructAndRmse:
         table = build_superpixel_table(cmap, seg, image, aura)
         ids = seg.segment_ids
         got = _mean_rows(table, ids, ids > 0)
-        assert got.tobytes() == mean_view(table)[:, ids].tobytes()
+        means = np.zeros((table.sums.shape[0], len(table) + 1))
+        np.divide(table.sums, table.counts, out=means[:, 1:])
+        assert got.tobytes() == means[:, ids].tobytes()
 
     def test_rmse_stats_hold_one_copy_of_the_valid_values(self, rng):
         values = rng.random((256, 256))
