@@ -98,13 +98,15 @@ def _parts(files: list[_File]) -> list[tuple[str, Path]]:
 
 
 def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path: Path,
-         work: Callable[[], dict], as_json: bool) -> None:
+         work: Callable[[], dict], as_json: bool,
+         digests: dict[Path, str] | None = None) -> None:
     """Run a subcommand over the files it declares.
 
     A missing input exits 2 before any directory is made.  Then the
     outputs' directories, which hold the manifest too, are made and
     ``work`` runs; a ``SpecmapError`` from it exits 1.  Otherwise the manifest
-    hashes every declared file and ``work``'s report is printed.
+    hashes every declared file and ``work``'s report is printed.  ``work``
+    may fill ``digests`` with the SHA-256 of files it hashed as it wrote them.
     """
     for what, path in _parts(inputs):
         if not path.exists():
@@ -117,7 +119,7 @@ def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path:
     except SpecmapError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    _write_manifest(manifest_path, config, inputs, outputs)
+    _write_manifest(manifest_path, config, inputs, outputs, digests)
     _emit(report, as_json)
 
 
@@ -130,9 +132,14 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(manifest_path: Path, config: dict, inputs: list[_File],
-                    outputs: list[_File]) -> None:
+                    outputs: list[_File], digests: dict[Path, str] | None = None) -> None:
+    """Write the manifest: every file's SHA-256, read back unless ``digests``
+    already holds it."""
+    known = digests or {}
+
     def hashed(files):
-        return [{"path": str(p), "sha256": _sha256(p)} for _, p in _parts(files)]
+        return [{"path": str(p), "sha256": known.get(p) or _sha256(p)}
+                for _, p in _parts(files)]
 
     manifest = {
         "tool": f"specmap {__version__}",
@@ -242,6 +249,7 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         _File("rmse", Path(f"{out_prefix}.rmse.hdr"), is_raster=True),
     ]
     paths = {f.what: f.path for f in outputs}
+    digests: dict[Path, str] = {}
 
     def work() -> dict:
         labels = open_map(map_path)
@@ -261,7 +269,8 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
             del painter
             stats = write_mean_view(table, source, rows, paths["segmentation"],
                                     paths["reconstruction"], paths["rmse"])
-            write_superpixel_csv(table, paths["superpixels"])
+            csv_path = paths["superpixels"]
+            digests[csv_path] = write_superpixel_csv(table, csv_path)
         except BaseException:
             for _, path in _parts(outputs):
                 path.unlink(missing_ok=True)
@@ -278,7 +287,7 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
     _run({"command": "segment", "in": str(map_path), "image": str(image_path),
           "out_prefix": str(out_prefix), "adjacency": adjacency, "stream": strip_height},
          [_File("map", map_path, is_raster=True), _File("image", image_path, is_raster=True)],
-         outputs, Path(f"{out_prefix}.manifest.json"), work, as_json)
+         outputs, Path(f"{out_prefix}.manifest.json"), work, as_json, digests)
 
 
 def _strip_rows(strip_height: int | None, width: int) -> int:

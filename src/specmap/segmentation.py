@@ -30,6 +30,8 @@ runs their code over one strip: ``build_superpixel_table`` is pass A's
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -583,23 +585,29 @@ def describe_segments(
     return fold.table()
 
 
-#: Rows per write; bounds the record buffer, and so the bytes built at once.
+#: Rows per write; bounds each record buffer, and so the bytes built at once.
 _CSV_CHUNK_ROWS = 1 << 13
 
 
-def _decimals(values: np.ndarray) -> np.ndarray:
-    """Non-negative ints as right-aligned ASCII digits in one ``S<w>`` array.
+def _decimals(start: int, stop: int) -> np.ndarray:
+    """The ints ``start..stop-1`` (``start >= 0``) as right-aligned ASCII
+    digits in one ``S<w>`` array.
 
     Positions before a value's first digit hold NUL, which the writer drops.
+    The digits are peeled off a u32 range (u64 from 2**32) straight into the
+    digit array, so no int64 temporary is made.
     """
-    width = len(str(int(values.max(initial=0))))
-    digits = np.empty((len(values), width), dtype=np.uint8)
-    rest = values.copy()
+    width = len(str(max(stop - 1, 0)))
+    rest = np.arange(start, stop, dtype=np.uint32 if stop <= 1 << 32 else np.uint64)
+    digits = np.empty((len(rest), width), dtype=np.uint8)
     for k in range(width - 1, -1, -1):
-        digits[:, k] = rest % 10
+        np.remainder(rest, 10, out=digits[:, k], casting="unsafe")
         rest //= 10
     digits += ord("0")
-    digits[:, :-1][values[:, np.newaxis] < 10 ** np.arange(width - 1, 0, -1)] = 0
+    # The range's values below 10**p, its first 10**p - start, have no
+    # digit at position width - 1 - p.
+    for p in range(1, width):
+        digits[:max(10 ** p - start, 0), width - 1 - p] = 0
     return digits.view(f"S{width}").ravel()
 
 
@@ -615,16 +623,57 @@ def _encode_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     dtype that holds them.
     """
     if column.dtype.kind == "f":
-        keys, codes = _sorted_codes(
-            np.ascontiguousarray(column, dtype=np.float64).view(np.uint64))
-        fields = np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype="S")
-    elif column.min(initial=0) >= 0 and int(column.max(initial=0)) < 2 * len(column):
-        fields = _decimals(np.arange(int(column.max()) + 1))
-        codes = column
-    else:
-        keys, codes = _sorted_codes(column)
-        fields = np.array([str(v) for v in keys.tolist()], dtype="S")
-    return fields, codes
+        keys, codes = _float_keys(column)
+        return _float_fields(keys), codes
+    if column.min(initial=0) >= 0 and int(column.max(initial=0)) < 2 * len(column):
+        return _decimals(0, int(column.max()) + 1), column
+    keys, codes = _sorted_codes(column)
+    return np.array([str(v) for v in keys.tolist()], dtype="S"), codes
+
+
+def _float_keys(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A float column's distinct bit patterns (u64) and each row's code."""
+    return _sorted_codes(np.ascontiguousarray(column, dtype=np.float64).view(np.uint64))
+
+
+def _float_fields(keys: np.ndarray) -> np.ndarray:
+    """The ``repr`` of each u64 float64 bit pattern, as one ``S<w>`` array."""
+    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype="S")
+
+
+def _compactness_keys(table: SuperpixelTable) -> tuple[np.ndarray, np.ndarray]:
+    """``_float_keys(table.compactness)``, keyed on (pixel count, perimeter).
+
+    Compactness is a function of that int pair, and a per-pixel map has few
+    distinct pairs, so each row's pair indexes a table of the pairs seen
+    and no sort is needed.  A key may then repeat, which costs only a
+    duplicate field.  The pair table is sized with Python ints before any
+    key is formed; past 2n entries, with a negative count or perimeter, or
+    where rows of one pair differ in compactness (a table not built by
+    ``_TableFold``), the column is sorted instead.
+    """
+    bits = np.ascontiguousarray(table.compactness, dtype=np.float64).view(np.uint64)
+    counts, perimeter = table.counts, table.perimeter
+    stride = int(perimeter.max(initial=0)) + 1
+    size = (int(counts.max(initial=0)) + 1) * stride
+    if size > 2 * len(bits) or counts.min(initial=0) < 0 or perimeter.min(initial=0) < 0:
+        return _sorted_codes(bits)
+    pair = counts.astype(_int_dtype(size))
+    pair *= stride
+    pair += perimeter
+    value_of = np.zeros(size, dtype=np.uint64)
+    value_of[pair] = bits
+    if not np.array_equal(value_of[pair], bits):
+        return _sorted_codes(bits)
+    seen = np.zeros(size, dtype=bool)
+    seen[pair] = True
+    keys = value_of[seen]
+    del value_of
+    # As in ``_sorted_codes``: a pair's code is the number of pairs seen
+    # below it, so the first seen pair counts for none.
+    seen[np.argmax(seen)] = False
+    ranks = np.cumsum(seen, dtype=np.uint16 if len(keys) <= 1 << 16 else np.uint32)
+    return keys, ranks[pair]
 
 
 def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -650,45 +699,77 @@ def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys, codes
 
 
-def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> None:
+def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> str:
     """Write the table as CSV: ints in decimal, floats as ``repr``, CRLF rows.
+    Returns the SHA-256 hex digest of the bytes written.
 
     The bytes equal ``csv.writer`` output of those strings: no field can
     hold a delimiter, quote or line break, so none is quoted.  Each column
-    is dictionary-encoded once into byte fields.  Every chunk of rows
-    gathers them into one record buffer whose commas and CRLF are filled
-    in advance, and writes it with its NUL padding dropped: no field is
-    ASCII NUL.  The segment ids are formatted per chunk.
+    is dictionary-encoded once into byte fields (``_encode_column``;
+    compactness through ``_compactness_keys``).  Every chunk of rows
+    gathers them into one of two record buffers whose commas and CRLF are
+    filled in advance; the segment ids are formatted per chunk.
+
+    One helper thread overlaps the GIL-bound work with this thread's numpy
+    work, which releases the GIL.  It ``repr``s each float column's keys
+    while this thread sorts the next column, and it drops a filled
+    buffer's NUL padding (no field is ASCII NUL), hashes it and writes it
+    while this thread fills the other buffer.  The sorts and buffers are
+    allocated in this thread: freed in the helper's malloc arena, the sort
+    buffers would stay resident.  An exception in the helper is raised
+    here, and the helper has ended when this returns.
     """
+    # Imported here: concurrent.futures loads logging, which would add
+    # 10-20 ms to the start of every subcommand.
+    from concurrent.futures import ThreadPoolExecutor
+
     n = len(table)
     n_bands = table.sums.shape[0]
     header = [
         "segment_id", "label", "pixel_count", "min_row", "min_col",
         "max_row", "max_col", "perimeter", "compactness",
     ] + [f"sum_b{b + 1}" for b in range(n_bands)]
-    encoded = [_encode_column(c) for c in (
-        table.labels, table.counts, table.min_row, table.min_col,
-        table.max_row, table.max_col, table.perimeter, table.compactness,
-        *table.sums,
-    )]
-    layout = [("id", f"S{len(str(n))}")]
-    for i, (fields, _) in enumerate(encoded):
-        layout += [(f"comma{i}", "S1"), (f"field{i}", fields.dtype)]
-    layout.append(("crlf", "S2"))
-    buf = np.zeros(min(n, _CSV_CHUNK_ROWS), dtype=layout)
-    for i in range(len(encoded)):
-        buf[f"comma{i}"] = b","
-    buf["crlf"] = b"\r\n"
-    with open(path, "wb") as f:
-        f.write((",".join(header) + "\r\n").encode("ascii"))
-        for r0 in range(0, n, _CSV_CHUNK_ROWS):
-            r1 = min(r0 + _CSV_CHUNK_ROWS, n)
-            rows = buf[:r1 - r0]
-            rows["id"] = _decimals(np.arange(r0 + 1, r1 + 1))
-            for i, (fields, codes) in enumerate(encoded):
-                rows[f"field{i}"] = fields[codes[r0:r1]]
+    digest = hashlib.sha256()
+    with open(path, "wb") as f, ThreadPoolExecutor(1) as helper:
+        def write(data) -> None:
+            digest.update(data)
+            f.write(data)
+
+        def flush(rows: np.ndarray) -> None:
             raw = rows.view(np.uint8)
-            f.write(raw[raw != 0])
+            write(raw[raw != 0])
+
+        # Each float column is sorted here while the helper formats the
+        # keys of the one before.
+        floats = [(helper.submit(_float_fields, keys), codes) for keys, codes in
+                  itertools.chain([_compactness_keys(table)], map(_float_keys, table.sums))]
+        encoded = [_encode_column(c) for c in (
+            table.labels, table.counts, table.min_row, table.min_col,
+            table.max_row, table.max_col, table.perimeter,
+        )] + [(fields.result(), codes) for fields, codes in floats]
+        layout = [("id", f"S{len(str(n))}")]
+        for i, (fields, _) in enumerate(encoded):
+            layout += [(f"comma{i}", "S1"), (f"field{i}", fields.dtype)]
+        layout.append(("crlf", "S2"))
+        buffers = [np.zeros(min(n, _CSV_CHUNK_ROWS), dtype=layout) for _ in range(2)]
+        for buf in buffers:
+            for i in range(len(encoded)):
+                buf[f"comma{i}"] = b","
+            buf["crlf"] = b"\r\n"
+        write((",".join(header) + "\r\n").encode("ascii"))
+        pending = []  # the flushes of the last two chunks, oldest first
+        for k, r0 in enumerate(range(0, n, _CSV_CHUNK_ROWS)):
+            if len(pending) == 2:
+                pending.pop(0).result()  # this chunk's buffer is free again
+            r1 = min(r0 + _CSV_CHUNK_ROWS, n)
+            rows = buffers[k % 2][:r1 - r0]
+            rows["id"] = _decimals(r0 + 1, r1 + 1)
+            for i, (fields, codes) in enumerate(encoded):
+                np.take(fields, codes[r0:r1], out=rows[f"field{i}"], mode="clip")
+            pending.append(helper.submit(flush, rows))
+        for future in pending:
+            future.result()
+    return digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------

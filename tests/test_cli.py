@@ -1,6 +1,8 @@
 import csv
+import errno
 import hashlib
 import json
+import threading
 import tracemalloc
 from importlib.resources import files
 from pathlib import Path
@@ -9,6 +11,8 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import specmap.cli
+from specmap import segmentation
 from specmap.classify import CategoricalMap, LegendEntry, read_map, write_map
 from specmap.cli import main
 from specmap.errors import DataError
@@ -26,6 +30,7 @@ from specmap.raster import (
 from specmap.rules import load_specl
 from specmap.classify import classify
 from specmap.segmentation import (
+    _CSV_CHUNK_ROWS,
     build_superpixel_table,
     connected_components,
     cross_aura,
@@ -38,7 +43,7 @@ from specmap.segmentation import (
     write_superpixel_csv,
 )
 
-from helpers import image_from_pixels, legend, synth_scene, write_scene
+from helpers import image_from_pixels, image_from_planes, legend, synth_scene, write_scene
 from oracles import segmentations_bijective, tally_contingency
 from test_segmentation import NINE_SEGMENT_MAP
 
@@ -180,7 +185,8 @@ class TestClassifyCommand:
         report = json.loads(result.output)
         assert report["pixels"] == 16 * 8
 
-    def test_manifest_hashes_payloads_whatever_the_suffix(self, runner, tmp_path):
+    def test_manifest_hashes_payloads_whatever_the_suffix(self, runner, tmp_path,
+                                                         monkeypatch):
         write_scene(tmp_path / "scene.img", 16, 8, seed=13, block=4)
         out = tmp_path / "colors.map"
         result = invoke(runner, "classify", "--rules", SPECL_PATH,
@@ -193,6 +199,35 @@ class TestClassifyCommand:
             for name in names:
                 path = tmp_path / name
                 assert hashed[str(path)] == hashlib.sha256(path.read_bytes()).hexdigest()
+
+        # segment on a per-pixel map, whose CSV spans several chunks and is
+        # hashed as it is written: every other file is read back, it is not
+        read_back = []
+
+        def counted(path, sha256=specmap.cli._sha256):
+            read_back.append(path)
+            return sha256(path)
+
+        monkeypatch.setattr(specmap.cli, "_sha256", counted)
+        _write_per_pixel_scene(tmp_path / "pp.map", tmp_path / "ppimage.img", 160, 256)
+        result = invoke(runner, "segment", "--in", tmp_path / "pp.map",
+                        "--image", tmp_path / "ppimage.img", "--out-prefix", tmp_path / "seg")
+        assert result.exit_code == 0, result.output
+        csv_path = tmp_path / "seg.superpixels.csv"
+        assert csv_path.read_bytes().count(b"\r\n") > 2 * _CSV_CHUNK_ROWS + 1
+        manifest = json.loads((tmp_path / "seg.manifest.json").read_text())
+        entries = manifest["inputs"] + manifest["outputs"]
+        names = ["pp.map", "pp.bin", "ppimage.img", "ppimage.bin"] + [
+            f"seg.{part}" for part in ("seg.hdr", "seg.bin", "aura.hdr", "aura.bin",
+                                       "superpixels.csv", "recon.hdr", "recon.bin",
+                                       "rmse.hdr", "rmse.bin")]
+        assert sorted(entry["path"] for entry in entries) == sorted(
+            str(tmp_path / name) for name in names)
+        for entry in entries:
+            path = Path(entry["path"])
+            assert entry["sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert sorted(map(str, read_back)) == sorted(
+            str(tmp_path / name) for name in names if name != "seg.superpixels.csv")
 
     def test_aggregate_option(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=14, block=4)
@@ -657,6 +692,43 @@ class TestSegmentCommand:
         assert result.output == f"error: {message}\n"
         assert not list(tmp_path.glob("out*"))
 
+    def test_failed_csv_write_leaves_no_output_and_no_thread(self, runner, tmp_path,
+                                                            monkeypatch):
+        """The CSV's third chunk fails to write in the writer's helper thread:
+        the error reaches the command, which removes every output, writes no
+        manifest and leaves no thread behind."""
+        _write_per_pixel_scene(tmp_path / "map.hdr", tmp_path / "img.hdr", 160, 256)
+
+        class FailingFile:
+            def __init__(self, f):
+                self.f, self.chunks = f, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+            def write(self, data):
+                if threading.current_thread() is not threading.main_thread():
+                    self.chunks += 1
+                    if self.chunks == 3:
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                return self.f.write(data)
+
+        monkeypatch.setattr(segmentation, "open",
+                            lambda path, mode: FailingFile(open(path, mode)), raising=False)
+        threads = threading.active_count()
+        result = runner.invoke(main, [
+            "segment", "--in", str(tmp_path / "map.hdr"),
+            "--image", str(tmp_path / "img.hdr"), "--out-prefix", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, OSError)
+        assert "No space left on device" in str(result.exception)
+        assert not list(tmp_path.glob("out*"))
+        assert threading.active_count() == threads
+
     def test_superpixel_csv_header(self, runner, tmp_path):
         self._write_map_and_image(tmp_path, NINE_SEGMENT_MAP)
         invoke(runner, "segment", "--in", tmp_path / "map.hdr",
@@ -667,6 +739,15 @@ class TestSegmentCommand:
             "segment_id,label,pixel_count,min_row,min_col,max_row,max_col,"
             "perimeter,compactness,sum_b1,sum_b2"
         )
+
+
+def _write_per_pixel_scene(map_path, image_path, height, width):
+    """A random 39-label map, mostly one-pixel segments, and a 2-band image."""
+    rng = np.random.default_rng(29)
+    labels = rng.integers(1, 40, size=(height, width)).astype(np.int32)
+    write_map(CategoricalMap(labels, legend(39)), map_path)
+    write_image(image_from_planes({"b1": rng.random((height, width)),
+                                   "b2": rng.random((height, width))}), image_path)
 
 
 def read_image_payload(header_path):

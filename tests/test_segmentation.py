@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import math
 import re
 import tracemalloc
@@ -7,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from specmap import raster
+from specmap import raster, segmentation
 from specmap.classify import CategoricalMap
 from specmap.errors import ConfigError, DataError, DimensionMismatchError, FormatError
 from specmap.raster import Strip
@@ -15,6 +16,7 @@ from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
     _TABLE_BLOCK_ROWS,
     _TableFold,
+    _compactness_keys,
     _encode_column,
     _int_dtype,
     _mean_rows,
@@ -628,6 +630,20 @@ def _random_table(rng, n, n_bands):
     )
 
 
+def _pair_table(rng, n, n_bands=2):
+    """A random table whose compactness is the fold's function of (pixel
+    count, perimeter), over few pairs: the pair-keyed path's input."""
+    table = _random_table(rng, n, n_bands)
+    table.counts[:] = rng.integers(1, 9, n)
+    table.perimeter[:] = rng.integers(0, 33, n)
+    p = table.perimeter.astype(np.float64)
+    has_contour = p > 0
+    table.compactness[:] = 1.0
+    table.compactness[has_contour] = np.minimum(
+        1.0, 4.0 * math.pi * table.counts[has_contour] / (p[has_contour] * p[has_contour]))
+    return table
+
+
 def _special_values_table(rng):
     """Values a per-value string table could mix up, across a chunk boundary."""
     table = _random_table(rng, _CSV_CHUNK_ROWS + 300, 3)
@@ -669,11 +685,12 @@ class TestSuperpixelCsv:
         ]
         assert tables[1].compactness.tolist() == [1.0]
         for table in tables:
-            write_superpixel_csv(table, tmp_path / "got.csv")
+            digest = write_superpixel_csv(table, tmp_path / "got.csv")
             _reference_csv(table, tmp_path / "want.csv")
             got = (tmp_path / "got.csv").read_bytes()
             assert got == (tmp_path / "want.csv").read_bytes()
             assert got.count(b"\r\n") == len(table) + 1
+            assert digest == hashlib.sha256(got).hexdigest()
         # the all-nodata table still names its two bands
         write_superpixel_csv(tables[2], tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == (
@@ -681,14 +698,82 @@ class TestSuperpixelCsv:
             b"perimeter,compactness,sum_b1,sum_b2\r\n")
 
     def _assert_matches_reference(self, table, tmp_path):
-        write_superpixel_csv(table, tmp_path / "got.csv")
+        digest = write_superpixel_csv(table, tmp_path / "got.csv")
         _reference_csv(table, tmp_path / "want.csv")
         got = (tmp_path / "got.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
         assert got.count(b"\r\n") == len(table) + 1
+        assert digest == hashlib.sha256(got).hexdigest()
+
+    @staticmethod
+    def _compactness_path(table, monkeypatch):
+        """"pair" or "sorted": how ``_compactness_keys`` codes ``table``."""
+        calls = []
+
+        def spy(values):
+            calls.append(values)
+            return sorted_codes(values)
+
+        sorted_codes = segmentation._sorted_codes
+        monkeypatch.setattr(segmentation, "_sorted_codes", spy)
+        _compactness_keys(table)
+        monkeypatch.setattr(segmentation, "_sorted_codes", sorted_codes)
+        return "sorted" if calls else "pair"
+
+    def test_pair_keyed_compactness_on_a_per_pixel_table(self, monkeypatch, tmp_path):
+        table = build_superpixel_table(*_per_pixel_table_inputs())
+        assert self._compactness_path(table, monkeypatch) == "pair"
+        keys, codes = _compactness_keys(table)
+        pairs = np.unique(np.stack([table.counts, table.perimeter]), axis=1).shape[1]
+        assert len(keys) == pairs < 2000
+        assert np.array_equal(keys[codes], table.compactness.view(np.uint64))
+        self._assert_matches_reference(table, tmp_path)
+
+    @pytest.mark.parametrize("case", ["table_past_2n", "negative", "not_a_function"])
+    def test_compactness_falls_back_to_sorting(self, rng, monkeypatch, tmp_path, case):
+        n = 1000
+        table = _pair_table(rng, n)
+        assert self._compactness_path(table, monkeypatch) == "pair"
+        if case == "table_past_2n":
+            # (max count + 1) * (max perimeter + 1) = 2n + 1 entries
+            table.counts[:] = rng.integers(1, 7, n)
+            table.counts[0] = 28
+            table.perimeter[:] = rng.integers(0, 69, n)
+            table.perimeter[0] = 68
+            assert 29 * 69 == 2 * n + 1
+        elif case == "negative":
+            table.perimeter[5] = -1
+        else:
+            # a hand-built table whose rows of one pair differ in compactness
+            table.counts[1], table.perimeter[1] = table.counts[0], table.perimeter[0]
+            table.compactness[1] = np.nextafter(table.compactness[0], 0.0)
+        assert self._compactness_path(table, monkeypatch) == "sorted"
+        self._assert_matches_reference(table, tmp_path)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 6)])
+    def test_image_filling_segment(self, rng, monkeypatch, tmp_path, shape):
+        """Perimeter 0, compactness 1.0: a 1-pixel image's pair table has
+        2 = 2n entries and is keyed on the pair; a 30-pixel one sorts."""
+        constant = cat(np.ones(shape))
+        table = build_superpixel_table(constant, connected_components(constant, 8),
+                                       random_image(rng, 2, *shape), cross_aura(constant, 8))
+        assert table.perimeter.tolist() == [0] and table.compactness.tolist() == [1.0]
+        want = "pair" if shape == (1, 1) else "sorted"
+        assert self._compactness_path(table, monkeypatch) == want
+        self._assert_matches_reference(table, tmp_path)
 
     @pytest.mark.parametrize("n", [
-        1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
+        1000, _CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS, 2 * _CSV_CHUNK_ROWS + 1,
+        3 * _CSV_CHUNK_ROWS + 1,
+    ])
+    def test_pair_keyed_rows_around_chunk_boundaries(self, rng, monkeypatch, tmp_path, n):
+        """Both record buffers in turn, and a short last chunk in either."""
+        table = _pair_table(rng, n)
+        assert self._compactness_path(table, monkeypatch) == "pair"
+        self._assert_matches_reference(table, tmp_path)
+
+    @pytest.mark.parametrize("n", [
+        0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
         # around a later chunk boundary (65 536 is a multiple of the chunk)
         65_535, 65_536, 65_537,
         # ids cross 99 999 -> 100 000 inside a chunk
@@ -754,6 +839,24 @@ class TestSuperpixelCsv:
         finally:
             tracemalloc.stop()
         assert peak / len(table) < 64
+
+    def test_direct_int_column_memory_per_row(self, rng):
+        """The direct path's traced peak on a 200 000-row int32 column whose
+        max is 2n - 1: 60 bytes per row with int64 ``arange`` and ``rest``
+        temporaries and a leading-zero mask; 38.7 with u32 ones."""
+        n = 200_000
+        column = rng.integers(0, 2 * n, n).astype(np.int32)
+        column[0] = 2 * n - 1
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fields, codes = _encode_column(column)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert codes is column and len(fields) == 2 * n
+        assert peak / n < 45
+        assert fields.tolist() == [str(v).encode().rjust(6, b"\0") for v in range(2 * n)]
 
     @pytest.mark.parametrize("distinct", [1, 12, 65_536, 65_537])
     def test_float_codes_equal_np_unique(self, rng, distinct):
