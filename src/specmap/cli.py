@@ -104,7 +104,8 @@ def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path:
 
     A missing input exits 2 before any directory is made.  Then the
     outputs' directories, which hold the manifest too, are made and
-    ``work`` runs; a ``SpecmapError`` from it exits 1.  Otherwise the manifest
+    ``work`` runs; a ``SpecmapError`` or ``OSError`` (say, a full disk)
+    from it exits 1 with its message.  Otherwise the manifest
     hashes every declared file and ``work``'s report is printed.  ``work``
     may fill ``digests`` with the SHA-256 of files it hashed as it wrote them.
     """
@@ -116,7 +117,7 @@ def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path:
         directory.mkdir(parents=True, exist_ok=True)
     try:
         report = work()
-    except SpecmapError as exc:
+    except (SpecmapError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     _write_manifest(manifest_path, config, inputs, outputs, digests)

@@ -30,7 +30,6 @@ runs their code over one strip: ``build_superpixel_table`` is pass A's
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -719,8 +718,9 @@ def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> str:
     buffers would stay resident.  An exception in the helper is raised
     here, and the helper has ended when this returns.
     """
-    # Imported here: concurrent.futures loads logging, which would add
-    # 10-20 ms to the start of every subcommand.
+    # Imported here: concurrent.futures loads logging and hashlib OpenSSL,
+    # which would add 10-20 ms and 5 ms to ``import specmap``.
+    import hashlib
     from concurrent.futures import ThreadPoolExecutor
 
     n = len(table)

@@ -695,8 +695,8 @@ class TestSegmentCommand:
     def test_failed_csv_write_leaves_no_output_and_no_thread(self, runner, tmp_path,
                                                             monkeypatch):
         """The CSV's third chunk fails to write in the writer's helper thread:
-        the error reaches the command, which removes every output, writes no
-        manifest and leaves no thread behind."""
+        the error reaches the command, which reports it, removes every
+        output, writes no manifest and leaves no thread behind."""
         _write_per_pixel_scene(tmp_path / "map.hdr", tmp_path / "img.hdr", 160, 256)
 
         class FailingFile:
@@ -724,8 +724,7 @@ class TestSegmentCommand:
             "--image", str(tmp_path / "img.hdr"), "--out-prefix", str(tmp_path / "out"),
         ])
         assert result.exit_code == 1
-        assert isinstance(result.exception, OSError)
-        assert "No space left on device" in str(result.exception)
+        assert result.output == f"error: [Errno {errno.ENOSPC}] No space left on device\n"
         assert not list(tmp_path.glob("out*"))
         assert threading.active_count() == threads
 

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import math
 import re
+import sys
 import tracemalloc
 
 import numpy as np
@@ -771,6 +772,17 @@ class TestSuperpixelCsv:
         table = _pair_table(rng, n)
         assert self._compactness_path(table, monkeypatch) == "pair"
         self._assert_matches_reference(table, tmp_path)
+
+    def test_bytes_hold_under_fast_thread_switching(self, rng, tmp_path):
+        """The main thread refills a record buffer only after the helper has
+        written it; a switch interval of 1 us makes a missed wait show."""
+        table = _pair_table(rng, 6 * _CSV_CHUNK_ROWS + 7, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self._assert_matches_reference(table, tmp_path)
+        finally:
+            sys.setswitchinterval(interval)
 
     @pytest.mark.parametrize("n", [
         0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
