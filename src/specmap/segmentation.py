@@ -636,8 +636,15 @@ def _float_keys(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_fields(keys: np.ndarray) -> np.ndarray:
-    """The ``repr`` of each u64 float64 bit pattern, as one ``S<w>`` array."""
-    return np.array([repr(v) for v in keys.view(np.float64).tolist()], dtype="S")
+    """The ``repr`` of each u64 float64 bit pattern, as one ``S<w>`` array.
+
+    Keys are formatted ``_CSV_CHUNK_ROWS`` at a time, so the Python floats
+    and strings of one block live at once, not those of the whole column:
+    this runs beside the next column's sort (``write_superpixel_csv``).
+    """
+    blocks = [np.array([repr(v) for v in keys[i:i + _CSV_CHUNK_ROWS].view(np.float64).tolist()],
+                       dtype="S") for i in range(0, len(keys), _CSV_CHUNK_ROWS)]
+    return np.concatenate(blocks) if blocks else np.array([], dtype="S")
 
 
 def _compactness_keys(table: SuperpixelTable) -> tuple[np.ndarray, np.ndarray]:
