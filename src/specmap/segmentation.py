@@ -642,8 +642,9 @@ def _float_fields(keys: np.ndarray) -> np.ndarray:
     and strings of one block live at once, not those of the whole column:
     this runs beside the next column's sort (``write_superpixel_csv``).
     """
-    blocks = [np.array([repr(v) for v in keys[i:i + _CSV_CHUNK_ROWS].view(np.float64).tolist()],
-                       dtype="S") for i in range(0, len(keys), _CSV_CHUNK_ROWS)]
+    values = keys.view(np.float64)
+    blocks = [np.array([repr(v) for v in values[i:i + _CSV_CHUNK_ROWS].tolist()], dtype="S")
+              for i in range(0, len(values), _CSV_CHUNK_ROWS)]
     return np.concatenate(blocks) if blocks else np.array([], dtype="S")
 
 
