@@ -102,12 +102,13 @@ def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path:
          digests: dict[Path, str] | None = None) -> None:
     """Run a subcommand over the files it declares.
 
-    A missing input exits 2 before any directory is made.  Then the
-    outputs' directories, which hold the manifest too, are made and
-    ``work`` runs; a ``SpecmapError`` or ``OSError`` (say, a full disk)
-    from it exits 1 with its message.  Otherwise the manifest
-    hashes every declared file and ``work``'s report is printed.  ``work``
-    may fill ``digests`` with the SHA-256 of files it hashed as it wrote them.
+    A missing input exits 2 before any file or directory is touched.  Then
+    the outputs' directories are made, the last run's manifest is removed
+    and ``work`` runs; only then is the manifest of every declared file
+    written and ``work``'s report printed.  If either fails, every declared
+    output that is not also an input is removed; a ``SpecmapError`` or
+    ``OSError`` (say, a full disk) exits 1 with its message.  ``work`` may
+    fill ``digests`` with the SHA-256 of files it hashed as it wrote them.
     """
     for what, path in _parts(inputs):
         if not path.exists():
@@ -115,12 +116,19 @@ def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path:
             sys.exit(2)
     for directory in {path.parent for _, path in _parts(outputs)}:
         directory.mkdir(parents=True, exist_ok=True)
+    manifest_path.unlink(missing_ok=True)
     try:
         report = work()
-    except (SpecmapError, OSError) as exc:
+        _write_manifest(manifest_path, config, inputs, outputs, digests)
+    except BaseException as exc:
+        read = {path.resolve() for _, path in _parts(inputs)}
+        for _, path in [*_parts(outputs), ("manifest", manifest_path)]:
+            if path.resolve() not in read:
+                path.unlink(missing_ok=True)
+        if not isinstance(exc, (SpecmapError, OSError)):
+            raise
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
-    _write_manifest(manifest_path, config, inputs, outputs, digests)
     _emit(report, as_json)
 
 
@@ -178,7 +186,8 @@ def main() -> None:
               help="Override the rule file's match policy.")
 @click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
               help="Rows per strip (default: about 131 072 pixels per strip). "
-                   "Every run reads in strips, so memory stays bounded.")
+                   "Every run reads the image in strips, but holds the whole "
+                   "u16 label map: memory grows with the image size.")
 @click.option("--aggregate", "aggregate_path", type=click.Path(path_type=Path),
               default=None, help="child_label,parent_label CSV applied after classify.")
 @click.option("--workers", type=click.IntRange(min=1), default=os.cpu_count() or 1,
@@ -260,22 +269,16 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         for r0, r1 in raster.strip_bounds(labels.height, rows):
             labeler.feed(labels.rows(r0, r1))
         painter = labeler.resolve()
-        # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.  Each
-        # removes its own files if it fails; a later failure removes pass A's.
+        # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.
         table = describe_segments(labels, painter, source, rows, adjacency,
                                   paths["segmentation"], paths["aura"])
-        try:
-            if int(table.counts.sum(dtype=np.int64)) != painter.labelled_pixels:
-                raise SpecmapError("pixel-count conservation violated")
-            del painter
-            stats = write_mean_view(table, source, rows, paths["segmentation"],
-                                    paths["reconstruction"], paths["rmse"])
-            csv_path = paths["superpixels"]
-            digests[csv_path] = write_superpixel_csv(table, csv_path)
-        except BaseException:
-            for _, path in _parts(outputs):
-                path.unlink(missing_ok=True)
-            raise
+        if int(table.counts.sum(dtype=np.int64)) != painter.labelled_pixels:
+            raise SpecmapError("pixel-count conservation violated")
+        del painter
+        stats = write_mean_view(table, source, rows, paths["segmentation"],
+                                paths["reconstruction"], paths["rmse"])
+        csv_path = paths["superpixels"]
+        digests[csv_path] = write_superpixel_csv(table, csv_path)
         return {
             "segments": len(table),
             "rmse_min": stats.minimum,
@@ -340,7 +343,8 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
                 translate_test, translate_ref, resolution_path, out_dir,
                 strip_height, as_json):
     """Harmonize two legends and report the CVPAI2 association index."""
-    if counts_path is None and (test_path is None or ref_path is None):
+    given = (counts_path is not None, test_path is not None, ref_path is not None)
+    if given not in ((True, False, False), (False, True, True)):
         click.echo("error: give either --counts or both --test and --ref", err=True)
         sys.exit(2)
     names = ["contingency.csv", *(f"{stem}.csv" for stem, _ in _STEP_MATRICES),

@@ -96,12 +96,25 @@ class CrossAuraMap:
     adjacency: int
 
 
+def compactness(area: np.ndarray, perimeter: np.ndarray) -> np.ndarray:
+    """Isoperimetric quotient min(1, 4 pi area / perimeter**2), float64.
+
+    Evaluated left to right as ((4 pi) area) / (p p): another order can
+    change the last bit and so the CSV's repr digits.  Only an image-filling
+    segment has no contour (perimeter 0); it counts as a disc, 1.0.
+    """
+    p = np.asarray(perimeter, dtype=np.float64)
+    out = np.divide(4.0 * math.pi * area, p * p, out=np.ones(p.shape), where=p > 0)
+    return np.minimum(out, 1.0, out=out)
+
+
 @dataclass(eq=False)
 class SuperpixelTable:
     """Columnar superpixel description: row ``i`` describes segment ``i + 1``.
 
     Every column has one entry per segment; ``label`` with the segment id
-    forms the (segment, stratum) 2-tuple.
+    forms the (segment, stratum) 2-tuple.  A segment has at least one pixel
+    and a perimeter of at least 0; ``compactness`` is derived from both.
     """
 
     counts: np.ndarray       # (n,) int32 pixel count (int64 from 2**31 pixels)
@@ -112,19 +125,29 @@ class SuperpixelTable:
     max_col: np.ndarray
     perimeter: np.ndarray    # (n,) int32 sum of member cross-aura counts
                              # (int64 from 2**28 pixels)
-    compactness: np.ndarray  # (n,) float64 in (0, 1]
     sums: np.ndarray         # (bands, n) float64 per-band sample sums
 
     def __post_init__(self):
         n = len(self.counts)
         columns = (self.labels, self.min_row, self.min_col, self.max_row,
-                   self.max_col, self.perimeter, self.compactness)
+                   self.max_col, self.perimeter)
         if any(len(c) != n for c in columns) or self.sums.ndim != 2 \
                 or self.sums.shape[1] != n:
             raise DataError("superpixel table columns differ in length")
+        if self.counts.min(initial=1) < 1:
+            raise DataError(f"superpixel pixel count {int(self.counts.min())} is below 1")
+        if self.perimeter.min(initial=0) < 0:
+            raise DataError(f"superpixel perimeter {int(self.perimeter.min())} is negative")
 
     def __len__(self) -> int:
         return len(self.counts)
+
+    @property
+    def compactness(self) -> np.ndarray:
+        """(n,) float64 in (0, 1], read-only: ``compactness(counts, perimeter)``."""
+        out = compactness(self.counts, self.perimeter)
+        out.flags.writeable = False
+        return out
 
 
 @dataclass
@@ -455,11 +478,6 @@ def build_superpixel_table(
     return fold.table()
 
 
-#: Rows of the table's compactness computed at once; bounds its float64
-#: temporaries.
-_TABLE_BLOCK_ROWS = 1 << 14
-
-
 class _TableFold:
     """The superpixel table's columns, folded in one block of rows at a time.
 
@@ -518,19 +536,6 @@ class _TableFold:
         self.rows += ids.shape[0]
 
     def table(self) -> SuperpixelTable:
-        n = len(self.counts) - 1
-        compactness = np.ones(n, dtype=np.float64)
-        for r0 in range(0, n, _TABLE_BLOCK_ROWS):
-            r1 = min(r0 + _TABLE_BLOCK_ROWS, n)
-            area = self.counts[1 + r0:1 + r1]
-            p = self.perim[1 + r0:1 + r1].astype(np.float64)
-            # Evaluated left to right as ((4 pi) area) / (p p): another order
-            # can change the last bit and so the CSV's repr digits.  Only an
-            # image-filling segment has no contour; it counts as a disc.
-            has_contour = p > 0
-            compactness[r0:r1][has_contour] = np.minimum(
-                1.0, 4.0 * math.pi * area[has_contour] / (p[has_contour] * p[has_contour])
-            )
         return SuperpixelTable(
             counts=self.counts[1:],
             labels=self.label_of[1:],
@@ -539,7 +544,6 @@ class _TableFold:
             max_row=self.max_row[1:],
             max_col=self.max_col[1:],
             perimeter=self.perim[1:],
-            compactness=compactness,
             sums=self.sums[:, 1:],
         )
 
@@ -652,30 +656,22 @@ def _compactness_keys(table: SuperpixelTable) -> tuple[np.ndarray, np.ndarray]:
     """``_float_keys(table.compactness)``, keyed on (pixel count, perimeter).
 
     Compactness is a function of that int pair, and a per-pixel map has few
-    distinct pairs, so each row's pair indexes a table of the pairs seen
-    and no sort is needed.  A key may then repeat, which costs only a
-    duplicate field.  The pair table is sized with Python ints before any
-    key is formed; past 2n entries, with a negative count or perimeter, or
-    where rows of one pair differ in compactness (a table not built by
-    ``_TableFold``), the column is sorted instead.
+    distinct pairs, so each row's pair indexes a table of the pairs seen and
+    only their compactness is computed; a key may then repeat, which costs
+    a duplicate field.  The pair table is sized with Python ints before any
+    key is formed; past 2n entries the column is sorted instead.
     """
-    bits = np.ascontiguousarray(table.compactness, dtype=np.float64).view(np.uint64)
     counts, perimeter = table.counts, table.perimeter
     stride = int(perimeter.max(initial=0)) + 1
     size = (int(counts.max(initial=0)) + 1) * stride
-    if size > 2 * len(bits) or counts.min(initial=0) < 0 or perimeter.min(initial=0) < 0:
-        return _sorted_codes(bits)
+    if size > 2 * len(table):
+        return _float_keys(table.compactness)
     pair = counts.astype(_int_dtype(size))
     pair *= stride
     pair += perimeter
-    value_of = np.zeros(size, dtype=np.uint64)
-    value_of[pair] = bits
-    if not np.array_equal(value_of[pair], bits):
-        return _sorted_codes(bits)
     seen = np.zeros(size, dtype=bool)
     seen[pair] = True
-    keys = value_of[seen]
-    del value_of
+    keys = compactness(*np.divmod(np.flatnonzero(seen), stride)).view(np.uint64)
     # As in ``_sorted_codes``: a pair's code is the number of pairs seen
     # below it, so the first seen pair counts for none.
     seen[np.argmax(seen)] = False

@@ -69,6 +69,33 @@ def invoke(runner, *args):
     return result
 
 
+def run_into_empty_dir(runner, out, *args):
+    """Run a subcommand that must succeed and write under ``out``, manifest included."""
+    assert not out.exists() or not list(out.iterdir())
+    result = invoke(runner, *args)
+    assert result.exit_code == 0, result.output
+    assert [p for p in out.iterdir() if p.name.endswith("manifest.json")]
+
+
+def assert_failure_leaves_nothing(runner, out, message, *args):
+    """Run a subcommand that must fail with ``message``; no file is left under
+    ``out``: neither the last run's outputs and manifest nor its own."""
+    result = runner.invoke(main, [str(a) for a in args])
+    assert result.exit_code == 1
+    assert message in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not list(out.iterdir())
+
+
+def full_disk(path, *args):
+    """A writer that writes part of ``path`` and then finds the disk full."""
+    Path(path).write_text("partial")
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+FULL_DISK = f"error: [Errno {errno.ENOSPC}] No space left on device\n"
+
+
 class TestClassifyCommand:
     def test_end_to_end_matches_library(self, runner, tmp_path):
         image = write_scene(tmp_path / "scene.hdr", 48, 20, seed=11, block=8)
@@ -156,6 +183,17 @@ class TestClassifyCommand:
         assert result.exit_code == 0, result.output
         assert read_map(out).labels.shape == (16, 8)
         assert (out.parent / "colors.manifest.json").exists()
+
+    def test_failed_rerun_leaves_no_manifest_and_no_output(self, runner, tmp_path):
+        """A rerun into the same map whose aggregation file is refused."""
+        write_scene(tmp_path / "scene.hdr", 20, 12, seed=1, block=4)
+        out = tmp_path / "out"
+        args = ["classify", "--rules", SPECL_PATH, "--in", tmp_path / "scene.hdr",
+                "--out", out / "colors.hdr"]
+        run_into_empty_dir(runner, out, *args)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("child_label,parent_label\n21\n")
+        assert_failure_leaves_nothing(runner, out, "line 2", *args, "--aggregate", bad)
 
     def test_zero_workers_is_usage_error(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
@@ -728,6 +766,22 @@ class TestSegmentCommand:
         assert not list(tmp_path.glob("out*"))
         assert threading.active_count() == threads
 
+    def test_failed_rerun_leaves_no_manifest_and_no_output(self, runner, tmp_path):
+        """Pass A of a rerun into the same prefix refuses a labelled pixel the
+        image marks nodata: the last run's CSV, reconstruction, RMSE and
+        manifest go with this run's segmentation and aura."""
+        image = write_scene(tmp_path / "scene.hdr", 20, 12, seed=1, block=4)
+        write_map(classify(image, load_specl()), tmp_path / "map.hdr")
+        image.validity[3, 5] = False
+        write_image(image, tmp_path / "holed.hdr")
+        out = tmp_path / "out"
+        args = ["segment", "--in", tmp_path / "map.hdr", "--out-prefix", out / "seg"]
+        run_into_empty_dir(runner, out, *args, "--image", tmp_path / "scene.hdr")
+        assert len(list(out.iterdir())) == 10
+        assert_failure_leaves_nothing(
+            runner, out, "error: the map labels row 3, col 5, which the image marks nodata",
+            *args, "--image", tmp_path / "holed.hdr")
+
     def test_superpixel_csv_header(self, runner, tmp_path):
         self._write_map_and_image(tmp_path, NINE_SEGMENT_MAP)
         invoke(runner, "segment", "--in", tmp_path / "map.hdr",
@@ -809,6 +863,44 @@ class TestCompareCommand:
     def test_requires_counts_or_map_pair(self, runner, tmp_path):
         result = runner.invoke(main, ["compare", "--out-dir", str(tmp_path)])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("maps", [["--test"], ["--ref"], ["--test", "--ref"]],
+                             ids=" ".join)
+    def test_counts_with_a_map_is_refused(self, runner, tmp_path, maps):
+        """The maps would be hashed as inputs the run never reads."""
+        write_map(CategoricalMap(np.ones((4, 4), dtype=np.uint16), legend(1)),
+                  tmp_path / "m.hdr")
+        args = ["compare", "--counts", COUNTS_PATH, "--out-dir", str(tmp_path / "cmp")]
+        for option in maps:
+            args += [option, str(tmp_path / "m.hdr")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2
+        assert result.output == "error: give either --counts or both --test and --ref\n"
+        assert not (tmp_path / "cmp").exists()
+
+    def test_failed_rerun_leaves_no_manifest_and_no_output(self, runner, tmp_path,
+                                                           monkeypatch):
+        """A rerun into the same directory finds the disk full at step 8,
+        after the contingency table and step matrices are written."""
+        out = tmp_path / "out"
+        args = ["compare", "--counts", COUNTS_PATH, "--out-dir", out]
+        run_into_empty_dir(runner, out, *args)
+        monkeypatch.setattr(specmap.cli, "write_relation_csv", full_disk)
+        assert_failure_leaves_nothing(runner, out, FULL_DISK, *args)
+
+    def test_failed_run_keeps_an_output_it_read(self, runner, tmp_path, monkeypatch):
+        """A run from the last run's contingency table into the same
+        directory fails: its other outputs go, the table it read stays."""
+        out = tmp_path / "out"
+        run_into_empty_dir(runner, out, "compare", "--counts", COUNTS_PATH, "--out-dir", out)
+        counts = (out / "contingency.csv").read_bytes()
+        monkeypatch.setattr(specmap.cli, "write_relation_csv", full_disk)
+        result = runner.invoke(main, ["compare", "--counts", str(out / "contingency.csv"),
+                                      "--out-dir", str(out)])
+        assert result.exit_code == 1
+        assert result.output == FULL_DISK
+        assert [p.name for p in out.iterdir()] == ["contingency.csv"]
+        assert (out / "contingency.csv").read_bytes() == counts
 
     @pytest.mark.parametrize("option, what", [("--test", "test map"),
                                               ("--ref", "reference map")])
@@ -1028,6 +1120,20 @@ class TestEvidenceCommand:
         assert result.exit_code == 0, result.output
         assert out.read_text().strip().splitlines()[1] == "v1,forest,0.6"
         assert (out.parent / "scores.manifest.json").exists()
+
+    def test_failed_rerun_leaves_no_manifest_and_no_output(self, runner, tmp_path,
+                                                           monkeypatch):
+        """A rerun into the same scores file finds the disk full while writing it."""
+        rel = tmp_path / "rel.csv"
+        rel.write_text(",forest\ngreen,1\n")
+        vectors = tmp_path / "ev.csv"
+        vectors.write_text("id,color_name,class_name,shape,texture,spatial\n"
+                           "v1,green,forest,0.6,0.9,0.7\n")
+        out = tmp_path / "out"
+        args = ["evidence", "--relation", rel, "--in", vectors, "--out", out / "scores.csv"]
+        run_into_empty_dir(runner, out, *args)
+        monkeypatch.setattr(specmap.cli, "write_scores_csv", full_disk)
+        assert_failure_leaves_nothing(runner, out, FULL_DISK, *args)
 
     def test_packaged_color_relation_loads(self, runner, tmp_path):
         rel_path = str(files("specmap").joinpath(

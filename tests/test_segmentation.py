@@ -15,7 +15,6 @@ from specmap.errors import ConfigError, DataError, DimensionMismatchError, Forma
 from specmap.raster import Strip
 from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
-    _TABLE_BLOCK_ROWS,
     _TableFold,
     _compactness_keys,
     _encode_column,
@@ -559,18 +558,26 @@ class TestSuperpixelTable:
         write_superpixel_csv(wide, tmp_path / "wide.csv")
         assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
 
-    def test_blockwise_compactness_equals_whole_column_bits(self, rng):
-        cmap = random_map(rng, 128, 512, 20)
-        table = build_superpixel_table(cmap, connected_components(cmap, 8),
-                                       random_image(rng, 2, 128, 512), cross_aura(cmap, 8))
-        assert len(table) > 2 * _TABLE_BLOCK_ROWS
-        area = table.counts.astype(np.int64)
-        p = table.perimeter.astype(np.float64)
-        want = np.ones(len(table))
-        has_contour = p > 0
-        want[has_contour] = np.minimum(
-            1.0, 4.0 * math.pi * area[has_contour] / (p[has_contour] * p[has_contour]))
-        assert np.array_equal(table.compactness.view(np.uint64), want.view(np.uint64))
+    @pytest.mark.parametrize("column", ["counts", "perimeter"])
+    def test_count_below_one_or_negative_perimeter_refused(self, rng, column):
+        """The fold makes neither, and compactness is keyed on both."""
+        table = _pair_table(rng, 50)
+        bad = getattr(table, column).copy()
+        bad[5] = {"counts": 0, "perimeter": -1}[column]
+        message = {"counts": "pixel count 0 is below 1",
+                   "perimeter": "perimeter -1 is negative"}[column]
+        with pytest.raises(DataError, match=message):
+            dataclasses.replace(table, **{column: bad})
+
+    def test_compactness_is_derived_and_read_only(self, rng):
+        """A write to the derived column fails instead of being lost."""
+        table = _pair_table(rng, 50)
+        with pytest.raises(ValueError, match="read-only"):
+            table.compactness[0] = 0.5
+        with pytest.raises(AttributeError):
+            table.compactness = np.ones(50)
+        with pytest.raises(TypeError):
+            dataclasses.replace(table, compactness=np.ones(50))
 
     def test_table_bytes_per_row(self):
         """What the per-pixel table keeps: 7 int64 columns and 7 float64
@@ -601,6 +608,7 @@ def _reference_csv(table, path):
     n_bands = table.sums.shape[0]
     int_columns = (table.labels, table.counts, table.min_row, table.min_col,
                    table.max_row, table.max_col, table.perimeter)
+    compactness = table.compactness  # derived anew on each access
     with open(path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(
@@ -611,7 +619,7 @@ def _reference_csv(table, path):
         for i in range(len(table)):
             writer.writerow(
                 [i + 1] + [int(c[i]) for c in int_columns]
-                + [repr(float(table.compactness[i]))]
+                + [repr(float(compactness[i]))]
                 + [repr(float(v)) for v in table.sums[:, i]]
             )
 
@@ -620,28 +628,21 @@ def _random_table(rng, n, n_bands):
     def ints(high):
         return rng.integers(0, high, n)
 
-    compactness = rng.random(n)
-    compactness[::7] = 1.0
     sums = rng.random((n_bands, n)) * 10.0 ** rng.integers(-9, 7, (n_bands, n))
     sums[:, ::5] = 0.0
     return SuperpixelTable(
         counts=ints(10**6) + 1, labels=ints(65536), min_row=ints(5000),
         min_col=ints(5000), max_row=ints(5000), max_col=ints(5000),
-        perimeter=ints(10**7), compactness=compactness, sums=sums,
+        perimeter=ints(10**7), sums=sums,
     )
 
 
 def _pair_table(rng, n, n_bands=2):
-    """A random table whose compactness is the fold's function of (pixel
-    count, perimeter), over few pairs: the pair-keyed path's input."""
+    """A random table over few (pixel count, perimeter) pairs: the
+    pair-keyed path's input."""
     table = _random_table(rng, n, n_bands)
     table.counts[:] = rng.integers(1, 9, n)
     table.perimeter[:] = rng.integers(0, 33, n)
-    p = table.perimeter.astype(np.float64)
-    has_contour = p > 0
-    table.compactness[:] = 1.0
-    table.compactness[has_contour] = np.minimum(
-        1.0, 4.0 * math.pi * table.counts[has_contour] / (p[has_contour] * p[has_contour]))
     return table
 
 
@@ -660,7 +661,7 @@ def _special_values_table(rng):
     table.sums[1, 3::4] = -np.inf
     # one float value on both sides of a chunk boundary
     edge = slice(_CSV_CHUNK_ROWS - 5, _CSV_CHUNK_ROWS + 5)
-    table.compactness[edge] = 0.1 + 0.2
+    table.counts[edge], table.perimeter[edge] = 5, 12
     table.sums[2, edge] = 1.0 / 3.0
     # an int column holding a single repeated value
     table.labels[:] = 7
@@ -730,26 +731,40 @@ class TestSuperpixelCsv:
         assert np.array_equal(keys[codes], table.compactness.view(np.uint64))
         self._assert_matches_reference(table, tmp_path)
 
-    @pytest.mark.parametrize("case", ["table_past_2n", "negative", "not_a_function"])
+    @pytest.mark.parametrize("case", ["table_past_2n"])
     def test_compactness_falls_back_to_sorting(self, rng, monkeypatch, tmp_path, case):
         n = 1000
         table = _pair_table(rng, n)
         assert self._compactness_path(table, monkeypatch) == "pair"
-        if case == "table_past_2n":
-            # (max count + 1) * (max perimeter + 1) = 2n + 1 entries
-            table.counts[:] = rng.integers(1, 7, n)
-            table.counts[0] = 28
-            table.perimeter[:] = rng.integers(0, 69, n)
-            table.perimeter[0] = 68
-            assert 29 * 69 == 2 * n + 1
-        elif case == "negative":
-            table.perimeter[5] = -1
-        else:
-            # a hand-built table whose rows of one pair differ in compactness
-            table.counts[1], table.perimeter[1] = table.counts[0], table.perimeter[0]
-            table.compactness[1] = np.nextafter(table.compactness[0], 0.0)
+        # (max count + 1) * (max perimeter + 1) = 2n + 1 entries
+        table.counts[:] = rng.integers(1, 7, n)
+        table.counts[0] = 28
+        table.perimeter[:] = rng.integers(0, 69, n)
+        table.perimeter[0] = 68
+        assert 29 * 69 == 2 * n + 1
         assert self._compactness_path(table, monkeypatch) == "sorted"
         self._assert_matches_reference(table, tmp_path)
+
+    def test_compactness_bits_equal_the_formula_per_row(self, rng, monkeypatch):
+        """On the pair path and the sorted path, the table's column and the
+        CSV's keys equal ((4 pi) area) / (p p), capped at 1.0 and 1.0 where
+        p is 0, evaluated row by row in Python floats."""
+        cmap = random_map(rng, 128, 512, 20)
+        tables = {
+            "pair": build_superpixel_table(cmap, connected_components(cmap, 8),
+                                           random_image(rng, 2, 128, 512),
+                                           cross_aura(cmap, 8)),
+            "sorted": _random_table(rng, 5000, 1),
+        }
+        for path, table in tables.items():
+            want = np.array([
+                1.0 if p == 0 else min(1.0, 4.0 * math.pi * area / (float(p) * float(p)))
+                for area, p in zip(table.counts.tolist(), table.perimeter.tolist())
+            ]).view(np.uint64)
+            assert np.array_equal(table.compactness.view(np.uint64), want)
+            assert self._compactness_path(table, monkeypatch) == path
+            keys, codes = _compactness_keys(table)
+            assert np.array_equal(keys[codes], want)
 
     @pytest.mark.parametrize("shape", [(1, 1), (5, 6)])
     def test_image_filling_segment(self, rng, monkeypatch, tmp_path, shape):
