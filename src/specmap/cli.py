@@ -112,8 +112,7 @@ def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path:
     """
     for what, path in _parts(inputs):
         if not path.exists():
-            click.echo(f"error: {what} not found: {path}", err=True)
-            sys.exit(2)
+            _refuse(f"{what} not found: {path}")
     for directory in {path.parent for _, path in _parts(outputs)}:
         directory.mkdir(parents=True, exist_ok=True)
     manifest_path.unlink(missing_ok=True)
@@ -130,6 +129,11 @@ def _run(config: dict, inputs: list[_File], outputs: list[_File], manifest_path:
         click.echo(f"error: {exc}", err=True)
         sys.exit(1)
     _emit(report, as_json)
+
+
+def _refuse(message: str) -> None:
+    click.echo(f"error: {message}", err=True)
+    sys.exit(2)
 
 
 def _sha256(path: Path) -> str:
@@ -328,15 +332,15 @@ _STEP_MATRICES = (
 @click.option("--overrides", "overrides_path", type=click.Path(path_type=Path),
               default=None, help="Step-8 expert override CSV.")
 @click.option("--translate-test", "translate_test", type=click.Path(path_type=Path),
-              default=None, help="Legend mapping CSV applied to the test map.")
+              default=None, help="Legend mapping CSV for the test map (--test/--ref only).")
 @click.option("--translate-ref", "translate_ref", type=click.Path(path_type=Path),
-              default=None, help="Legend mapping CSV applied to the reference map.")
+              default=None, help="Legend mapping CSV for the reference map (--test/--ref only).")
 @click.option("--resolution", "resolution_path", type=click.Path(path_type=Path),
-              default=None, help="Per-code resolution for ambiguous mappings.")
+              default=None, help="Per-code picks for ambiguous mappings (--translate-* only).")
 @click.option("--out-dir", "out_dir", required=True, type=click.Path(path_type=Path))
 @click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
-              help="Rows per strip (default: about 131 072 pixels per strip). "
-                   "Both maps are read one strip at a time, as u16 labels, so "
+              help="Rows per strip (default: about 131 072 pixels per strip; --test/--ref "
+                   "only). Both maps are read one strip at a time, as u16 labels, so "
                    "memory stays fixed whatever the map size.")
 @click.option("--json", "as_json", is_flag=True)
 def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
@@ -345,16 +349,20 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
     """Harmonize two legends and report the CVPAI2 association index."""
     given = (counts_path is not None, test_path is not None, ref_path is not None)
     if given not in ((True, False, False), (False, True, True)):
-        click.echo("error: give either --counts or both --test and --ref", err=True)
-        sys.exit(2)
+        _refuse("give either --counts or both --test and --ref")
+    for option, value in (("--translate-test", translate_test),
+                          ("--translate-ref", translate_ref),
+                          ("--resolution", resolution_path), ("--stream", strip_height)):
+        if counts_path is not None and value is not None:
+            _refuse(f"{option} is not read with --counts")
+    if resolution_path is not None and translate_test is None and translate_ref is None:
+        _refuse("--resolution is read only with --translate-test or --translate-ref")
     names = ["contingency.csv", *(f"{stem}.csv" for stem, _ in _STEP_MATRICES),
              "step8_final.csv", "report.json", "report.txt"]
     paths = {name: out_dir / name for name in names}
 
     def work() -> dict:
-        resolution = (
-            read_resolution(resolution_path) if resolution_path is not None else None
-        )
+        resolution = read_resolution(resolution_path) if resolution_path else None
         if counts_path is not None:
             table = read_contingency_csv(counts_path)
         else:
@@ -367,9 +375,7 @@ def cmd_compare(test_path, ref_path, counts_path, th1, th2, overrides_path,
                 maps.append(cmap)
             table = build_contingency(*maps, strip_height)
         trace = harmonize(table, th1, th2)
-        overrides = (
-            read_overrides_csv(overrides_path) if overrides_path is not None else []
-        )
+        overrides = read_overrides_csv(overrides_path) if overrides_path else []
         relation = apply_overrides(trace, overrides)
         index = cvpai2(relation)
         t, r = table.test_names, table.ref_names

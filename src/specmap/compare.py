@@ -105,8 +105,8 @@ class ContingencyTable:
 
 @dataclass
 class HarmonizationTrace:
-    """Matrices of protocol steps 1-7, thresholds, and the step-8 relation
-    once overrides have been applied."""
+    """Matrices of protocol steps 1-7 and their thresholds; ``apply_overrides``
+    makes the step-8 relation from them."""
 
     table: ContingencyTable
     th1: float
@@ -117,7 +117,6 @@ class HarmonizationTrace:
     test_given_ref: np.ndarray      # step 5: p(t | r), columns
     kept_by_col: np.ndarray         # step 6: [p(t | r) >= TH2]
     temporary: np.ndarray           # step 7: elementwise max (logical OR)
-    final: "LegendRelation | None" = None  # step 8, set by apply_overrides
 
 
 def _position_lut(legend: Sequence[LegendEntry]) -> np.ndarray:
@@ -189,7 +188,8 @@ def harmonize(table: ContingencyTable, th1: float, th2: float) -> HarmonizationT
 def apply_overrides(
     trace: HarmonizationTrace, overrides: Sequence[Override]
 ) -> LegendRelation:
-    """Protocol step 8: expert decisions replace step-7 cells, audited."""
+    """Protocol step 8: expert decisions replace step-7 cells, audited; ``trace``
+    is left as it was."""
     test_names = trace.table.test_names
     ref_names = trace.table.ref_names
     matrix = trace.temporary.astype(np.int8).copy()
@@ -208,8 +208,7 @@ def apply_overrides(
         except ValueError:
             raise MappingError(f"unknown reference label {ov.ref_label!r}") from None
         matrix[t, r] = ov.value
-    trace.final = LegendRelation(test_names, ref_names, matrix, tuple(overrides))
-    return trace.final
+    return LegendRelation(test_names, ref_names, matrix, tuple(overrides))
 
 
 def cvpai2(rel: LegendRelation) -> float:
@@ -508,7 +507,8 @@ def write_matrix_csv(
 
 
 def _read_matrix(path: Path | str):
-    """``read_matrix_csv``'s result and the line of each matrix row."""
+    """The contingency and relation readers' named matrix: its distinct test
+    names, distinct reference names, float64 cells and each row's line."""
     rows = csv_rows(path, ())
     header_line, header = next(rows)
     ref_names = tuple(header[1:])
@@ -525,11 +525,6 @@ def _read_matrix(path: Path | str):
     cells = parse_column(path, "cell", [v for _, row in body for v in row[1:]],
                          [line for line in lines for _ in ref_names])
     return test_names, ref_names, cells.reshape(len(body), len(ref_names)), lines
-
-
-def read_matrix_csv(path: Path | str) -> tuple[tuple[str, ...], tuple[str, ...], np.ndarray]:
-    """Read a named matrix of numbers; test and reference names are each distinct."""
-    return _read_matrix(path)[:3]
 
 
 def write_contingency_csv(path: Path | str, table: ContingencyTable) -> None:

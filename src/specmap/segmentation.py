@@ -115,6 +115,7 @@ class SuperpixelTable:
     Every column has one entry per segment; ``label`` with the segment id
     forms the (segment, stratum) 2-tuple.  A segment has at least one pixel
     and a perimeter of at least 0; ``compactness`` is derived from both.
+    Every column is read-only once these checks pass.
     """
 
     counts: np.ndarray       # (n,) int32 pixel count (int64 from 2**31 pixels)
@@ -138,6 +139,8 @@ class SuperpixelTable:
             raise DataError(f"superpixel pixel count {int(self.counts.min())} is below 1")
         if self.perimeter.min(initial=0) < 0:
             raise DataError(f"superpixel perimeter {int(self.perimeter.min())} is negative")
+        for column in (self.counts, *columns, self.sums):
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -615,19 +618,13 @@ def _decimals(start: int, stop: int) -> np.ndarray:
 
 
 def _encode_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return a column's distinct fields and each row's code into them.
+    """An int column's distinct decimals, one NUL-padded ``S<w>`` array, and
+    each row's code into them (float columns: ``_float_keys``).
 
-    The fields are one NUL-padded ``S<w>`` array: ints in decimal, floats
-    as ``repr``, each distinct value formatted once.  Floats are keyed on
-    their bit pattern, so ``-0.0`` and ``0.0`` (whose ``repr``s differ)
-    stay apart; every member of a bit-pattern group formats the same.  An
-    int column within ``[0, 2n)`` indexes the decimals of ``0..max``
-    directly and is its own codes; other codes take the narrowest unsigned
-    dtype that holds them.
+    A column within ``[0, 2n)`` indexes the decimals of ``0..max`` directly
+    and is its own codes; other codes take the narrowest unsigned dtype
+    that holds them.
     """
-    if column.dtype.kind == "f":
-        keys, codes = _float_keys(column)
-        return _float_fields(keys), codes
     if column.min(initial=0) >= 0 and int(column.max(initial=0)) < 2 * len(column):
         return _decimals(0, int(column.max()) + 1), column
     keys, codes = _sorted_codes(column)
@@ -635,7 +632,8 @@ def _encode_column(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _float_keys(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A float column's distinct bit patterns (u64) and each row's code."""
+    """A float column's distinct bit patterns (u64) and each row's code:
+    ``-0.0`` and ``0.0``, whose ``repr``s differ, stay apart."""
     return _sorted_codes(np.ascontiguousarray(column, dtype=np.float64).view(np.uint64))
 
 
@@ -708,10 +706,10 @@ def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> str:
 
     The bytes equal ``csv.writer`` output of those strings: no field can
     hold a delimiter, quote or line break, so none is quoted.  Each column
-    is dictionary-encoded once into byte fields (``_encode_column``;
-    compactness through ``_compactness_keys``).  Every chunk of rows
-    gathers them into one of two record buffers whose commas and CRLF are
-    filled in advance; the segment ids are formatted per chunk.
+    is dictionary-encoded once into byte fields: ints by ``_encode_column``,
+    floats by ``_float_keys``, compactness by ``_compactness_keys``.  Each
+    chunk of rows gathers them into one of two record buffers with commas
+    and CRLF filled in advance; the segment ids are formatted per chunk.
 
     One helper thread overlaps the GIL-bound work with this thread's numpy
     work, which releases the GIL.  It ``repr``s each float column's keys

@@ -1079,15 +1079,44 @@ class TestCompareCommand:
         assert not list((tmp_path / "cmp").iterdir())
 
     def test_malformed_resolution_exits_1_without_traceback(self, runner, tmp_path):
+        """A resolution is read with a legend mapping; its bad line is named."""
+        for name in ("test", "ref"):
+            write_map(CategoricalMap(np.ones((4, 4), dtype=np.uint16), legend(1)),
+                      tmp_path / f"{name}.hdr")
+        mapping = tmp_path / "to_1.csv"
+        mapping.write_text("child_label,child_name,parent_label,parent_name\n1,a,1,P\n")
         bad = tmp_path / "bad.csv"
         bad.write_text("child_label,parent_label\n21\n")
-        result = runner.invoke(main, ["compare", "--counts", COUNTS_PATH,
-                                      "--resolution", str(bad),
-                                      "--out-dir", str(tmp_path / "cmp")])
+        result = runner.invoke(main, [str(a) for a in [
+            "compare", "--test", tmp_path / "test.hdr", "--ref", tmp_path / "ref.hdr",
+            "--translate-ref", mapping, "--resolution", bad, "--out-dir", tmp_path / "cmp"]])
         assert result.exit_code == 1
         assert "error:" in result.output and "line 2" in result.output
+        assert str(bad) in result.output
         assert "Traceback" not in result.output
         assert isinstance(result.exception, SystemExit)
+        assert not list((tmp_path / "cmp").iterdir())
+
+    @pytest.mark.parametrize("option", ["--translate-test", "--translate-ref",
+                                        "--resolution", "--stream"])
+    def test_counts_refuses_an_option_it_does_not_read(self, runner, tmp_path, option):
+        """The run would hash the file as an input it never reads."""
+        value = {"--resolution": NLCD_RESOLUTION, "--stream": "1"}.get(option, NLCD_MAPPING)
+        result = runner.invoke(main, ["compare", "--counts", COUNTS_PATH, option, value,
+                                      "--out-dir", str(tmp_path / "cmp")])
+        assert result.exit_code == 2
+        assert result.output == f"error: {option} is not read with --counts\n"
+        assert not (tmp_path / "cmp").exists()
+
+    def test_resolution_without_a_mapping_is_refused(self, runner, tmp_path):
+        """A resolution only settles the ambiguous children of a mapping."""
+        args = self._map_pair(tmp_path)
+        result = runner.invoke(main, [str(a) for a in [
+            "compare", *args, "--resolution", NLCD_RESOLUTION, "--out-dir", tmp_path / "cmp"]])
+        assert result.exit_code == 2
+        assert result.output == ("error: --resolution is read only with --translate-test "
+                                 "or --translate-ref\n")
+        assert not (tmp_path / "cmp").exists()
 
 
 class TestEvidenceCommand:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -20,7 +21,6 @@ from specmap.compare import (
     read_aggregation,
     read_contingency_csv,
     read_legend_mapping,
-    read_matrix_csv,
     read_overrides_csv,
     read_relation_csv,
     read_resolution,
@@ -290,11 +290,17 @@ class TestOverrides:
         rel = apply_overrides(trace, [])
         assert np.array_equal(rel.matrix, trace.temporary)
 
-    def test_trace_carries_final_relation(self):
+    def test_overrides_return_the_relation_and_leave_the_trace(self):
         trace = harmonize(example_table(), 0.09, 0.06)
-        assert trace.final is None
+        steps = {f.name: getattr(trace, f.name).copy() for f in dataclasses.fields(trace)
+                 if isinstance(getattr(trace, f.name), np.ndarray)}
         rel = apply_overrides(trace, WORKED_OVERRIDES)
-        assert trace.final is rel
+        assert isinstance(rel, LegendRelation)
+        assert rel.matrix.tolist() == [[1, 1, 1], [0, 0, 1], [0, 0, 1]]
+        assert len(steps) == 6 and not hasattr(trace, "final")
+        for name, matrix in steps.items():
+            assert np.array_equal(getattr(trace, name), matrix), name
+            assert getattr(trace, name).dtype == matrix.dtype, name
 
     def test_override_to_current_value_logged(self):
         trace = harmonize(example_table(), 0.09, 0.06)
@@ -620,7 +626,7 @@ class TestCsvIO:
         p = tmp_path / "m.csv"
         p.write_text(text)
         with pytest.raises(FormatError, match=fault):
-            read_matrix_csv(p)
+            read_relation_csv(p)
 
     def test_contingency_round_trip(self, tmp_path):
         table = example_table()

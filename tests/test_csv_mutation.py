@@ -25,7 +25,6 @@ from specmap.compare import (
     read_aggregation,
     read_contingency_csv,
     read_legend_mapping,
-    read_matrix_csv,
     read_overrides_csv,
     read_relation_csv,
     read_resolution,
@@ -54,9 +53,6 @@ READERS = {
     "contingency": (read_contingency_csv, [
         ["", "a", "b"], ["x", "3", "0"], ["y", "1", "2"],
     ], ContingencyTable, True),
-    "matrix": (read_matrix_csv, [
-        ["", "a", "b"], ["x", "0.5", "0.25"], ["y", "1", "-2"],
-    ], tuple, True),
     "resolution": (read_resolution, [
         ["child_label", "parent_label"], ["1", "1"], ["2", "1"], ["3", "2"],
     ], dict, False),

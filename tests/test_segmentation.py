@@ -18,6 +18,8 @@ from specmap.segmentation import (
     _TableFold,
     _compactness_keys,
     _encode_column,
+    _float_fields,
+    _float_keys,
     _int_dtype,
     _mean_rows,
     _tree_sum,
@@ -579,6 +581,18 @@ class TestSuperpixelTable:
         with pytest.raises(TypeError):
             dataclasses.replace(table, compactness=np.ones(50))
 
+    @pytest.mark.parametrize("column", [f.name for f in dataclasses.fields(SuperpixelTable)])
+    def test_columns_are_read_only(self, rng, column):
+        """A write after the table's checks, such as a negative perimeter,
+        would reach the CSV unchecked; it fails instead."""
+        cmap, seg, image, aura = _table_inputs(rng, h=13, w=9, nodata=0.1)
+        for table in (build_superpixel_table(cmap, seg, image, aura), _pair_table(rng, 50)):
+            values = getattr(table, column)
+            before = values.copy()
+            with pytest.raises(ValueError, match="read-only"):
+                values[..., 5] = -1
+            assert np.array_equal(values, before)
+
     def test_table_bytes_per_row(self):
         """What the per-pixel table keeps: 7 int64 columns and 7 float64
         ones kept 112 bytes per row; with int32 integer columns, 84."""
@@ -640,32 +654,32 @@ def _random_table(rng, n, n_bands):
 def _pair_table(rng, n, n_bands=2):
     """A random table over few (pixel count, perimeter) pairs: the
     pair-keyed path's input."""
-    table = _random_table(rng, n, n_bands)
-    table.counts[:] = rng.integers(1, 9, n)
-    table.perimeter[:] = rng.integers(0, 33, n)
-    return table
+    return dataclasses.replace(_random_table(rng, n, n_bands), counts=rng.integers(1, 9, n),
+                               perimeter=rng.integers(0, 33, n))
 
 
 def _special_values_table(rng):
     """Values a per-value string table could mix up, across a chunk boundary."""
     table = _random_table(rng, _CSV_CHUNK_ROWS + 300, 3)
+    sums, counts, perimeter = table.sums.copy(), table.counts.copy(), table.perimeter.copy()
     # -0.0 and 0.0 share a value but not a repr
-    table.sums[0, ::2] = -0.0
-    table.sums[0, 1::2] = 0.0
+    sums[0, ::2] = -0.0
+    sums[0, 1::2] = 0.0
     # two NaN payloads and both infinities
     nans = np.array([0x7FF8000000000001, 0xFFF8000000000000],
                     dtype=np.uint64).view(np.float64)
-    table.sums[1, 0::4] = nans[0]
-    table.sums[1, 1::4] = nans[1]
-    table.sums[1, 2::4] = np.inf
-    table.sums[1, 3::4] = -np.inf
+    sums[1, 0::4] = nans[0]
+    sums[1, 1::4] = nans[1]
+    sums[1, 2::4] = np.inf
+    sums[1, 3::4] = -np.inf
     # one float value on both sides of a chunk boundary
     edge = slice(_CSV_CHUNK_ROWS - 5, _CSV_CHUNK_ROWS + 5)
-    table.counts[edge], table.perimeter[edge] = 5, 12
-    table.sums[2, edge] = 1.0 / 3.0
+    counts[edge], perimeter[edge] = 5, 12
+    sums[2, edge] = 1.0 / 3.0
     # an int column holding a single repeated value
-    table.labels[:] = 7
-    return table
+    labels = np.full(len(table), 7)
+    return dataclasses.replace(table, counts=counts, labels=labels,
+                               perimeter=perimeter, sums=sums)
 
 
 class TestSuperpixelCsv:
@@ -737,10 +751,11 @@ class TestSuperpixelCsv:
         table = _pair_table(rng, n)
         assert self._compactness_path(table, monkeypatch) == "pair"
         # (max count + 1) * (max perimeter + 1) = 2n + 1 entries
-        table.counts[:] = rng.integers(1, 7, n)
-        table.counts[0] = 28
-        table.perimeter[:] = rng.integers(0, 69, n)
-        table.perimeter[0] = 68
+        counts = rng.integers(1, 7, n)
+        counts[0] = 28
+        perimeter = rng.integers(0, 69, n)
+        perimeter[0] = 68
+        table = dataclasses.replace(table, counts=counts, perimeter=perimeter)
         assert 29 * 69 == 2 * n + 1
         assert self._compactness_path(table, monkeypatch) == "sorted"
         self._assert_matches_reference(table, tmp_path)
@@ -812,10 +827,11 @@ class TestSuperpixelCsv:
     def test_int_columns_on_both_sides_of_the_direct_table_rule(self, rng, tmp_path):
         n = 1000
         table = _random_table(rng, n, 2)
-        table.min_row[:] = rng.integers(0, 2 * n, n)
-        table.min_row[17] = 2 * n - 1   # direct: decimals of 0..2n-1
-        table.max_row[:] = rng.integers(0, 2 * n, n)
-        table.max_row[17] = 2 * n       # one past the rule: distinct values
+        min_row = rng.integers(0, 2 * n, n)
+        min_row[17] = 2 * n - 1   # direct: decimals of 0..2n-1
+        max_row = rng.integers(0, 2 * n, n)
+        max_row[17] = 2 * n       # one past the rule: distinct values
+        table = dataclasses.replace(table, min_row=min_row, max_row=max_row)
         assert len(_encode_column(table.min_row)[0]) == 2 * n
         assert len(_encode_column(table.max_row)[0]) == len(np.unique(table.max_row))
         self._assert_matches_reference(table, tmp_path)
@@ -823,10 +839,12 @@ class TestSuperpixelCsv:
     def test_negative_int_column(self, rng, tmp_path):
         n = 500
         table = _random_table(rng, n, 2)
-        table.labels[3] = -3
-        table.perimeter[::9] = -(10**12)
-        table.min_row[:] = rng.integers(0, n, n)
-        table.min_row[5] = -1  # below the direct table's range, within its max
+        labels, max_col = table.labels.copy(), table.max_col.copy()
+        labels[3] = -3
+        max_col[::9] = -(10**12)  # the table refuses a negative perimeter
+        min_row = rng.integers(0, n, n)
+        min_row[5] = -1  # below the direct table's range, within its max
+        table = dataclasses.replace(table, labels=labels, max_col=max_col, min_row=min_row)
         self._assert_matches_reference(table, tmp_path)
 
     def test_writer_memory_per_row(self, tmp_path):
@@ -897,7 +915,8 @@ class TestSuperpixelCsv:
         rng.shuffle(column)
         keys, inverse = np.unique(column.view(np.uint64), return_inverse=True)
         assert len(keys) == distinct
-        fields, codes = _encode_column(column)
+        bits, codes = _float_keys(column)
+        fields = _float_fields(bits)
         assert fields.tolist() == [repr(v).encode() for v in keys.view(np.float64).tolist()]
         assert codes.dtype == (np.uint16 if distinct <= 1 << 16 else np.uint32)
         assert np.array_equal(codes, inverse)
