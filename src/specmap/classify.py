@@ -20,6 +20,7 @@ from .errors import ConfigError, DataError, FormatError, SpecmapError
 from .raster import (
     ImageSource,
     MultiSpectralImage,
+    RunStats,
     Strip,
     default_strip_height,
     read_strip,
@@ -131,12 +132,8 @@ class CategoricalMap:
         return self.labels[row0:row1]
 
 
-@dataclass
-class PixelVisitCounter:
-    """Counts per-pixel label decisions; one-pass classification makes
-    exactly width x height of them."""
-
-    visits: int = 0
+#: The counter of label decisions (``visits``), by the name the CLI calls.
+PixelVisitCounter = RunStats
 
 
 # ---------------------------------------------------------------------------
@@ -201,20 +198,15 @@ def _label(
     program: RuleProgram,
     samples: np.ndarray,
     validity: np.ndarray,
-    counter: PixelVisitCounter | None,
 ) -> np.ndarray:
     planes = {symbol: samples[idx] for symbol, idx in binding.items()}
-    labels = program.label(planes, validity)
-    if counter is not None:
-        counter.visits += int(labels.size)
-    return labels
+    return program.label(planes, validity)
 
 
 def classify(
     image: MultiSpectralImage,
     ruleset: RuleSet,
     policy: str | None = None,
-    counter: PixelVisitCounter | None = None,
 ) -> CategoricalMap:
     """Label every valid pixel with the winning rule index.
 
@@ -223,7 +215,7 @@ def classify(
     no rule get the fallback class; invalid pixels get nodata.
     """
     binding, program = _compile_for(ruleset, image.bands, policy)
-    labels = _label(binding, program, image.samples, image.validity, counter)
+    labels = _label(binding, program, image.samples, image.validity)
     return CategoricalMap(labels, legend_from_ruleset(ruleset))
 
 
@@ -231,11 +223,14 @@ def classify_strip(
     strip: Strip,
     ruleset: RuleSet,
     policy: str,
-    counter: PixelVisitCounter | None = None,
+    counter: RunStats | None = None,
 ) -> np.ndarray:
-    """Label the core rows of one strip; classification is context-free."""
+    """Label the core rows of one strip, counting them in ``counter.visits``;
+    classification is context-free."""
     binding, program = _compile_for(ruleset, strip.bands, policy)
-    return _label(binding, program, strip.core_samples, strip.core_validity, counter)
+    labels = _label(binding, program, strip.core_samples, strip.core_validity)
+    (counter or RunStats()).visits += int(labels.size)
+    return labels
 
 
 def classify_streamed(
@@ -243,7 +238,7 @@ def classify_streamed(
     ruleset: RuleSet,
     strip_height: int,
     policy: str | None = None,
-    counter: PixelVisitCounter | None = None,
+    counter: RunStats | None = None,
     workers: int = 1,
 ) -> CategoricalMap:
     """Strip-streamed classify; pixel-identical to whole-image classify.
@@ -252,8 +247,8 @@ def classify_streamed(
     Strips go to a pool of ``workers`` threads, but at most ``workers``
     strips are read and not yet labeled at once, so memory stays fixed; a
     strip's buffers are released when its labels are stored, or when the
-    run fails.  Reads, releases and visit accounting stay in the calling
-    thread.
+    run fails.  Reads, releases and the count in ``counter.visits`` stay in
+    the calling thread.
     """
     # Imported here: concurrent.futures loads logging, which would add
     # 10-20 ms to the start of every subcommand.
@@ -261,6 +256,7 @@ def classify_streamed(
 
     if workers < 1:
         raise ConfigError("workers must be >= 1")
+    counter = counter or RunStats()
     binding, program = _compile_for(ruleset, source.bands, policy)
     labels = np.empty((source.height, source.width), dtype=np.uint16)
     pending: deque = deque()
@@ -271,8 +267,7 @@ def classify_streamed(
         strip, future = pending[0]
         rows = future.result()
         labels[strip.core_start : strip.core_start + rows.shape[0]] = rows
-        if counter is not None:
-            counter.visits += int(rows.size)
+        counter.visits += int(rows.size)
         pending.popleft()
         release_strip(strip)
 
@@ -283,8 +278,7 @@ def classify_streamed(
                     finish_oldest()
                 strip = read_strip(source, row0, row1)
                 pending.append((strip, pool.submit(
-                    _label, binding, program, strip.core_samples,
-                    strip.core_validity, None
+                    _label, binding, program, strip.core_samples, strip.core_validity
                 )))
             while pending:
                 finish_oldest()

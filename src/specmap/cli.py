@@ -56,7 +56,6 @@ from .errors import SpecmapError
 from .evidence import combine, read_evidence_csv, score_table, write_scores_csv  # noqa: F401
 from .rules import parse_rules
 from .segmentation import (  # noqa: F401
-    TwoPassLabeler,
     build_superpixel_table,
     connected_components,
     cross_aura,
@@ -269,16 +268,9 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         labels = open_map(map_path)
         source = raster.open_image(image_path)
         rows = _strip_rows(strip_height, labels.width)
-        labeler = TwoPassLabeler(labels.width, adjacency)
-        for r0, r1 in raster.strip_bounds(labels.height, rows):
-            labeler.feed(labels.rows(r0, r1))
-        painter = labeler.resolve()
         # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.
-        table = describe_segments(labels, painter, source, rows, adjacency,
+        table = describe_segments(labels, source, rows, adjacency,
                                   paths["segmentation"], paths["aura"])
-        if int(table.counts.sum(dtype=np.int64)) != painter.labelled_pixels:
-            raise SpecmapError("pixel-count conservation violated")
-        del painter
         stats = write_mean_view(table, source, rows, paths["segmentation"],
                                 paths["reconstruction"], paths["rmse"])
         csv_path = paths["superpixels"]

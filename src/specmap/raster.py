@@ -17,16 +17,16 @@ the file and header key to the message: ``_BAND_RULES`` for band metadata
 must be at least 1, ``read_header``/``write_header`` for the header text,
 which refuses a repeated key, and ``open_map_raster`` for a map's kind.
 
-Strips come only from files.  ``strip_ledger`` counts a strip's bytes from
-``read_strip`` to ``release_strip``, which ``stream_strips`` calls when its
-consumer asks for the next strip: the ledger bounds the strips read ahead,
-not the strips a consumer keeps.
+Strips come only from files.  ``strip_ledger``, a ``RunStats``, counts a
+strip's bytes from ``read_strip`` to ``release_strip``, which
+``stream_strips`` calls when its consumer asks for the next strip: the
+ledger bounds the strips read ahead, not the strips a consumer keeps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Iterator, NamedTuple
 
@@ -541,17 +541,22 @@ def default_strip_height(width: int) -> int:
     return max(1, STRIP_PIXELS // max(1, width))
 
 
-class BufferLedger:
-    """Bytes of strips read and not yet released; lets tests pin read-ahead.
+@dataclass
+class RunStats:
+    """A run's counts, the package's one bookkeeping type.
 
-    The peak bounds the strips read ahead of their consumer.  A consumer
-    that keeps a strip's arrays past its release holds bytes the ledger no
-    longer counts; tests pin that memory with ``tracemalloc``.
+    ``visits``: classification's label decisions, width x height in one
+    pass.  ``pixel_visits`` and ``union_find_ops``: labeling's work.
+    ``current`` and ``peak``: bytes of strips read and not yet released; the
+    peak bounds the strips read ahead, not the arrays a consumer keeps past
+    their release, which tests pin with ``tracemalloc``.
     """
 
-    def __init__(self):
-        self.current = 0
-        self.peak = 0
+    visits: int = 0
+    pixel_visits: int = 0
+    union_find_ops: int = 0
+    current: int = 0
+    peak: int = 0
 
     def allocate(self, nbytes: int) -> int:
         self.current += nbytes
@@ -562,13 +567,13 @@ class BufferLedger:
         self.current -= nbytes
 
     def reset(self) -> None:
-        self.current = 0
-        self.peak = 0
+        for f in fields(self):
+            setattr(self, f.name, 0)
 
 
-#: Global ledger fed by file-backed streaming reads: strips read ahead,
-#: not strips kept.
-strip_ledger = BufferLedger()
+#: Strip bytes of file-backed streaming reads: strips read ahead, not
+#: strips kept.
+strip_ledger = RunStats()
 
 
 @dataclass

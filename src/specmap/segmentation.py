@@ -17,10 +17,11 @@ attribute, one entry per segment), folded in strip by strip: scattered
 counts, labels, minima/maxima and band sums.  Every pixel the map labels
 must be valid in the image, so no segment's mean or RMSE takes in a pixel
 without data: the fold refuses the first one that is not.
-``describe_segments`` (pass A) paints each strip's ids and cross-aura,
-writes both and folds the table; ``write_mean_view`` (pass B) reads the ids
-back, writes each strip's mean-view reconstruction and RMSE, and summarizes
-the RMSE with ``strip_rmse_stats``, whose bits equal ``RmseMap.stats``'s.
+``describe_segments`` labels the map and (pass A) paints each strip's ids
+and cross-aura, writes both and folds the table, which must hold every
+labelled pixel; ``write_mean_view`` (pass B) reads the ids back, writes
+each strip's mean-view reconstruction and RMSE, and summarizes the RMSE
+with ``strip_rmse_stats``, whose bits equal ``RmseMap.stats``'s.
 Each pass reads the image once; the summary's second pass reads the written
 RMSE and ids only.  Both passes hold strips, O(runs) labeling state and
 O(segments) table state, never a whole plane.  The whole-image reference
@@ -47,7 +48,7 @@ from .errors import (
     FormatError,
     SpecmapError,
 )
-from .raster import MultiSpectralImage, Strip
+from .raster import MultiSpectralImage, RunStats, Strip
 
 _OFFSETS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _OFFSETS_8 = _OFFSETS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))
@@ -61,12 +62,8 @@ def _offsets(adjacency: int):
     raise ConfigError(f"adjacency must be 4 or 8, got {adjacency}")
 
 
-@dataclass
-class OpStats:
-    """Work accounting for the linear-time contracts."""
-
-    pixel_visits: int = 0
-    union_find_ops: int = 0
+#: Work accounting for the linear-time contracts.
+OpStats = RunStats
 
 
 @dataclass
@@ -210,7 +207,7 @@ def _run_edges(adjacency: int, cur, up) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _resolve_runs(n: int, heads: np.ndarray, tails: np.ndarray,
-                  stats: OpStats | None) -> np.ndarray:
+                  stats: RunStats) -> np.ndarray:
     """Root of every run: the smallest run id of its connected component.
 
     Hook-and-compress rounds (Shiloach & Vishkin): each edge between two
@@ -222,8 +219,7 @@ def _resolve_runs(n: int, heads: np.ndarray, tails: np.ndarray,
     """
     parent = np.arange(n, dtype=heads.dtype)
     while heads.size:
-        if stats is not None:
-            stats.union_find_ops += int(heads.size)
+        stats.union_find_ops += int(heads.size)
         heads, tails = parent[heads], parent[tails]
         split = heads != tails
         heads, tails = heads[split], tails[split]
@@ -263,14 +259,15 @@ class TwoPassLabeler:
     their first pixel in row-major order; the ``SegmentPainter`` it returns
     writes the ids of any rows.  ``finalize`` paints every row into one
     ``SegmentationMap``.  Either hands the fed runs over, so the labeler
-    then holds none.
+    then holds none.  Work counts in ``stats``, or in a ``RunStats`` of its
+    own.
     """
 
-    def __init__(self, width: int, adjacency: int = 8, stats: OpStats | None = None):
+    def __init__(self, width: int, adjacency: int = 8, stats: RunStats | None = None):
         _offsets(adjacency)
         self.width = width
         self.adjacency = adjacency
-        self.stats = stats
+        self.stats = stats or RunStats()
         self._reset()
 
     def _reset(self) -> None:
@@ -320,8 +317,7 @@ class TwoPassLabeler:
         self._cols.append((first % self.width).astype(narrow))
         self._lens.append((last - first + 1).astype(narrow))
         self._row_runs.append(np.count_nonzero(start, axis=1).astype(narrow))
-        if self.stats is not None:
-            self.stats.pixel_visits += int(rows.size)
+        self.stats.pixel_visits += int(rows.size)
 
     def resolve(self) -> SegmentPainter:
         """Number the components; returns the painter of their ids."""
@@ -356,16 +352,17 @@ class SegmentPainter:
     """The final segment ids of any rows of a labeled map, from its runs.
 
     Holds a (start column, length, segment id) record per run and the first
-    run of each row: O(runs + rows), never a plane.
+    run of each row: O(runs + rows), never a plane.  Painted pixels count in
+    ``stats.pixel_visits``.
     """
 
     def __init__(self, width: int, row_runs: np.ndarray, cols: np.ndarray,
                  lens: np.ndarray, segment_of_run: np.ndarray, segment_count: int,
-                 stats: OpStats | None = None):
+                 stats: RunStats | None = None):
         self.width = width
         self.height = len(row_runs)
         self.segment_count = segment_count
-        self.stats = stats
+        self.stats = stats or RunStats()
         self._first = np.zeros(self.height + 1, dtype=np.int64)
         np.cumsum(row_runs, out=self._first[1:])
         self._cols, self._lens, self._segment = cols, lens, segment_of_run
@@ -398,16 +395,13 @@ class SegmentPainter:
         values = np.zeros(2 * m + 1, dtype=np.int32)
         values[1::2] = self._segment[k0:k1]
         out = np.repeat(values, sizes).reshape(row1 - row0, w)
-        if self.stats is not None:
-            self.stats.pixel_visits += out.size
+        self.stats.pixel_visits += out.size
         return out
 
 
-def connected_components(
-    cmap: CategoricalMap, adjacency: int = 8, stats: OpStats | None = None
-) -> SegmentationMap:
+def connected_components(cmap: CategoricalMap, adjacency: int = 8) -> SegmentationMap:
     """Label maximal connected same-label regions; nodata forms no segment."""
-    labeler = TwoPassLabeler(cmap.width, adjacency, stats)
+    labeler = TwoPassLabeler(cmap.width, adjacency)
     labeler.feed(cmap.labels)
     return labeler.finalize()
 
@@ -417,9 +411,7 @@ def connected_components(
 # ---------------------------------------------------------------------------
 
 
-def cross_aura(
-    cmap: CategoricalMap, adjacency: int = 8, stats: OpStats | None = None
-) -> CrossAuraMap:
+def cross_aura(cmap: CategoricalMap, adjacency: int = 8) -> CrossAuraMap:
     """Count, per pixel, in-image neighbors whose label differs.
 
     Nodata participates as its own label value, which keeps contributions
@@ -428,10 +420,7 @@ def cross_aura(
     labels = cmap.labels
     if labels.size == 0:
         raise DataError("cannot contour an empty map")
-    counts = _aura_counts(labels, adjacency)
-    if stats is not None:
-        stats.pixel_visits += int(labels.size) * len(_offsets(adjacency))
-    return CrossAuraMap(counts, adjacency)
+    return CrossAuraMap(_aura_counts(labels, adjacency), adjacency)
 
 
 def _aura_counts(labels: np.ndarray, adjacency: int) -> np.ndarray:
@@ -553,21 +542,27 @@ class _TableFold:
 
 def describe_segments(
     labels: MapSource | CategoricalMap,
-    painter: SegmentPainter,
     source: raster.ImageSource,
     strip_height: int,
     adjacency: int,
     seg_path: Path | str,
     aura_path: Path | str,
 ) -> SuperpixelTable:
-    """Pass A: write the segmentation and aura, and fold the superpixel table.
+    """Label ``labels``, then pass A: write the segmentation and aura, and
+    fold the superpixel table.
 
-    Each image strip's ids are painted by ``painter`` and its aura counted
-    from ``labels.rows`` with one halo row on each side; both are written
-    as they are made.  ``labels`` is the map ``painter`` was labeled from.
-    A labelled pixel the image marks nodata is refused (``_TableFold.add``),
-    and the writers then remove both files.
+    The map is fed to a ``TwoPassLabeler`` strip by strip and resolved.
+    Each image strip's ids are then painted from the run records and its
+    aura counted from ``labels.rows`` with one halo row on each side; both
+    are written as they are made.  A labelled pixel the image marks nodata
+    is refused (``_TableFold.add``), and the writers then remove both files.
+    The table must hold every labelled pixel, or the run fails.  The run
+    records are freed on return, before pass B (``write_mean_view``).
     """
+    labeler = TwoPassLabeler(labels.width, adjacency)
+    for r0, r1 in raster.strip_bounds(labels.height, strip_height):
+        labeler.feed(labels.rows(r0, r1))
+    painter = labeler.resolve()
     h, w = painter.height, painter.width
     if (source.height, source.width) != (h, w):
         raise DimensionMismatchError("image shape differs from map shape")
@@ -588,7 +583,10 @@ def describe_segments(
             seg_out.write(ids[np.newaxis].view(np.uint32))
             aura_out.write(aura[np.newaxis])
             fold.add(ids, block[core], aura, strip)
-    return fold.table()
+    table = fold.table()
+    if int(table.counts.sum(dtype=np.int64)) != painter.labelled_pixels:
+        raise SpecmapError("pixel-count conservation violated")
+    return table
 
 
 #: Rows per write; bounds each record buffer, and so the bytes built at once.
@@ -841,10 +839,9 @@ def write_mean_view(
     segments = _segmentation_source(seg_path)
     if (source.height, source.width) != (segments.height, segments.width):
         raise DimensionMismatchError("image shape differs from segmentation shape")
-    if len(table) != int(segments.header["segments"]):
-        raise DataError(
-            f"table has {len(table)} rows for {segments.header['segments']} segments"
-        )
+    count = raster._header_int(segments.header, "segments", seg_path)
+    if len(table) != count:
+        raise DataError(f"table has {len(table)} rows for {count} segments")
     return strip_rmse_stats(
         int(table.counts.sum(dtype=np.int64)),
         _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_path),

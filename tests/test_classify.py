@@ -25,6 +25,7 @@ from specmap.errors import (
 )
 from specmap.raster import (
     STRIP_PIXELS,
+    Strip,
     open_image,
     read_header,
     stream_strips,
@@ -92,7 +93,9 @@ class TestClassify:
     def test_one_pass_visit_counter(self, specl):
         image = synth_scene(24, 16, seed=3, block=6)
         counter = PixelVisitCounter()
-        classify(image, specl, counter=counter)
+        strip = Strip(0, image.bands, image.samples, image.validity)
+        labels = classify_strip(strip, specl, specl.match_policy, counter)
+        assert np.array_equal(labels, classify(image, specl).labels)
         assert counter.visits == 24 * 16
 
     def test_streamed_visits_sum_to_pixels(self, specl, tmp_path):

@@ -1,6 +1,7 @@
 import csv
 import errno
 import hashlib
+import importlib
 import json
 import threading
 import tracemalloc
@@ -194,6 +195,23 @@ class TestClassifyCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("child_label,parent_label\n21\n")
         assert_failure_leaves_nothing(runner, out, "line 2", *args, "--aggregate", bad)
+
+    def test_missed_strip_violates_the_one_pass_contract(self, runner, tmp_path,
+                                                         monkeypatch):
+        """A run that labels fewer pixels than the map holds is refused, and
+        leaves neither the last run's files nor its own."""
+        write_scene(tmp_path / "scene.hdr", 20, 12, seed=1, block=4)
+        out = tmp_path / "out"
+        args = ["classify", "--rules", SPECL_PATH, "--in", tmp_path / "scene.hdr",
+                "--out", out / "colors.hdr", "--stream", 5]
+        run_into_empty_dir(runner, out, *args)
+        # The package's ``classify`` function hides the submodule attribute.
+        module = importlib.import_module("specmap.classify")
+        bounds = module.strip_bounds
+        monkeypatch.setattr(module, "strip_bounds", lambda h, s: bounds(h, s)[:-1])
+        assert_failure_leaves_nothing(
+            runner, out, "error: one-pass contract violated: 180 visits for 240 pixels",
+            *args)
 
     def test_zero_workers_is_usage_error(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)
@@ -781,6 +799,21 @@ class TestSegmentCommand:
         assert_failure_leaves_nothing(
             runner, out, "error: the map labels row 3, col 5, which the image marks nodata",
             *args, "--image", tmp_path / "holed.hdr")
+
+    def test_lost_pixel_violates_conservation(self, runner, tmp_path, monkeypatch):
+        """A table that misses a labelled pixel is refused, and the run leaves
+        neither the last run's files nor its own."""
+        image = write_scene(tmp_path / "scene.hdr", 20, 12, seed=1, block=4)
+        write_map(classify(image, load_specl()), tmp_path / "map.hdr")
+        out = tmp_path / "out"
+        args = ["segment", "--in", tmp_path / "map.hdr", "--image", tmp_path / "scene.hdr",
+                "--out-prefix", out / "seg"]
+        run_into_empty_dir(runner, out, *args)
+        counted = segmentation.SegmentPainter.labelled_pixels
+        monkeypatch.setattr(segmentation.SegmentPainter, "labelled_pixels",
+                            property(lambda painter: counted.fget(painter) + 1))
+        assert_failure_leaves_nothing(
+            runner, out, "error: pixel-count conservation violated\n", *args)
 
     def test_superpixel_csv_header(self, runner, tmp_path):
         self._write_map_and_image(tmp_path, NINE_SEGMENT_MAP)

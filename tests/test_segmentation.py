@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from specmap import raster, segmentation
-from specmap.classify import CategoricalMap
+from specmap.classify import CategoricalMap, PixelVisitCounter
 from specmap.errors import ConfigError, DataError, DimensionMismatchError, FormatError
-from specmap.raster import Strip
+from specmap.raster import RunStats, Strip
 from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
     _TableFold,
@@ -36,6 +36,7 @@ from specmap.segmentation import (
     reconstruct,
     rmse_map,
     strip_rmse_stats,
+    write_mean_view,
     write_segmentation,
     write_superpixel_csv,
 )
@@ -261,9 +262,28 @@ class TestConnectedComponents:
     def test_visit_and_union_accounting(self, rng):
         labels = rng.integers(1, 4, size=(30, 30)).astype(np.int32)
         stats = OpStats()
-        connected_components(cat(labels, 3), 8, stats=stats)
+        labeler = TwoPassLabeler(30, 8, stats)
+        labeler.feed(labels)
+        labeler.finalize()
         assert stats.pixel_visits == 2 * 30 * 30  # two passes, nothing more
         assert stats.union_find_ops > 0
+
+    def test_one_run_stats_type(self, rng):
+        """The three counting names are one type; ``reset`` zeroes every
+        field; a labeler given no counter counts into one of its own."""
+        assert PixelVisitCounter is OpStats is RunStats
+        assert type(raster.strip_ledger) is RunStats
+        stats = RunStats(1, 2, 3, 4)
+        stats.allocate(5)
+        stats.reset()
+        assert dataclasses.astuple(stats) == (0, 0, 0, 0, 0)
+        labeler = TwoPassLabeler(5, 8)
+        labeler.feed(rng.integers(1, 4, size=(4, 5)).astype(np.int32))
+        painter = labeler.resolve()
+        painter.paint(0, 4)
+        assert type(labeler.stats) is RunStats and painter.stats is labeler.stats
+        assert labeler.stats.pixel_visits == 2 * 4 * 5
+        assert labeler.stats.union_find_ops > 0
 
     def test_empty_map_rejected(self):
         labeler = TwoPassLabeler(4, 8)
@@ -348,6 +368,23 @@ class TestConnectedComponents:
         with pytest.raises(FormatError, match=re.escape(f"{path}: ") + f".*{message}"):
             read_segmentation(path)
 
+    @pytest.mark.parametrize("segments, message", [
+        ("one", "header key 'segments' is not an integer"),
+        (None, "missing header key 'segments'"),
+    ])
+    def test_mean_view_refuses_segment_count_it_cannot_read(self, tmp_path, segments,
+                                                            message):
+        cmap = cat([[1, 2]])
+        image = image_from_planes({"b1": [[0.25, 0.5]], "b2": [[0.5, 0.75]]})
+        table = build_superpixel_table(cmap, connected_components(cmap), image,
+                                       cross_aura(cmap))
+        raster.write_image(image, tmp_path / "img.hdr")
+        path = tmp_path / "s.hdr"
+        self._write_seg_file(path, [[1, 2]], segments)
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            write_mean_view(table, raster.open_image(tmp_path / "img.hdr"), 1, path,
+                            tmp_path / "recon.hdr", tmp_path / "rmse.hdr")
+
 
 class TestCrossAura:
     def test_constant_map_all_zero(self):
@@ -398,12 +435,6 @@ class TestCrossAura:
         a = cross_aura(cat(labels, 4), 8)
         b = cross_aura(cat(relabeled, 4), 8)
         assert np.array_equal(a.counts, b.counts)
-
-    def test_linear_visit_accounting(self, rng):
-        cmap = random_map(rng, 20, 20, 3)
-        stats = OpStats()
-        cross_aura(cmap, 8, stats=stats)
-        assert stats.pixel_visits <= 20 * 20 * 8
 
 
 def _table_inputs(rng, h=12, w=12, n_labels=4, n_bands=3, nodata=0.0):
