@@ -11,7 +11,7 @@ import re
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -82,7 +82,7 @@ def _listed(legend: Iterable[LegendEntry]) -> np.ndarray:
     return listed
 
 
-def _refuse_unlisted(counts: np.ndarray, legend: Iterable[LegendEntry]) -> None:
+def refuse_unlisted(counts: np.ndarray, legend: Iterable[LegendEntry]) -> None:
     unlisted = np.flatnonzero((counts > 0) & ~_listed(legend))
     if unlisted.size:
         raise DataError(f"labels missing from legend: {unlisted.tolist()}")
@@ -117,7 +117,7 @@ class CategoricalMap:
         check_legend(self.legend)
         self.labels = _as_u16(labels)
         self.counts = _label_counts(_chunks(self.rows, self.height, self.width))
-        _refuse_unlisted(self.counts, self.legend)
+        refuse_unlisted(self.counts, self.legend)
 
     @property
     def width(self) -> int:
@@ -240,15 +240,19 @@ def classify_streamed(
     policy: str | None = None,
     counter: RunStats | None = None,
     workers: int = 1,
-) -> CategoricalMap:
+    sink: Callable[[int, np.ndarray], None] | None = None,
+) -> CategoricalMap | None:
     """Strip-streamed classify; pixel-identical to whole-image classify.
 
-    The rule set is compiled once, since every strip binds the same bands.
-    Strips go to a pool of ``workers`` threads, but at most ``workers``
-    strips are read and not yet labeled at once, so memory stays fixed; a
-    strip's buffers are released when its labels are stored, or when the
-    run fails.  Reads, releases and the count in ``counter.visits`` stay in
-    the calling thread.
+    Each strip's labels go to ``sink(row0, labels)`` in row order, so
+    a sink that writes them holds no whole label plane.  Without a sink
+    they fill one plane, returned as a ``CategoricalMap``.  The rule set is
+    compiled once, since every strip binds the same bands.  Strips go to a
+    pool of ``workers`` threads, but at most ``workers`` strips are read
+    and not yet labeled at once, so memory stays fixed; a strip's buffers
+    are released when its labels are sunk, or when the run fails.  Reads,
+    sinks, releases and the count in ``counter.visits`` stay in the
+    calling thread.
     """
     # Imported here: concurrent.futures loads logging, which would add
     # 10-20 ms to the start of every subcommand.
@@ -258,15 +262,21 @@ def classify_streamed(
         raise ConfigError("workers must be >= 1")
     counter = counter or RunStats()
     binding, program = _compile_for(ruleset, source.bands, policy)
-    labels = np.empty((source.height, source.width), dtype=np.uint16)
+    labels = None
+    if sink is None:
+        labels = np.empty((source.height, source.width), dtype=np.uint16)
+
+        def sink(row0: int, rows: np.ndarray) -> None:
+            labels[row0 : row0 + rows.shape[0]] = rows
+
     pending: deque = deque()
 
     def finish_oldest() -> None:
-        # The strip stays pending until its labels are stored, so the
+        # The strip stays pending until its labels are sunk, so the
         # ``finally`` below releases it if its label fails.
         strip, future = pending[0]
         rows = future.result()
-        labels[strip.core_start : strip.core_start + rows.shape[0]] = rows
+        sink(strip.core_start, rows)
         counter.visits += int(rows.size)
         pending.popleft()
         release_strip(strip)
@@ -283,10 +293,10 @@ def classify_streamed(
             while pending:
                 finish_oldest()
     finally:
-        # Left only by a failed read or label; the pool has joined its threads.
+        # Left only by a failed read, label or sink; the pool has joined its threads.
         for strip, _ in pending:
             release_strip(strip)
-    return CategoricalMap(labels, legend_from_ruleset(ruleset))
+    return None if labels is None else CategoricalMap(labels, legend_from_ruleset(ruleset))
 
 
 def legend_from_ruleset(ruleset: RuleSet) -> tuple[LegendEntry, ...]:
@@ -301,12 +311,20 @@ def legend_from_ruleset(ruleset: RuleSet) -> tuple[LegendEntry, ...]:
 # ---------------------------------------------------------------------------
 
 
-def write_map(cmap: CategoricalMap, header_path: Path | str) -> None:
+def map_writer(header_path: Path | str, legend: tuple[LegendEntry, ...], height: int,
+               width: int) -> raster.RasterWriter:
+    """A ``RasterWriter`` of a categorical map's u16 rows, its header carrying ``legend``."""
+    check_legend(legend)
     extra = [("maptype", "categorical")]
-    for e in cmap.legend:
+    for e in legend:
         extra.append((f"legend.{e.label}.name", e.name))
         extra.append((f"legend.{e.label}.color", format_color(e.color)))
-    raster.write_raster(header_path, extra, cmap.labels[np.newaxis], "u16")
+    return raster.RasterWriter(header_path, extra, 1, height, width, "u16")
+
+
+def write_map(cmap: CategoricalMap, header_path: Path | str) -> None:
+    with map_writer(header_path, cmap.legend, cmap.height, cmap.width) as writer:
+        writer.write(cmap.labels[np.newaxis])
 
 
 def _legend_from_header(header: dict[str, str], header_path) -> tuple[LegendEntry, ...]:
@@ -352,7 +370,7 @@ class MapSource:
         labels = self._read(row0, row1)
         if not self._listed[labels].all():
             chunks = _chunks(self._read, self.height, self.width)
-            _refuse_unlisted(_label_counts(chunks), self.legend)
+            refuse_unlisted(_label_counts(chunks), self.legend)
         return labels
 
     def _read(self, row0: int, row1: int) -> np.ndarray:

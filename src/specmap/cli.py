@@ -22,17 +22,21 @@ import click
 import numpy as np
 
 from . import __version__, raster
-# ``classify``, ``read_map``, ``connected_components``, ``cross_aura``,
-# ``build_superpixel_table``, ``reconstruct``, ``rmse_map``, ``combine`` and
-# the whole-plane writers ``write_segmentation``, ``write_aura`` and
-# ``write_rmse`` are not called here; the benchmark's span tracer
-# (bench/traced.py) wraps them by name in this module.
-from .classify import (
+# ``classify``, ``read_map``, ``write_map``, ``connected_components``,
+# ``cross_aura``, ``build_superpixel_table``, ``reconstruct``, ``rmse_map``,
+# ``combine`` and the whole-plane writers ``write_segmentation``,
+# ``write_aura`` and ``write_rmse`` are not called here; the benchmark's
+# span tracer (bench/traced.py) wraps them by name in this module.
+from .classify import (  # noqa: F401
+    MAX_LABEL,
     PixelVisitCounter,
-    classify,  # noqa: F401
+    classify,
     classify_streamed,
+    legend_from_ruleset,
+    map_writer,
     open_map,
-    read_map,  # noqa: F401
+    read_map,
+    refuse_unlisted,
     write_map,
 )
 from .compare import (
@@ -47,6 +51,7 @@ from .compare import (
     read_overrides_csv,
     read_relation_csv,
     read_resolution,
+    relabel_table,
     translate_legend,
     write_contingency_csv,
     write_matrix_csv,
@@ -189,10 +194,10 @@ def main() -> None:
               help="Override the rule file's match policy.")
 @click.option("--stream", "strip_height", type=click.IntRange(min=1), default=None,
               help="Rows per strip (default: about 131 072 pixels per strip). "
-                   "Every run reads the image in strips, but holds the whole "
-                   "u16 label map: memory grows with the image size.")
+                   "Every run reads the image and writes the map one strip at a "
+                   "time, so memory stays fixed whatever the image size.")
 @click.option("--aggregate", "aggregate_path", type=click.Path(path_type=Path),
-              default=None, help="child_label,parent_label CSV applied after classify.")
+              default=None, help="child_label,parent_label CSV applied to each strip's labels.")
 @click.option("--workers", type=click.IntRange(min=1), default=os.cpu_count() or 1,
               show_default=True, help="Threads labeling strips, in every run.")
 @click.option("--json", "as_json", is_flag=True, help="Machine-readable report.")
@@ -203,24 +208,36 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
         ruleset = parse_rules(raster.read_text(rules_path))
         counter = PixelVisitCounter()
         source = raster.open_image(input_path)
-        cmap = classify_streamed(source, ruleset,
-                                 _strip_rows(strip_height, source.width),
-                                 policy=policy, counter=counter, workers=workers)
-        expected = cmap.labels.size
-        if counter.visits != expected:
-            raise SpecmapError(
-                f"one-pass contract violated: {counter.visits} visits "
-                f"for {expected} pixels"
-            )
+        # The header carries the legend, so the aggregation is checked
+        # before any strip is labelled.
+        legend, lut = legend_from_ruleset(ruleset), None
         if aggregate_path is not None:
-            cmap = translate_legend(cmap, read_aggregation(aggregate_path))
-        write_map(cmap, output_path)
-        present = np.flatnonzero(cmap.counts)
+            aggregation = read_aggregation(aggregate_path)
+            legend, lut = aggregation.parent_legend, relabel_table(legend, aggregation)
+        counts = np.zeros(MAX_LABEL + 1, dtype=np.int64)
+
+        def write(row0: int, rows: np.ndarray) -> None:
+            if lut is not None:
+                rows = lut[rows]
+            hist = np.bincount(rows.ravel())
+            counts[: hist.size] += hist
+            writer.write(rows[np.newaxis])
+
+        pixels = source.height * source.width
+        with map_writer(output_path, legend, source.height, source.width) as writer:
+            classify_streamed(source, ruleset, _strip_rows(strip_height, source.width),
+                              policy=policy, counter=counter, workers=workers, sink=write)
+            if counter.visits != pixels:
+                raise SpecmapError(
+                    f"one-pass contract violated: {counter.visits} visits "
+                    f"for {pixels} pixels"
+                )
+            refuse_unlisted(counts, legend)
         return {
             "out": str(output_path),
-            "pixels": int(cmap.labels.size),
-            "classes_present": int(np.count_nonzero(cmap.counts[1:])),
-            "histogram": {int(v): int(cmap.counts[v]) for v in present},
+            "pixels": pixels,
+            "classes_present": int(np.count_nonzero(counts[1:])),
+            "histogram": {int(v): int(counts[v]) for v in np.flatnonzero(counts)},
         }
 
     _run({"command": "classify", "rules": str(rules_path), "in": str(input_path),

@@ -280,25 +280,36 @@ class RelabelledMap:
         return self._lut[self._source.rows(row0, row1)]
 
 
-def translate_legend(cmap, agg: LegendAggregation):
-    """Relabel a map onto the parent legend, preserving nodata.
+def relabel_table(legend: tuple[LegendEntry, ...], agg: LegendAggregation) -> np.ndarray:
+    """The 65 536-entry u16 table taking each label of ``legend`` to its parent.
 
-    Every label of the map's legend must be in the mapping domain, whether
-    or not a pixel carries it.  A ``CategoricalMap`` comes back relabelled;
-    any other map source comes back as a ``RelabelledMap`` that relabels
-    each strip as it is read, after the source has checked its raw labels.
+    Both legends must pass ``check_legend``, and every label of ``legend``
+    must be in the mapping domain, whether or not a pixel carries it.  Only
+    the legend's labels enter the table, so a child outside it, even a
+    negative one that would index from the end, cannot change the result;
+    every other value, nodata included, maps to nodata.
     """
-    missing = {e.label for e in cmap.legend} - set(agg.mapping)
+    check_legend(legend)
+    missing = {e.label for e in legend} - set(agg.mapping)
     if missing:
         raise MappingError(
             f"mapping is not total: no parent for labels {sorted(missing)}"
         )
     check_legend(agg.parent_legend)
-    # Only the legend's labels enter the table: a child outside it, even a
-    # negative one that would index from the end, cannot change the result.
     lut = np.zeros(MAX_LABEL + 1, dtype=np.uint16)
-    for e in cmap.legend:
+    for e in legend:
         lut[e.label] = agg.mapping[e.label]
+    return lut
+
+
+def translate_legend(cmap, agg: LegendAggregation):
+    """Relabel a map onto the parent legend through ``relabel_table``.
+
+    A ``CategoricalMap`` comes back relabelled; any other map source comes
+    back as a ``RelabelledMap`` that relabels each strip as it is read,
+    after the source has checked its raw labels.
+    """
+    lut = relabel_table(cmap.legend, agg)
     if isinstance(cmap, CategoricalMap):
         return CategoricalMap(lut[cmap.labels], agg.parent_legend)
     return RelabelledMap(cmap, lut, agg.parent_legend)

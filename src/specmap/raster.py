@@ -136,6 +136,27 @@ def apply_calibration(raw: np.ndarray, meta: BandMetadata,
     return CalibrationResult(out, valid, clamped)
 
 
+def _calibrate_in_range(raw: np.ndarray, meta: BandMetadata, plane: np.ndarray,
+                        validity: np.ndarray) -> bool:
+    """``apply_calibration`` of integer ``raw`` into ``plane`` without its
+    clip, mask and copy passes, when no sample can clamp; ``validity`` takes
+    the nodata mask, and the caller zeroes invalid samples.
+
+    Calibration is monotone in ``raw`` for either sign of the gain, so every
+    sample lies between the calibrated ends, and ``np.clip`` would leave it,
+    ``-0.0`` too.  Returns False, and touches nothing, when an end falls
+    outside [0, 1].
+    """
+    ends = np.array([raw.min(), raw.max()], np.float64) * meta.gain + meta.offset
+    if not (ends.min() >= 0.0 and ends.max() <= 1.0):
+        return False
+    np.multiply(raw, meta.gain, out=plane, dtype=np.float64)
+    plane += meta.offset
+    if meta.nodata_value is not None:
+        validity &= raw != meta.nodata_value
+    return True
+
+
 @dataclass
 class MultiSpectralImage:
     """Calibrated per-band raster.  Immutable by convention after load."""
@@ -644,18 +665,22 @@ class ImageSource:
         nrows = row1 - row0
         samples = np.empty((len(self.bands), nrows, self.width), dtype=np.float64)
         validity = np.ones((nrows, self.width), dtype=bool)
+        # Integer rows share one raw buffer; float rows land in the band's
+        # own plane, which ``apply_calibration``'s values then overwrite.
+        buffer = np.empty((nrows, self.width), self._dt) if self._dt.kind in "ui" else None
         with open(self._ppath, "rb") as f:
             for i, meta in enumerate(self.bands):
-                # The raw rows land in the band's own output plane, which the
-                # calibrated values then overwrite: no second buffer.
-                raw = self._read_raw(f, i, row0, row1, samples[i])
+                plane = samples[i]
+                raw = self._read_raw(f, i, row0, row1, plane if buffer is None else buffer)
+                if buffer is not None and _calibrate_in_range(raw, meta, plane, validity):
+                    continue
                 try:
                     values, valid, _ = apply_calibration(raw, meta, row0)
                 except DataError as exc:
                     raise exc.at(self.header_path)
-                samples[i] = values
+                plane[...] = values
                 validity &= valid
-        samples[:, ~validity] = 0.0
+        np.copyto(samples, 0.0, where=~validity)
         return samples, validity
 
 

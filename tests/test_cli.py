@@ -11,11 +11,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specmap.cli
 from specmap import segmentation
 from specmap.classify import CategoricalMap, LegendEntry, read_map, write_map
 from specmap.cli import main
+from specmap.compare import read_aggregation, translate_legend
 from specmap.errors import DataError
 from specmap.raster import (
     STRIP_PIXELS,
@@ -49,6 +52,7 @@ from oracles import segmentations_bijective, tally_contingency
 from test_segmentation import NINE_SEGMENT_MAP
 
 SPECL_PATH = str(files("specmap").joinpath("data/specl.rules"))
+SPECL_LABELS = tuple(label for label, _, _ in load_specl().legend_entries())
 COUNTS_PATH = str(files("specmap").joinpath("data/harmonization_example_counts.csv"))
 OVERRIDES_PATH = str(
     files("specmap").joinpath("data/harmonization_example_overrides.csv")
@@ -318,6 +322,103 @@ class TestClassifyCommand:
         }
         assert as_text.output == "".join(f"{k}: {v}\n" for k, v in expected.items())
         assert json.loads(as_json.output) == json.loads(json.dumps(expected))
+
+    def test_label_failure_on_a_later_strip_leaves_nothing(self, runner, tmp_path,
+                                                           monkeypatch):
+        """The map is written strip by strip; a label that fails after two
+        strips are written leaves no header, payload or manifest, releases
+        every strip and joins the pool's threads."""
+        write_scene(tmp_path / "scene.hdr", 40, 12, seed=1, block=4)
+        out = tmp_path / "out"
+        args = ["classify", "--rules", SPECL_PATH, "--in", tmp_path / "scene.hdr",
+                "--out", out / "colors.hdr", "--stream", 5, "--workers", 2]
+        run_into_empty_dir(runner, out, *args)
+        module = importlib.import_module("specmap.classify")
+        label, calls = module._label, []
+
+        def failing(*a):
+            calls.append(None)
+            if len(calls) == 5:
+                raise DataError("a later strip cannot be labelled")
+            return label(*a)
+
+        monkeypatch.setattr(module, "_label", failing)
+        threads = threading.active_count()
+        strip_ledger.reset()
+        assert_failure_leaves_nothing(
+            runner, out, "error: a later strip cannot be labelled\n", *args)
+        assert threading.active_count() == threads
+        assert strip_ledger.current == 0 and strip_ledger.peak > 0
+
+    def test_aggregation_that_is_not_total_leaves_nothing(self, runner, tmp_path):
+        write_scene(tmp_path / "scene.hdr", 20, 12, seed=1, block=4)
+        out = tmp_path / "out"
+        args = ["classify", "--rules", SPECL_PATH, "--in", tmp_path / "scene.hdr",
+                "--out", out / "colors.hdr"]
+        run_into_empty_dir(runner, out, *args)
+        agg = tmp_path / "agg.csv"
+        agg.write_text("child_label,parent_label\n"
+                       + "".join(f"{label},1\n" for label in SPECL_LABELS[2:]))
+        missing = list(SPECL_LABELS[:2])
+        assert_failure_leaves_nothing(
+            runner, out, f"error: mapping is not total: no parent for labels {missing}\n",
+            *args, "--aggregate", agg)
+
+    def test_memory_does_not_grow_with_the_height(self, runner, tmp_path):
+        """Quadrupling the height adds under 1 traced byte per added pixel.
+
+        The map is written strip by strip and its histogram folded per
+        strip; a whole u16 label plane would add 2 bytes per pixel.  The
+        scene and the map are over 1 MiB at both heights, so the manifest's
+        1 MiB hashing chunk is the same size in both runs.
+        """
+        w = 1024
+        peaks = {}
+        for h in (512, 2048):
+            write_scene(tmp_path / f"scene{h}.hdr", h, w, seed=29, block=32)
+            tracemalloc.start()
+            try:
+                result = invoke(runner, "classify", "--rules", SPECL_PATH,
+                                "--in", tmp_path / f"scene{h}.hdr",
+                                "--out", tmp_path / f"map{h}.hdr",
+                                "--stream", 16, "--workers", 2)
+                peaks[h] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert result.exit_code == 0, result.output
+        assert (peaks[2048] - peaks[512]) / (1536 * w) < 1
+
+    @given(height=st.integers(1, 24), width=st.integers(1, 24), block=st.integers(1, 8),
+           seed=st.integers(0, 2**16), nodata=st.sampled_from((0.0, 0.1)),
+           stream=st.integers(1, 24), workers=st.integers(1, 3),
+           parents=st.none() | st.lists(st.integers(1, 65535), min_size=len(SPECL_LABELS),
+                                        max_size=len(SPECL_LABELS)))
+    @settings(max_examples=60, deadline=None)
+    def test_strips_equal_the_whole_image(self, tmp_path_factory, height, width, block,
+                                          seed, nodata, stream, workers, parents):
+        """Any strip height and worker count, with or without ``--aggregate``,
+        writes the bytes ``classify`` then ``translate_legend`` and
+        ``write_map`` write, and reports their histogram."""
+        root = tmp_path_factory.mktemp("strips")
+        image = write_scene(root / "scene.hdr", height, width, seed=seed, block=block,
+                            nodata_fraction=nodata)
+        cmap = classify(image, load_specl())
+        args = ["classify", "--rules", SPECL_PATH, "--in", root / "scene.hdr",
+                "--out", root / "map.hdr", "--stream", stream, "--workers", workers,
+                "--json"]
+        if parents is not None:
+            (root / "agg.csv").write_text("child_label,parent_label\n" + "".join(
+                f"{child},{parent}\n" for child, parent in zip(SPECL_LABELS, parents)))
+            cmap = translate_legend(cmap, read_aggregation(root / "agg.csv"))
+            args += ["--aggregate", root / "agg.csv"]
+        write_map(cmap, root / "ref.hdr")
+        result = invoke(CliRunner(), *args)
+        assert result.exit_code == 0, result.output
+        for suffix in (".hdr", ".bin"):
+            assert (root / f"map{suffix}").read_bytes() == (root / f"ref{suffix}").read_bytes()
+        present = np.flatnonzero(cmap.counts)
+        assert json.loads(result.output)["histogram"] == {
+            str(v): int(cmap.counts[v]) for v in present}
 
 
 @pytest.mark.parametrize("key", ["gain", "offset", "wavelength", "nodata"])

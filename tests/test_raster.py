@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import specmap.raster as raster
 from specmap.errors import (
     ConfigError,
     DataError,
@@ -234,6 +235,64 @@ class TestImageIO:
         hdr = _write_fixture(tmp_path, bytes([0, 255] * 4))
         image = read_image(hdr)
         assert image.samples.max() == 1.0 and image.samples.min() == 0.0
+
+    @pytest.mark.parametrize("dtype_name", ["u8", "u16", "i16"])
+    def test_decoder_equals_the_calibration_path(self, tmp_path, monkeypatch, dtype_name):
+        """Whole and strip reads equal ``apply_calibration`` per band, then
+        every band zeroed where any band is invalid, bit for bit.
+
+        Bands: the default gain; [min, max] onto [0.25, 0.75]; onto
+        [-0.5, 1.5], which clamps; onto [0.75, 0.25] by a negative gain;
+        all-zero raws with a negative gain and offset -0.0, so samples are
+        -0.0; and [0.25, 0.75] with a nodata value.
+        """
+        dt = raster._dtype_for(dtype_name)
+        info = np.iinfo(dt)
+        lo, span = float(info.min), float(info.max) - float(info.min)
+        rng = np.random.default_rng(31)
+        h, w = 7, 5
+        raw = rng.integers(info.min, info.max, size=(6, h, w), endpoint=True)
+        raw[:, 0, :2] = info.min, info.max  # every band spans its whole range
+        raw[4] = 0
+        nodata = int(raw[5, 3, 3])
+        raw[5, 1:3, 1] = nodata
+        gains = (None, 0.5 / span, 2.0 / span, -0.5 / span, -1.0 / span, 0.5 / span)
+        offsets = (None, 0.25 - lo * gains[1], -0.5 - lo * gains[2],
+                   0.75 - lo * gains[3], -0.0, 0.25 - lo * gains[5])
+        entries = {"width": str(w), "height": str(h), "bands": "6", "dtype": dtype_name,
+                   "interleave": "bsq", "band.6.nodata": repr(float(nodata))}
+        for n, (gain, offset) in enumerate(zip(gains, offsets), start=1):
+            entries[f"band.{n}.wavelength"] = repr(0.4 + 0.1 * n)
+            if gain is not None:
+                entries[f"band.{n}.gain"] = repr(gain)
+                entries[f"band.{n}.offset"] = repr(offset)
+        write_header(tmp_path / "img.hdr", list(entries.items()))
+        raw = raw.astype(dt)
+        raw.tofile(tmp_path / "img.bin")
+
+        source = open_image(tmp_path / "img.hdr")
+        expected = np.empty((6, h, w))
+        validity = np.ones((h, w), dtype=bool)
+        for i, meta in enumerate(source.bands):
+            result = apply_calibration(raw[i], meta)
+            expected[i] = result.values
+            validity &= result.valid
+        expected[:, ~validity] = 0.0
+        assert np.signbit(expected[4][validity]).all()
+        assert not validity.all()
+
+        calls = []
+        monkeypatch.setattr(raster, "apply_calibration",
+                            lambda *a: calls.append(a) or apply_calibration(*a))
+        image = read_image(tmp_path / "img.hdr")
+        assert 0 < len(calls) < 6  # both paths ran
+        assert image.samples.tobytes() == expected.tobytes()
+        assert np.array_equal(image.validity, validity)
+        for rows in (1, 2, 3):
+            strips = [source.read_rows(r, min(r + rows, h)) for r in range(0, h, rows)]
+            assert np.concatenate([s for s, _ in strips], axis=1).tobytes() \
+                == expected.tobytes()
+            assert np.array_equal(np.concatenate([v for _, v in strips]), validity)
 
     def test_write_read_write_is_byte_identical(self, tmp_path):
         image = synth_scene(16, 16, seed=5, block=4)
