@@ -28,16 +28,7 @@ from . import __version__, raster
 # ``write_aura`` and ``write_rmse`` are not called here; the benchmark's
 # span tracer (bench/traced.py) wraps them by name in this module.
 from .classify import (  # noqa: F401
-    MAX_LABEL,
-    PixelVisitCounter,
-    classify,
-    classify_streamed,
-    legend_from_ruleset,
-    map_writer,
-    open_map,
-    read_map,
-    refuse_unlisted,
-    write_map,
+    PixelVisitCounter, classify, classify_streamed, legend_from_ruleset,
 )
 from .compare import (
     apply_overrides,
@@ -59,6 +50,9 @@ from .compare import (
 )
 from .errors import SpecmapError
 from .evidence import combine, read_evidence_csv, score_table, write_scores_csv  # noqa: F401
+from .raster import (  # noqa: F401
+    MAX_LABEL, map_writer, open_map, read_map, refuse_unlisted, write_map,
+)
 from .rules import parse_rules
 from .segmentation import (  # noqa: F401
     build_superpixel_table,

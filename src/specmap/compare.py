@@ -18,7 +18,6 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .classify import MAX_LABEL, CategoricalMap, LegendEntry, check_legend
 from .errors import (
     AmbiguousMappingError,
     ConfigError,
@@ -28,7 +27,9 @@ from .errors import (
     MappingError,
     SpecmapError,
 )
-from .raster import default_strip_height, strip_bounds
+from .raster import (
+    MAX_LABEL, CategoricalMap, LegendEntry, check_legend, default_strip_height, strip_bounds,
+)
 
 
 @dataclass(frozen=True)
@@ -530,9 +531,11 @@ def _read_matrix(path: Path | str):
         raise FormatError(f"{path}: matrix CSV needs a header and one row")
     lines = [line for line, _ in body]
     test_names = tuple(row[0] for _, row in body)
-    for i, line in enumerate(lines):
-        if test_names[i] in test_names[:i]:
-            raise FormatError(f"{path}: line {line}: repeated test name {test_names[i]!r}")
+    seen: set[str] = set()
+    for line, name in zip(lines, test_names):
+        if name in seen:
+            raise FormatError(f"{path}: line {line}: repeated test name {name!r}")
+        seen.add(name)
     cells = parse_column(path, "cell", [v for _, row in body for v in row[1:]],
                          [line for line in lines for _ in ref_names])
     return test_names, ref_names, cells.reshape(len(body), len(ref_names)), lines

@@ -1,4 +1,4 @@
-"""Calibrated multispectral raster model, flat-binary I/O and strip streaming.
+"""Calibrated multispectral images, categorical maps, flat-binary I/O and strips.
 
 The on-disk format is a plain-text sidecar header (``key = value`` lines,
 ``//`` comments) next to a raw little-endian band-sequential payload with the
@@ -15,7 +15,10 @@ a file is checked the same way on write as on read, and a reader only adds
 the file and header key to the message: ``_BAND_RULES`` for band metadata
 (``_nodata_fits`` for nodata), ``_check_sizes`` for the layout sizes, which
 must be at least 1, ``read_header``/``write_header`` for the header text,
-which refuses a repeated key, and ``open_map_raster`` for a map's kind.
+which refuses a repeated key, ``open_map_raster`` for a map's kind,
+``check_legend`` for legend labels and ``parse_color``/``format_color`` for
+``#RRGGBB`` colour text, which rule files share.  Reading refuses a legend
+label named by two keys (``legend.7.name``, ``legend.07.name``).
 
 Strips come only from files.  ``strip_ledger``, a ``RunStats``, counts a
 strip's bytes from ``read_strip`` to ``release_strip``, which
@@ -26,9 +29,10 @@ ledger bounds the strips read ahead, not the strips a consumer keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import re
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -733,3 +737,205 @@ def stream_strips(source: ImageSource, strip_height: int) -> Iterator[Strip]:
 
 def open_image(header_path: Path | str) -> ImageSource:
     return ImageSource(header_path)
+
+
+# ---------------------------------------------------------------------------
+# Colour text: ``#RRGGBB`` in rule files and map headers
+# ---------------------------------------------------------------------------
+
+
+def parse_color(text: str) -> tuple[int, int, int]:
+    """(r, g, b) of ``#RRGGBB`` text; a ValueError for any other text."""
+    if not re.fullmatch(r"#[0-9A-Fa-f]{6}", text):
+        raise ValueError(f"color {text!r} is not #RRGGBB")
+    v = int(text[1:], 16)
+    return ((v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
+
+
+def format_color(color: tuple[int, int, int]) -> str:
+    """``#RRGGBB`` text of (r, g, b); each must be an integer in 0..255."""
+    if len(color) != 3 or not all(
+            isinstance(c, (int, np.integer)) and 0 <= c <= 255 for c in color):
+        raise ConfigError(f"color {color!r} is not three integers in 0..255")
+    return "#%02X%02X%02X" % tuple(color)
+
+
+# ---------------------------------------------------------------------------
+# Categorical maps (u16 payload + legend in header)
+# ---------------------------------------------------------------------------
+
+
+NODATA = 0
+
+#: Largest legend label; a map file stores labels as u16.
+MAX_LABEL = 65535
+
+
+@dataclass(frozen=True)
+class LegendEntry:
+    label: int
+    name: str
+    color: tuple[int, int, int]
+
+
+def check_legend(legend: Iterable[LegendEntry]) -> None:
+    """Refuse a legend holding the nodata label or a label u16 cannot store."""
+    known = {e.label for e in legend}
+    if NODATA in known:
+        raise ConfigError("label 0 is reserved for nodata")
+    outside = sorted(label for label in known if not 1 <= label <= MAX_LABEL)
+    if outside:
+        raise DataError(f"legend labels outside 1..{MAX_LABEL}: {outside}")
+
+
+def _label_counts(chunks: Iterable[np.ndarray]) -> np.ndarray:
+    """Pixels of each label value 0..MAX_LABEL, one ``bincount`` per u16 chunk."""
+    counts = np.zeros(MAX_LABEL + 1, dtype=np.int64)
+    for chunk in chunks:
+        counts += np.bincount(chunk.ravel(), minlength=MAX_LABEL + 1)
+    return counts
+
+
+def _chunks(read, height: int, width: int) -> Iterator[np.ndarray]:
+    """``read(row0, row1)`` over a whole map, one strip of rows at a time."""
+    for row0, row1 in strip_bounds(height, default_strip_height(width)):
+        yield read(row0, row1)
+
+
+def _listed(legend: Iterable[LegendEntry]) -> np.ndarray:
+    """Bool table over label values: True for nodata and the legend's labels."""
+    listed = np.zeros(MAX_LABEL + 1, dtype=bool)
+    listed[[NODATA, *(e.label for e in legend)]] = True
+    return listed
+
+
+def refuse_unlisted(counts: np.ndarray, legend: Iterable[LegendEntry]) -> None:
+    unlisted = np.flatnonzero((counts > 0) & ~_listed(legend))
+    if unlisted.size:
+        raise DataError(f"labels missing from legend: {unlisted.tolist()}")
+
+
+def _as_u16(labels: np.ndarray) -> np.ndarray:
+    """``labels`` as u16; a value u16 cannot hold is refused, never wrapped."""
+    if labels.dtype == np.uint16:
+        return labels
+    if labels.dtype.kind not in "biu":
+        raise DataError(f"labels must be integers, got {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() > MAX_LABEL):
+        outside = np.unique(labels[(labels < 0) | (labels > MAX_LABEL)])
+        raise DataError(f"pixel labels outside 0..{MAX_LABEL}: {outside.tolist()}")
+    return labels.astype(np.uint16)
+
+
+@dataclass
+class CategoricalMap:
+    """Per-pixel label raster plus its legend."""
+
+    labels: np.ndarray  # (height, width) u16, 0 = nodata
+    legend: tuple[LegendEntry, ...]
+    #: Pixels of each label value 0..MAX_LABEL.
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        labels = np.asarray(self.labels)
+        if labels.ndim != 2:
+            raise DataError("labels must be a 2-D array")
+        self.legend = tuple(self.legend)
+        check_legend(self.legend)
+        self.labels = _as_u16(labels)
+        self.counts = _label_counts(_chunks(self.rows, self.height, self.width))
+        refuse_unlisted(self.counts, self.legend)
+
+    @property
+    def width(self) -> int:
+        return self.labels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.labels.shape[0]
+
+    def rows(self, row0: int, row1: int) -> np.ndarray:
+        """u16 labels of rows [row0, row1), as ``MapSource.rows`` reads them."""
+        return self.labels[row0:row1]
+
+
+def map_writer(header_path: Path | str, legend: tuple[LegendEntry, ...], height: int,
+               width: int) -> RasterWriter:
+    """A ``RasterWriter`` of a categorical map's u16 rows, its header carrying ``legend``."""
+    check_legend(legend)
+    extra = [("maptype", "categorical")]
+    for e in legend:
+        extra.append((f"legend.{e.label}.name", e.name))
+        extra.append((f"legend.{e.label}.color", format_color(e.color)))
+    return RasterWriter(header_path, extra, 1, height, width, "u16")
+
+
+def write_map(cmap: CategoricalMap, header_path: Path | str) -> None:
+    with map_writer(header_path, cmap.legend, cmap.height, cmap.width) as writer:
+        writer.write(cmap.labels[np.newaxis])
+
+
+def _legend_from_header(header: dict[str, str], header_path) -> tuple[LegendEntry, ...]:
+    """The legend of ``legend.N.name``/``legend.N.color`` keys; one key per label."""
+    legend = []
+    name_keys: dict[int, str] = {}
+    for key, value in header.items():
+        if key.startswith("legend.") and key.endswith(".name"):
+            label_text = key[len("legend."):-len(".name")]
+            if not re.fullmatch(r"[0-9]+", label_text):
+                raise FormatError(f"{header_path}: {key}: legend label is not digits 0-9")
+            label = int(label_text)
+            if label in name_keys:
+                raise FormatError(f"{header_path}: {name_keys[label]} and {key} "
+                                  f"both name legend label {label}")
+            name_keys[label] = key
+            color_key = f"legend.{label_text}.color"
+            color_text = header.get(color_key, "#000000")
+            try:
+                color = parse_color(color_text)
+            except ValueError as exc:
+                raise FormatError(f"{header_path}: {color_key}: {exc}") from None
+            legend.append(LegendEntry(label, value, color))
+    legend.sort(key=lambda e: e.label)
+    return tuple(legend)
+
+
+class MapSource:
+    """A categorical map file read in rows of u16 labels.
+
+    Only the header is read on opening.  Every ``rows`` read checks its
+    labels against the legend; an unlisted one is the DataError
+    ``CategoricalMap`` raises, naming every unlisted label of the map.
+    """
+
+    def __init__(self, header_path: Path | str):
+        self._raster = open_map_raster(
+            header_path, "categorical", "u16", "a categorical map is one band of u16 labels")
+        self.legend = _legend_from_header(self._raster.header, header_path)
+        try:
+            check_legend(self.legend)
+        except SpecmapError as exc:
+            raise exc.at(header_path)
+        self.height, self.width = self._raster.height, self._raster.width
+        self._listed = _listed(self.legend)
+
+    def rows(self, row0: int, row1: int) -> np.ndarray:
+        """u16 labels of rows [row0, row1), checked against the legend."""
+        labels = self._read(row0, row1)
+        if not self._listed[labels].all():
+            chunks = _chunks(self._read, self.height, self.width)
+            refuse_unlisted(_label_counts(chunks), self.legend)
+        return labels
+
+    def _read(self, row0: int, row1: int) -> np.ndarray:
+        return self._raster.read_raw_rows(row0, row1)[0]
+
+
+def open_map(header_path: Path | str) -> MapSource:
+    return MapSource(header_path)
+
+
+def read_map(header_path: Path | str) -> CategoricalMap:
+    source = open_map(header_path)
+    # ``CategoricalMap`` checks the labels against the legend.
+    return CategoricalMap(source._read(0, source.height), source.legend)

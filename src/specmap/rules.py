@@ -1,6 +1,7 @@
 """Spectral decision-rule language: AST, parser, formatter and evaluator.
 
-Rule file grammar (``//`` starts a comment; ``#`` is reserved for colors):
+Rule file grammar (``//`` starts a comment; ``#`` is reserved for colors,
+whose ``#RRGGBB`` text ``raster.parse_color`` reads, as in map headers):
 
     file        := item*
     item        := bands-decl | policy-decl | rule | class-decl | fallback
@@ -49,6 +50,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .errors import ConfigError, RuleSyntaxError
+from .raster import format_color, parse_color
 
 #: Ratios whose denominator magnitude falls below this make the enclosing
 #: comparison false: a zero-reflectance denominator has no physical ratio.
@@ -476,27 +478,6 @@ def compile_rules(ruleset: RuleSet, symbols: Iterable[str], policy: str) -> Rule
         bands=tuple(bands),
         lut=lut,
     )
-
-
-# ---------------------------------------------------------------------------
-# Colour text: ``#RRGGBB`` in rule files and map headers
-# ---------------------------------------------------------------------------
-
-
-def parse_color(text: str) -> tuple[int, int, int]:
-    """(r, g, b) of ``#RRGGBB`` text; a ValueError for any other text."""
-    if not re.fullmatch(r"#[0-9A-Fa-f]{6}", text):
-        raise ValueError(f"color {text!r} is not #RRGGBB")
-    v = int(text[1:], 16)
-    return ((v >> 16) & 0xFF, (v >> 8) & 0xFF, v & 0xFF)
-
-
-def format_color(color: tuple[int, int, int]) -> str:
-    """``#RRGGBB`` text of (r, g, b); each must be an integer in 0..255."""
-    if len(color) != 3 or not all(
-            isinstance(c, (int, np.integer)) and 0 <= c <= 255 for c in color):
-        raise ConfigError(f"color {color!r} is not three integers in 0..255")
-    return "#%02X%02X%02X" % tuple(color)
 
 
 # ---------------------------------------------------------------------------

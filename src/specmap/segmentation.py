@@ -40,7 +40,6 @@ from typing import Iterable
 import numpy as np
 
 from . import raster
-from .classify import NODATA, CategoricalMap, MapSource
 from .errors import (
     ConfigError,
     DataError,
@@ -48,7 +47,7 @@ from .errors import (
     FormatError,
     SpecmapError,
 )
-from .raster import MultiSpectralImage, RunStats, Strip
+from .raster import NODATA, CategoricalMap, MapSource, MultiSpectralImage, RunStats, Strip
 
 _OFFSETS_4 = ((-1, 0), (1, 0), (0, -1), (0, 1))
 _OFFSETS_8 = _OFFSETS_4 + ((-1, -1), (-1, 1), (1, -1), (1, 1))

@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import strategies as st
 
-from specmap.classify import CategoricalMap, LegendEntry
-from specmap.raster import BandMetadata, MultiSpectralImage, write_image
+from specmap.raster import (
+    BandMetadata, CategoricalMap, LegendEntry, MultiSpectralImage, write_image,
+)
 from specmap.rules import (
     BandRef,
     Cmp,

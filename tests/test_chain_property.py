@@ -25,7 +25,7 @@ from click.testing import CliRunner
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from specmap.classify import CategoricalMap, LegendEntry, classify, read_map, write_map
+from specmap.classify import classify
 from specmap.cli import main
 from specmap.compare import (
     build_contingency,
@@ -36,7 +36,9 @@ from specmap.compare import (
     write_contingency_csv,
 )
 from specmap.errors import DataError
-from specmap.raster import MultiSpectralImage, read_image, write_image
+from specmap.raster import (
+    CategoricalMap, LegendEntry, MultiSpectralImage, read_image, read_map, write_image, write_map,
+)
 from specmap.rules import load_specl
 from specmap.segmentation import (
     build_superpixel_table,

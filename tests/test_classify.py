@@ -4,17 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from specmap.classify import (
-    CategoricalMap,
-    LegendEntry,
-    PixelVisitCounter,
-    classify,
-    classify_streamed,
-    classify_strip,
-    open_map,
-    read_map,
-    write_map,
-)
+from specmap.classify import PixelVisitCounter, classify, classify_streamed, classify_strip
 from specmap.compare import LegendAggregation, translate_legend
 from specmap.errors import (
     ConfigError,
@@ -25,13 +15,18 @@ from specmap.errors import (
 )
 from specmap.raster import (
     STRIP_PIXELS,
+    CategoricalMap,
+    LegendEntry,
     Strip,
     open_image,
+    open_map,
     read_header,
+    read_map,
     stream_strips,
     strip_ledger,
     write_header,
     write_image,
+    write_map,
     write_raster,
 )
 from specmap.rules import parse_rules
@@ -450,6 +445,7 @@ class TestMapSource:
     @pytest.mark.parametrize("label, error, message", [
         ("70000", DataError, "legend labels outside 1..65535: [70000]"),
         ("0", ConfigError, "label 0 is reserved for nodata"),
+        ("03", FormatError, "legend.3.name and legend.03.name both name legend label 3"),
     ])
     def test_legend_refusal_names_the_header(self, tmp_path, rng, label, error, message):
         self._map(tmp_path, rng)

@@ -16,20 +16,23 @@ from hypothesis import strategies as st
 
 import specmap.cli
 from specmap import segmentation
-from specmap.classify import CategoricalMap, LegendEntry, read_map, write_map
 from specmap.cli import main
 from specmap.compare import read_aggregation, translate_legend
 from specmap.errors import DataError
 from specmap.raster import (
     STRIP_PIXELS,
     BandMetadata,
+    CategoricalMap,
     ImageSource,
+    LegendEntry,
     MultiSpectralImage,
     read_header,
     read_image,
+    read_map,
     strip_ledger,
     write_header,
     write_image,
+    write_map,
 )
 from specmap.rules import load_specl
 from specmap.classify import classify
@@ -1054,8 +1057,6 @@ class TestCompareCommand:
         assert not (tmp_path / "cmp").exists()
 
     def test_translate_test_map_through_fixture(self, runner, tmp_path):
-        from specmap.classify import LegendEntry
-
         codes = np.array([[11, 41], [90, 31]], dtype=np.int32)
         nlcd_legend = tuple(
             LegendEntry(c, f"code-{c}", (c % 256, 0, 0)) for c in (11, 31, 41, 90)

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from specmap.classify import CategoricalMap, LegendEntry, open_map, read_map, write_map
 from specmap.compare import (
     ContingencyTable,
     LegendAggregation,
@@ -36,6 +35,7 @@ from specmap.errors import (
     FormatError,
     MappingError,
 )
+from specmap.raster import CategoricalMap, LegendEntry, open_map, read_map, write_map
 
 from helpers import legend, random_map
 from oracles import tally_contingency

@@ -16,6 +16,7 @@ from specmap.errors import (
 )
 from specmap.raster import (
     BandMetadata,
+    CategoricalMap,
     ImageWriter,
     ImageSource,
     MultiSpectralImage,
@@ -30,10 +31,9 @@ from specmap.raster import (
     strip_ledger,
     write_header,
     write_image,
+    write_map,
     write_raster,
 )
-
-from specmap.classify import CategoricalMap, write_map
 from specmap.segmentation import CrossAuraMap, SegmentationMap, write_aura, write_segmentation
 
 from helpers import image_from_planes, legend, specl_bands, synth_scene

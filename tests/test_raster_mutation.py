@@ -12,15 +12,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from specmap.classify import CategoricalMap, read_map, write_map
 from specmap.errors import SpecmapError
 from specmap.raster import (
     BandMetadata,
+    CategoricalMap,
     MultiSpectralImage,
     payload_path,
     read_header,
     read_image,
+    read_map,
     write_image,
+    write_map,
 )
 from specmap.segmentation import SegmentationMap, read_segmentation, write_segmentation
 

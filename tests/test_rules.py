@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmap.errors import ConfigError, RuleSyntaxError
+from specmap.raster import format_color, parse_color
 from specmap.rules import (
     _BLOCK_PIXELS,
     MAX_NESTING,
@@ -24,11 +25,9 @@ from specmap.rules import (
     compile_rules,
     eval_expr,
     eval_rule,
-    format_color,
     format_expr,
     format_rules,
     load_specl,
-    parse_color,
     parse_rules,
     referenced_bands,
     required_bands,

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from specmap import raster, segmentation
-from specmap.classify import CategoricalMap, PixelVisitCounter
+from specmap.classify import PixelVisitCounter
 from specmap.errors import ConfigError, DataError, DimensionMismatchError, FormatError
-from specmap.raster import RunStats, Strip
+from specmap.raster import CategoricalMap, RunStats, Strip
 from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
     _TableFold,
