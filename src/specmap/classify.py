@@ -2,7 +2,8 @@
 
 Label 0 is reserved for nodata.  Every other label is a legend entry, and
 for maps produced by ``classify`` the labels are the rule indices, written
-as u16 ``raster.CategoricalMap`` labels.
+as u16 ``raster.CategoricalMap`` labels under the rule set's own legend,
+``RuleSet.legend()``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import raster
 from .errors import ConfigError
 from .raster import (
-    CategoricalMap, ImageSource, LegendEntry, MultiSpectralImage, RunStats, Strip,
+    CategoricalMap, ImageSource, MultiSpectralImage, RunStats, Strip,
     check_legend, read_strip, release_strip, strip_bounds,
 )
 from .rules import RuleProgram, RuleSet, compile_rules
@@ -81,7 +82,7 @@ def _compile_for(
     ``policy`` None means the rule set's own.  The rule set's legend is
     checked first, so every label the program writes fits a u16 map.
     """
-    check_legend(legend_from_ruleset(ruleset))
+    check_legend(ruleset.legend())
     binding = bind_bands(ruleset, bands)
     missing = ruleset.required_bands() - set(binding)
     if missing:
@@ -114,7 +115,7 @@ def classify(
     """
     binding, program = _compile_for(ruleset, image.bands, policy)
     labels = _label(binding, program, image.samples, image.validity)
-    return CategoricalMap(labels, legend_from_ruleset(ruleset))
+    return CategoricalMap(labels, ruleset.legend())
 
 
 def classify_strip(
@@ -194,11 +195,4 @@ def classify_streamed(
         # Left only by a failed read, label or sink; the pool has joined its threads.
         for strip, _ in pending:
             release_strip(strip)
-    return None if labels is None else CategoricalMap(labels, legend_from_ruleset(ruleset))
-
-
-def legend_from_ruleset(ruleset: RuleSet) -> tuple[LegendEntry, ...]:
-    return tuple(
-        LegendEntry(label, name, color)
-        for label, name, color in ruleset.legend_entries()
-    )
+    return None if labels is None else CategoricalMap(labels, ruleset.legend())

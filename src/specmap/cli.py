@@ -27,9 +27,7 @@ from . import __version__, raster
 # ``combine`` and the whole-plane writers ``write_segmentation``,
 # ``write_aura`` and ``write_rmse`` are not called here; the benchmark's
 # span tracer (bench/traced.py) wraps them by name in this module.
-from .classify import (  # noqa: F401
-    PixelVisitCounter, classify, classify_streamed, legend_from_ruleset,
-)
+from .classify import PixelVisitCounter, classify, classify_streamed  # noqa: F401
 from .compare import (
     apply_overrides,
     build_contingency,
@@ -204,7 +202,7 @@ def cmd_classify(rules_path, input_path, output_path, policy, strip_height,
         source = raster.open_image(input_path)
         # The header carries the legend, so the aggregation is checked
         # before any strip is labelled.
-        legend, lut = legend_from_ruleset(ruleset), None
+        legend, lut = ruleset.legend(), None
         if aggregate_path is not None:
             aggregation = read_aggregation(aggregate_path)
             legend, lut = aggregation.parent_legend, relabel_table(legend, aggregation)

@@ -50,6 +50,16 @@ class Override:
             )
 
 
+def _refuse_repeated_names(test_names: tuple[str, ...], ref_names: tuple[str, ...]) -> None:
+    """A dictionary names each class once: a repeated name is a DataError."""
+    for side, names in (("test", test_names), ("reference", ref_names)):
+        seen: set[str] = set()
+        for name in names:
+            if name in seen:
+                raise DataError(f"repeated {side} name {name!r}")
+            seen.add(name)
+
+
 @dataclass
 class LegendRelation:
     """Binary correct-pair matrix between a test and a reference dictionary."""
@@ -70,6 +80,7 @@ class LegendRelation:
             )
         if not np.isin(self.matrix, (0, 1)).all():
             raise DataError("relation entries must be binary")
+        _refuse_repeated_names(self.test_names, self.ref_names)
 
     @property
     def correct_pairs(self) -> int:
@@ -92,12 +103,7 @@ class ContingencyTable:
             )
         if (self.counts < 0).any():
             raise DataError("contingency counts must be non-negative")
-        for side, names in (("test", self.test_names), ("reference", self.ref_names)):
-            seen: set[str] = set()
-            for name in names:
-                if name in seen:
-                    raise DataError(f"repeated {side} name {name!r}")
-                seen.add(name)
+        _refuse_repeated_names(self.test_names, self.ref_names)
 
     @property
     def total(self) -> int:

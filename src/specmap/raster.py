@@ -18,7 +18,9 @@ must be at least 1, ``read_header``/``write_header`` for the header text,
 which refuses a repeated key, ``open_map_raster`` for a map's kind,
 ``check_legend`` for legend labels and ``parse_color``/``format_color`` for
 ``#RRGGBB`` colour text, which rule files share.  Reading refuses a legend
-label named by two keys (``legend.7.name``, ``legend.07.name``).
+label named by two keys (``legend.7.name``, ``legend.07.name``), and a
+colour key with no name key of the same ``N`` (``legend.02.color`` beside
+``legend.2.name``).
 
 Strips come only from files.  ``strip_ledger``, a ``RunStats``, counts a
 strip's bytes from ``read_strip`` to ``release_strip``, which
@@ -876,10 +878,15 @@ def write_map(cmap: CategoricalMap, header_path: Path | str) -> None:
 
 
 def _legend_from_header(header: dict[str, str], header_path) -> tuple[LegendEntry, ...]:
-    """The legend of ``legend.N.name``/``legend.N.color`` keys; one key per label."""
+    """The legend of ``legend.N.name``/``legend.N.color`` keys; one key per
+    label, and each colour key beside the name key of the same ``N``."""
     legend = []
     name_keys: dict[int, str] = {}
     for key, value in header.items():
+        if key.startswith("legend.") and key.endswith(".color"):
+            name_key = key[:-len(".color")] + ".name"
+            if name_key not in header:
+                raise FormatError(f"{header_path}: {key} has no {name_key} key")
         if key.startswith("legend.") and key.endswith(".name"):
             label_text = key[len("legend."):-len(".name")]
             if not re.fullmatch(r"[0-9]+", label_text):

@@ -20,6 +20,13 @@ whose ``#RRGGBB`` text ``raster.parse_color`` reads, as in map headers):
     term        := atom ('/' atom)*
     atom        := NUMBER | BAND | '(' num-expr ')'
 
+A numeric expression is a ``Const``, a ``BandRef`` or one ``Arith(op, left,
+right)`` node for each ``+``, ``-`` and ``/``; a ``/`` whose denominator
+magnitude falls below ``DIV_EPS`` gives NaN, which fails every comparison.
+A ``RuleSet``'s classes are ``raster.LegendEntry`` values: each rule's, the
+ruleless ``class`` entries and the fallback.  ``RuleSet.legend()`` lists them
+by label, and that legend is the one a ``classify`` map header carries.
+
 A ``requires(bK, clause)`` guard marks a clause as in use only when band bK
 is supplied.  When the band is absent the clause drops out of its enclosing
 conjunction (contributes true) or disjunction (contributes false); a rule
@@ -50,7 +57,7 @@ from typing import Iterable, Mapping, Union
 import numpy as np
 
 from .errors import ConfigError, RuleSyntaxError
-from .raster import format_color, parse_color
+from .raster import LegendEntry, format_color, parse_color
 
 #: Ratios whose denominator magnitude falls below this make the enclosing
 #: comparison false: a zero-reflectance denominator has no physical ratio.
@@ -74,25 +81,23 @@ class Const:
     value: float
 
 
-@dataclass(frozen=True)
-class Ratio:
-    num: "NumExpr"
-    den: "NumExpr"
+_ARITH_OPS = ("+", "-", "/")
 
 
 @dataclass(frozen=True)
-class Sum:
+class Arith:
+    """``left op right``; a ``/`` is guarded by ``DIV_EPS``."""
+
+    op: str
     left: "NumExpr"
     right: "NumExpr"
 
-
-@dataclass(frozen=True)
-class Diff:
-    left: "NumExpr"
-    right: "NumExpr"
+    def __post_init__(self):
+        if self.op not in _ARITH_OPS:
+            raise ConfigError(f"unknown arithmetic operator {self.op!r}")
 
 
-NumExpr = Union[BandRef, Const, Ratio, Sum, Diff]
+NumExpr = Union[BandRef, Const, Arith]
 
 _CMP_OPS = ("<=", ">=", "<", ">")
 
@@ -166,10 +171,9 @@ def required_bands(expr) -> frozenset[str]:
 def _walk_bands(node, out: set, required_only: bool) -> None:
     if isinstance(node, BandRef):
         out.add(node.symbol)
-    elif isinstance(node, (Ratio, Sum, Diff, Cmp)):
-        pair = (node.num, node.den) if isinstance(node, Ratio) else (node.left, node.right)
-        for child in pair:
-            _walk_bands(child, out, required_only)
+    elif isinstance(node, (Arith, Cmp)):
+        _walk_bands(node.left, out, required_only)
+        _walk_bands(node.right, out, required_only)
     elif isinstance(node, (And, Or)):
         for c in node.children:
             _walk_bands(c, out, required_only)
@@ -192,18 +196,19 @@ def _eval_num(node, bands: Mapping[str, object]):
             return bands[node.symbol]
         except KeyError:
             raise ConfigError(f"band {node.symbol} not supplied") from None
-    if isinstance(node, Ratio):
-        num = np.asarray(_eval_num(node.num, bands), dtype=np.float64)
-        den = np.asarray(_eval_num(node.den, bands), dtype=np.float64)
-        ok = np.abs(den) >= DIV_EPS
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = num / np.where(ok, den, 1.0)
-        return np.where(ok, q, np.nan)
-    if isinstance(node, Sum):
-        return _eval_num(node.left, bands) + _eval_num(node.right, bands)
-    if isinstance(node, Diff):
-        return _eval_num(node.left, bands) - _eval_num(node.right, bands)
-    raise ConfigError(f"not a numeric expression node: {node!r}")
+    if not isinstance(node, Arith):
+        raise ConfigError(f"not a numeric expression node: {node!r}")
+    left, right = _eval_num(node.left, bands), _eval_num(node.right, bands)
+    if node.op == "+":
+        return left + right
+    if node.op == "-":
+        return left - right
+    num = np.asarray(left, dtype=np.float64)
+    den = np.asarray(right, dtype=np.float64)
+    ok = np.abs(den) >= DIV_EPS
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = num / np.where(ok, den, 1.0)
+    return np.where(ok, q, np.nan)
 
 
 _CMP_FUNCS = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt}
@@ -257,22 +262,11 @@ class Rule:
 
 
 @dataclass(frozen=True)
-class RulelessClass:
-    """Legend entry declared without an expression; never matched."""
-
-    index: int
-    name: str
-    pseudo_color: tuple[int, int, int]
-
-
-@dataclass(frozen=True)
 class RuleSet:
     declared_bands: tuple[tuple[str, float], ...]  # (symbol, wavelength um)
     rules: tuple[Rule, ...]
-    ruleless: tuple[RulelessClass, ...]
-    fallback_index: int
-    fallback_name: str
-    fallback_color: tuple[int, int, int]
+    ruleless: tuple[LegendEntry, ...]  # classes declared without an expression
+    fallback: LegendEntry  # the label of a valid pixel no rule matches
     match_policy: str = "last-match"
 
     def __post_init__(self):
@@ -280,10 +274,8 @@ class RuleSet:
             raise ConfigError("a rule set needs at least one rule")
         if self.match_policy not in MATCH_POLICIES:
             raise ConfigError(f"unknown match policy {self.match_policy!r}")
-        indices = [r.index for r in self.rules]
-        indices += [c.index for c in self.ruleless]
-        indices.append(self.fallback_index)
-        if len(set(indices)) != len(indices):
+        labels = [e.label for e in self.legend()]
+        if len(set(labels)) != len(labels):
             raise ConfigError("rule/class indices must be unique")
         declared = {s for s, _ in self.declared_bands}
         for rule in self.rules:
@@ -300,12 +292,11 @@ class RuleSet:
             out |= required_bands(rule.expr)
         return frozenset(out)
 
-    def legend_entries(self) -> tuple[tuple[int, str, tuple[int, int, int]], ...]:
-        """(label, name, color) for every class, sorted by index."""
-        entries = [(r.index, r.name, r.pseudo_color) for r in self.rules]
-        entries += [(c.index, c.name, c.pseudo_color) for c in self.ruleless]
-        entries.append((self.fallback_index, self.fallback_name, self.fallback_color))
-        return tuple(sorted(entries))
+    def legend(self) -> tuple[LegendEntry, ...]:
+        """Every class as a ``LegendEntry``, sorted by label."""
+        entries = [LegendEntry(r.index, r.name, r.pseudo_color) for r in self.rules]
+        entries += [*self.ruleless, self.fallback]
+        return tuple(sorted(entries, key=lambda e: e.label))
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +334,7 @@ def _fold(ufunc):
     return fold
 
 
-_NUM_FUNCS = {Ratio: _ratio, Sum: operator.add, Diff: operator.sub}
+_NUM_FUNCS = {"+": operator.add, "-": operator.sub, "/": _ratio}
 _FOLDS = {And: _fold(np.logical_and), Or: _fold(np.logical_or)}
 
 
@@ -426,9 +417,8 @@ def compile_rules(ruleset: RuleSet, symbols: Iterable[str], policy: str) -> Rule
                 raise ConfigError(f"band {node.symbol} not supplied")
             slot = new_slot()
             bands.append((slot, node.symbol))
-        elif isinstance(node, (Ratio, Sum, Diff)):
-            pair = (node.num, node.den) if isinstance(node, Ratio) else (node.left, node.right)
-            slot = emit(_NUM_FUNCS[type(node)], map(num, pair))
+        elif isinstance(node, Arith):
+            slot = emit(_NUM_FUNCS[node.op], (num(node.left), num(node.right)))
         else:
             raise ConfigError(f"not a numeric expression node: {node!r}")
         slots[node] = slot
@@ -456,7 +446,7 @@ def compile_rules(ruleset: RuleSet, symbols: Iterable[str], policy: str) -> Rule
     n = len(ruleset.rules)
     win_type = np.min_scalar_type(n).type
     lut = np.empty(n + 1, dtype=np.int32)
-    lut[0] = ruleset.fallback_index
+    lut[0] = ruleset.fallback.label
     for i, rule in enumerate(ruleset.rules):
         # The largest matching position wins.
         position = i + 1 if policy == "last-match" else n - i
@@ -597,8 +587,8 @@ class _Parser:
 
     def parse_file(self) -> RuleSet:
         rules: list[Rule] = []
-        ruleless: list[RulelessClass] = []
-        fallback: tuple[int, str, tuple[int, int, int]] | None = None
+        ruleless: list[LegendEntry] = []
+        fallback: LegendEntry | None = None
         policy = "last-match"
         while self._peek() is not self.eof:
             tok = self._peek()
@@ -611,11 +601,11 @@ class _Parser:
             elif tok.text == "rule":
                 rules.append(self._parse_rule())
             elif tok.text == "class":
-                ruleless.append(self._parse_class())
+                ruleless.append(self._parse_entry("class"))
             elif tok.text == "fallback":
                 if fallback is not None:
                     self._error("duplicate fallback declaration")
-                fallback = self._parse_fallback()
+                fallback = self._parse_entry("fallback")
             else:
                 self._error("expected bands/policy/rule/class/fallback")
         if fallback is None:
@@ -625,10 +615,8 @@ class _Parser:
         return RuleSet(
             declared_bands=tuple(self.declared.items()),
             rules=tuple(sorted(rules, key=lambda r: r.index)),
-            ruleless=tuple(sorted(ruleless, key=lambda c: c.index)),
-            fallback_index=fallback[0],
-            fallback_name=fallback[1],
-            fallback_color=fallback[2],
+            ruleless=tuple(sorted(ruleless, key=lambda c: c.label)),
+            fallback=fallback,
             match_policy=policy,
         )
 
@@ -662,37 +650,26 @@ class _Parser:
             self._error("expected an integer index", tok)
         return int(tok.text)
 
-    def _parse_color(self) -> tuple[int, int, int]:
-        self._expect("ident", "color")
-        return parse_color(self._expect("color").text)
-
-    def _parse_rule(self) -> Rule:
-        self._expect("ident", "rule")
+    def _parse_entry(self, keyword: str) -> LegendEntry:
+        """``keyword INT STRING 'color' COLOR``; a fallback may leave out its
+        colour, which is then black."""
+        self._expect("ident", keyword)
         index = self._index()
         name = self._expect("string").text[1:-1]
-        color = self._parse_color()
+        color = (0, 0, 0)
+        if keyword != "fallback" or self._peek().text == "color":
+            self._expect("ident", "color")
+            color = parse_color(self._expect("color").text)
+        return LegendEntry(index, name, color)
+
+    def _parse_rule(self) -> Rule:
+        entry = self._parse_entry("rule")
         self._expect("op", "{")
         if self._peek().kind == "op" and self._peek().text == "}":
             self._error("empty rule body")
         expr = self._parse_or()
         self._expect("op", "}")
-        return Rule(index, name, expr, color)
-
-    def _parse_class(self) -> RulelessClass:
-        self._expect("ident", "class")
-        index = self._index()
-        name = self._expect("string").text[1:-1]
-        color = self._parse_color()
-        return RulelessClass(index, name, color)
-
-    def _parse_fallback(self) -> tuple[int, str, tuple[int, int, int]]:
-        self._expect("ident", "fallback")
-        index = self._index()
-        name = self._expect("string").text[1:-1]
-        color = (0, 0, 0)
-        if self._peek().kind == "ident" and self._peek().text == "color":
-            color = self._parse_color()
-        return (index, name, color)
+        return Rule(entry.label, entry.name, expr, entry.color)
 
     # -- expressions ---------------------------------------------------------
 
@@ -759,22 +736,22 @@ class _Parser:
     # Numeric parsers return (node, the levels it nests).
 
     def _parse_num(self):
-        return self._parse_chain(self._parse_term, {"+": Sum, "-": Diff})
+        return self._parse_chain(self._parse_term, "+-")
 
     def _parse_term(self):
-        return self._parse_chain(self._parse_atom, {"/": Ratio})
+        return self._parse_chain(self._parse_atom, "/")
 
-    def _parse_chain(self, operand, nodes):
-        """Left-associative ``operand``s joined by the operators ``nodes`` maps
-        to node types; each operator is one level over its deeper operand."""
+    def _parse_chain(self, operand, ops: str):
+        """Left-associative ``operand``s joined by the operator characters
+        ``ops``; each operator is one level over its deeper operand."""
         node, levels = operand()
-        while (tok := self._peek()).kind == "op" and tok.text in nodes:
+        while (tok := self._peek()).kind == "op" and tok.text in ops:
             self._next()
             self._deeper(tok, levels + 1)
             self.depth += 1
             right, right_levels = operand()
             self.depth -= 1
-            node = nodes[tok.text](node, right)
+            node = Arith(tok.text, node, right)
             levels = max(levels, right_levels) + 1
         return node, levels
 
@@ -805,33 +782,21 @@ def parse_rules(text: str) -> RuleSet:
 # ---------------------------------------------------------------------------
 
 
-def _num_level(node) -> int:
-    # 1: Sum/Diff, 2: Ratio, 3: atom
-    if isinstance(node, (Sum, Diff)):
-        return 1
-    if isinstance(node, Ratio):
-        return 2
-    return 3
+#: Arithmetic operator -> (precedence level, text); atoms are level 3.
+_ARITH_FORMAT = {"+": (1, " + "), "-": (1, " - "), "/": (2, "/")}
 
 
 def _fmt_num(node, min_level: int = 1) -> str:
-    level = _num_level(node)
     if isinstance(node, Const):
-        text = repr(node.value)
-    elif isinstance(node, BandRef):
-        text = node.symbol
-    elif isinstance(node, Ratio):
-        # Left-associative: the right side needs parens when it is a ratio.
-        text = f"{_fmt_num(node.num, 2)}/{_fmt_num(node.den, 3)}"
-    elif isinstance(node, Sum):
-        text = f"{_fmt_num(node.left, 1)} + {_fmt_num(node.right, 2)}"
-    elif isinstance(node, Diff):
-        text = f"{_fmt_num(node.left, 1)} - {_fmt_num(node.right, 2)}"
-    else:
+        return repr(node.value)
+    if isinstance(node, BandRef):
+        return node.symbol
+    if not isinstance(node, Arith):
         raise ConfigError(f"not a numeric expression node: {node!r}")
-    if level < min_level:
-        return f"({text})"
-    return text
+    level, op = _ARITH_FORMAT[node.op]
+    # Left-associative: a right operand at this operator's level needs parens.
+    text = f"{_fmt_num(node.left, level)}{op}{_fmt_num(node.right, level + 1)}"
+    return f"({text})" if level < min_level else text
 
 
 def format_expr(node) -> str:
@@ -859,27 +824,15 @@ def format_rules(ruleset: RuleSet) -> str:
     lines.append(f"bands: {bands}")
     lines.append(f"policy {ruleset.match_policy}")
     lines.append("")
-    entries: list[tuple[int, str]] = []
-    for rule in ruleset.rules:
-        block = (
-            f'rule {rule.index} "{rule.name}" color {format_color(rule.pseudo_color)} {{\n'
-            f"  {format_expr(rule.expr)}\n"
-            f"}}"
-        )
-        entries.append((rule.index, block))
-    for cls in ruleset.ruleless:
-        entries.append(
-            (cls.index, f'class {cls.index} "{cls.name}" color {format_color(cls.pseudo_color)}')
-        )
-    entries.append(
-        (
-            ruleset.fallback_index,
-            f'fallback {ruleset.fallback_index} "{ruleset.fallback_name}" '
-            f"color {format_color(ruleset.fallback_color)}",
-        )
-    )
-    for _, block in sorted(entries):
-        lines.append(block)
+    exprs = {rule.index: rule.expr for rule in ruleset.rules}
+    for entry in ruleset.legend():
+        head = f'{entry.label} "{entry.name}" color {format_color(entry.color)}'
+        if entry.label in exprs:
+            lines.append(f"rule {head} {{\n  {format_expr(exprs[entry.label])}\n}}")
+        elif entry == ruleset.fallback:
+            lines.append(f"fallback {head}")
+        else:
+            lines.append(f"class {head}")
         lines.append("")
     return "\n".join(lines)
 

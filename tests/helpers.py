@@ -9,16 +9,13 @@ from specmap.raster import (
     BandMetadata, CategoricalMap, LegendEntry, MultiSpectralImage, write_image,
 )
 from specmap.rules import (
+    Arith,
     BandRef,
     Cmp,
     Const,
-    Diff,
-    Ratio,
     RequiresBand,
     Rule,
     RuleSet,
-    RulelessClass,
-    Sum,
     make_and,
     make_or,
 )
@@ -133,10 +130,8 @@ _num_leaf = st.one_of(
 )
 _num_expr = st.recursive(
     _num_leaf,
-    lambda children: st.one_of(
-        st.tuples(children, children).map(lambda t: Ratio(*t)),
-        st.tuples(children, children).map(lambda t: Sum(*t)),
-        st.tuples(children, children).map(lambda t: Diff(*t)),
+    lambda children: st.tuples(st.sampled_from("+-/"), children, children).map(
+        lambda t: Arith(*t)
     ),
     max_leaves=6,
 )
@@ -173,13 +168,11 @@ def rulesets(draw):
     )
     ruleless = ()
     if draw(st.booleans()):
-        ruleless = (RulelessClass(n_rules + 1, draw(_names), draw(_colors)),)
+        ruleless = (LegendEntry(n_rules + 1, draw(_names), draw(_colors)),)
     return RuleSet(
         declared_bands=tuple(SPECL_WAVELENGTHS.items()),
         rules=rules,
         ruleless=ruleless,
-        fallback_index=n_rules + 2,
-        fallback_name=draw(_names),
-        fallback_color=draw(_colors),
+        fallback=LegendEntry(n_rules + 2, draw(_names), draw(_colors)),
         match_policy=draw(st.sampled_from(("last-match", "first-match"))),
     )

@@ -457,3 +457,22 @@ class TestMapSource:
             with pytest.raises(error, match=re.escape(f"{path}: {message}")) as excinfo:
                 read(path)
             assert type(excinfo.value) is error
+
+    @pytest.mark.parametrize("label", ["02", "9", None])
+    def test_colour_key_must_sit_beside_its_name_key(self, tmp_path, rng, label):
+        """Label 2's colour key moved to ``legend.<label>.color``: with no name
+        key of that text it is refused, and left out it reads as black."""
+        self._map(tmp_path, rng)
+        path = tmp_path / "m.hdr"
+        header = read_header(path)
+        color = header.pop("legend.2.color")
+        if label is not None:
+            header[f"legend.{label}.color"] = color
+        write_header(path, list(header.items()))
+        if label is None:
+            assert read_map(path).legend[1] == LegendEntry(2, "class-2", (0, 0, 0))
+            return
+        message = f"{path}: legend.{label}.color has no legend.{label}.name key"
+        for read in (open_map, read_map):
+            with pytest.raises(FormatError, match=re.escape(message)):
+                read(path)

@@ -18,7 +18,7 @@ import specmap.cli
 from specmap import segmentation
 from specmap.cli import main
 from specmap.compare import read_aggregation, translate_legend
-from specmap.errors import DataError
+from specmap.errors import ConfigError, DataError
 from specmap.raster import (
     STRIP_PIXELS,
     BandMetadata,
@@ -34,8 +34,8 @@ from specmap.raster import (
     write_image,
     write_map,
 )
-from specmap.rules import load_specl
-from specmap.classify import classify
+from specmap.rules import load_specl, parse_rules
+from specmap.classify import bind_bands, classify
 from specmap.segmentation import (
     _CSV_CHUNK_ROWS,
     build_superpixel_table,
@@ -55,7 +55,7 @@ from oracles import segmentations_bijective, tally_contingency
 from test_segmentation import NINE_SEGMENT_MAP
 
 SPECL_PATH = str(files("specmap").joinpath("data/specl.rules"))
-SPECL_LABELS = tuple(label for label, _, _ in load_specl().legend_entries())
+SPECL_LABELS = tuple(e.label for e in load_specl().legend())
 COUNTS_PATH = str(files("specmap").joinpath("data/harmonization_example_counts.csv"))
 OVERRIDES_PATH = str(
     files("specmap").joinpath("data/harmonization_example_overrides.csv")
@@ -219,6 +219,28 @@ class TestClassifyCommand:
         assert_failure_leaves_nothing(
             runner, out, "error: one-pass contract violated: 180 visits for 240 pixels",
             *args)
+
+    @pytest.mark.parametrize("declared, symbols", [
+        ("b1@0.48, b2@0.49", "b1 and b2"),
+        ("b2@0.49, b1@0.47", "b2 and b1"),
+    ], ids=["exact_first", "near_first"])
+    def test_two_symbols_bound_to_one_band_leave_nothing(self, runner, tmp_path, declared,
+                                                        symbols):
+        """Two rule symbols within the binding tolerance of the image band at
+        0.48 um are refused, naming both, and a rerun leaves no map and no
+        manifest."""
+        image = write_scene(tmp_path / "scene.hdr", 20, 12, seed=1, block=4)
+        rules = tmp_path / "two.rules"
+        rules.write_text(f'bands: {declared}\n'
+                         'rule 1 "x" color #000000 { b1 <= b2 }\nfallback 2 "f"\n')
+        message = f"band symbols {symbols} both bind to the image band at 0.48 um"
+        with pytest.raises(ConfigError, match=message):
+            bind_bands(parse_rules(rules.read_text()), image.bands)
+        out = tmp_path / "out"
+        args = ["classify", "--in", tmp_path / "scene.hdr", "--out", out / "colors.hdr"]
+        run_into_empty_dir(runner, out, *args, "--rules", SPECL_PATH)
+        assert_failure_leaves_nothing(runner, out, f"error: {message}\n", *args,
+                                      "--rules", rules)
 
     def test_zero_workers_is_usage_error(self, runner, tmp_path):
         write_scene(tmp_path / "scene.hdr", 16, 8, seed=12, block=4)

@@ -420,6 +420,15 @@ class TestCvpai2:
         with pytest.raises(DataError):
             LegendRelation(("a",), ("x",), np.array([[2]]))
 
+    @pytest.mark.parametrize("side", ["test", "reference"])
+    def test_repeated_name_refused(self, side):
+        # Accepted, ("green", "green") let ``evidence.combine`` read the
+        # first row and ``evidence.score_table`` the last.
+        names, other = ("green", "green"), ("forest", "water")
+        args = (names, other) if side == "test" else (other, names)
+        with pytest.raises(DataError, match=f"repeated {side} name 'green'"):
+            LegendRelation(*args, np.eye(2))
+
 
 class TestTranslateLegend:
     def _nlcd_rows(self):

@@ -1,7 +1,8 @@
 """The package's module layering, read from the source's relative imports.
 
 Map files are read and written by ``raster``, so the modules that segment
-and compare maps import neither the rule language nor classification.
+and compare maps import neither the rule language nor classification, and
+the rule language imports only ``raster``'s legend type and colour text.
 """
 
 import ast
@@ -44,6 +45,11 @@ def test_the_parser_sees_every_layer():
 
 def test_raster_reaches_only_errors():
     assert reach("raster") == {"errors"}
+
+
+def test_rules_reach_only_raster_and_errors():
+    # The rule model takes ``LegendEntry`` and colour text from ``raster``.
+    assert reach("rules") == {"raster", "errors"}
 
 
 @pytest.mark.parametrize("name, barred", [

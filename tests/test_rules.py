@@ -1,5 +1,6 @@
 import dataclasses
 import importlib.resources
+import re
 
 import numpy as np
 import pytest
@@ -7,27 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specmap.errors import ConfigError, RuleSyntaxError
-from specmap.raster import format_color, parse_color
+from specmap.raster import LegendEntry, format_color, parse_color
 from specmap.rules import (
     _BLOCK_PIXELS,
     MAX_NESTING,
     And,
+    Arith,
     BandRef,
     Cmp,
     Const,
-    Diff,
     Or,
-    Ratio,
     RequiresBand,
     Rule,
     RuleSet,
-    Sum,
     compile_rules,
     eval_expr,
     eval_rule,
     format_expr,
     format_rules,
     load_specl,
+    make_and,
     parse_rules,
     referenced_bands,
     required_bands,
@@ -49,14 +49,14 @@ class TestParser:
     def test_row1_structure(self):
         expr = parse_expr("b4/b3 <= 1.3 AND b3 >= 0.2 AND b5 <= 0.12")
         assert expr == And((
-            Cmp(Ratio(BandRef("b4"), BandRef("b3")), "<=", Const(1.3)),
+            Cmp(Arith("/", BandRef("b4"), BandRef("b3")), "<=", Const(1.3)),
             Cmp(BandRef("b3"), ">=", Const(0.2)),
             Cmp(BandRef("b5"), "<=", Const(0.12)),
         ))
 
     def test_chained_comparison_desugars(self):
         expr = parse_expr("0.85 <= b1/b4 <= 1.15")
-        ratio = Ratio(BandRef("b1"), BandRef("b4"))
+        ratio = Arith("/", BandRef("b1"), BandRef("b4"))
         assert expr == And((
             Cmp(Const(0.85), "<=", ratio),
             Cmp(ratio, "<=", Const(1.15)),
@@ -192,11 +192,11 @@ class TestParser:
     def test_arithmetic_precedence(self):
         expr = parse_expr("b3 >= b4 + 0.005")
         assert expr == Cmp(
-            BandRef("b3"), ">=", Sum(BandRef("b4"), Const(0.005))
+            BandRef("b3"), ">=", Arith("+", BandRef("b4"), Const(0.005))
         )
         expr = parse_expr("b1 + b2/b3 <= 1.0")
         assert expr == Cmp(
-            Sum(BandRef("b1"), Ratio(BandRef("b2"), BandRef("b3"))),
+            Arith("+", BandRef("b1"), Arith("/", BandRef("b2"), BandRef("b3"))),
             "<=",
             Const(1.0),
         )
@@ -268,18 +268,18 @@ class TestEval:
 class TestSpecl:
     def test_parses_19_entries(self, specl):
         assert len(specl.rules) == 17
-        assert len(specl.ruleless) == 1 and specl.ruleless[0].index == 18
-        assert specl.fallback_index == 19
+        assert len(specl.ruleless) == 1 and specl.ruleless[0].label == 18
+        assert specl.fallback.label == 19
         assert specl.match_policy == "last-match"
-        assert len(specl.legend_entries()) == 19
+        assert [e.label for e in specl.legend()] == list(range(1, 20))
 
     def test_colors_distinct(self, specl):
-        colors = [c for _, _, c in specl.legend_entries()]
+        colors = [e.color for e in specl.legend()]
         assert len(set(colors)) == len(colors)
 
     def test_color_text_round_trip(self, specl):
-        for _, _, color in specl.legend_entries():
-            assert parse_color(format_color(color)) == color
+        for entry in specl.legend():
+            assert parse_color(format_color(entry.color)) == entry.color
         assert format_color((74, 118, 166)) == "#4A76A6"
         assert parse_color("#4a76a6") == (74, 118, 166)
         for text in ("#zz", "#4A76A", "4A76A6", "#4A76A6 ", "#4A76A6F"):
@@ -353,9 +353,7 @@ class TestFormatter:
             declared_bands=(("b4", 0.83),),
             rules=(Rule(1, "water", Cmp(BandRef("b4"), "<=", Const(0.11)), (0, 0, 255)),),
             ruleless=(),
-            fallback_index=2,
-            fallback_name="rest",
-            fallback_color=(0, 0, 0),
+            fallback=LegendEntry(2, "rest", (0, 0, 0)),
         )
         text = format_rules(ruleset)
         assert text == format_rules(ruleset)  # deterministic
@@ -369,12 +367,67 @@ class TestFormatter:
         assert parse_rules(text) == specl
 
     def test_nested_numeric_parens(self):
-        expr = Cmp(Ratio(BandRef("b1"), Ratio(BandRef("b2"), BandRef("b3"))),
+        expr = Cmp(Arith("/", BandRef("b1"), Arith("/", BandRef("b2"), BandRef("b3"))),
                    "<=", Const(1.0))
         assert format_expr(expr) == "b1/(b2/b3) <= 1.0"
-        expr = Cmp(Ratio(Sum(BandRef("b1"), Const(0.1)), BandRef("b2")),
+        expr = Cmp(Arith("/", Arith("+", BandRef("b1"), Const(0.1)), BandRef("b2")),
                    "<=", Const(1.0))
         assert format_expr(expr) == "(b1 + 0.1)/b2 <= 1.0"
+
+
+def _one_rule_set(expr, **fields):
+    """A rule set over b4 whose one rule has body ``expr``, with ``fields`` replaced."""
+    base = dict(declared_bands=(("b4", 0.83),), rules=(Rule(1, "water", expr, (0, 0, 255)),),
+                ruleless=(), fallback=LegendEntry(2, "rest", (0, 0, 0)))
+    return RuleSet(**{**base, **fields})
+
+
+_WATER = Cmp(BandRef("b4"), "<=", Const(0.11))
+
+
+class TestModelRefusals:
+    @pytest.mark.parametrize("fields, message", [
+        (dict(rules=()), "a rule set needs at least one rule"),
+        (dict(match_policy="any-match"), "unknown match policy 'any-match'"),
+        (dict(rules=(Rule(1, "x", make_and([_WATER, Cmp(BandRef("b7"), ">", BandRef("b5"))]),
+                          (0, 0, 0)),)),
+         "rule 1 references undeclared bands: b5, b7"),
+        (dict(ruleless=(LegendEntry(1, "c", (0, 0, 0)),)), "indices must be unique"),
+        (dict(fallback=LegendEntry(1, "f", (0, 0, 0))), "indices must be unique"),
+        (dict(ruleless=(LegendEntry(2, "c", (0, 0, 0)),)), "indices must be unique"),
+        (dict(ruleless=(LegendEntry(3, "c", (0, 0, 0)), LegendEntry(3, "d", (0, 0, 0)))),
+         "indices must be unique"),
+    ], ids=["no_rules", "policy", "undeclared", "rule_class", "rule_fallback",
+            "class_fallback", "class_class"])
+    def test_rule_set_refusal(self, fields, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            _one_rule_set(_WATER, **fields)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Cmp(BandRef("b4"), "==", Const(0.1)), "unknown comparison operator '=='"),
+        (lambda: Arith("*", BandRef("b4"), Const(2.0)), "unknown arithmetic operator '*'"),
+        (lambda: Arith("<=", BandRef("b4"), Const(2.0)), "unknown arithmetic operator '<='"),
+    ], ids=["cmp", "arith", "arith_cmp_op"])
+    def test_unknown_operator_refused_when_built(self, make, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            make()
+
+    @pytest.mark.parametrize("walk", [
+        lambda expr: eval_expr(expr, {"b4": np.array([0.1, 0.5])}),
+        lambda expr: compile_rules(_one_rule_set(expr), {"b4"}, "last-match"),
+        format_expr,
+    ], ids=["eval_expr", "compile_rules", "format_expr"])
+    @pytest.mark.parametrize("expr, kind, node", [
+        # A band symbol left unwrapped where a numeric node belongs.
+        (Cmp(Arith("/", BandRef("b4"), "b4"), "<=", Const(1.0)), "numeric", "b4"),
+        # A numeric node as a whole rule body, and as an AND operand.
+        (BandRef("b4"), "boolean", BandRef("b4")),
+        (And((_WATER, Const(1.0))), "boolean", Const(1.0)),
+    ], ids=["numeric", "boolean_body", "boolean_operand"])
+    def test_walkers_refuse_a_node_of_the_wrong_kind(self, walk, expr, kind, node):
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"not a {kind} expression node: {node!r}")):
+            walk(expr)
 
 
 # -- random rule sets round-trip -------------------------------------------
@@ -391,7 +444,7 @@ def test_random_ruleset_round_trip(ruleset):
 
 def _reference_labels(ruleset, planes, validity, policy):
     """The per-rule match loop: ``eval_expr`` per rule, masked label writes."""
-    labels = np.full(validity.shape, ruleset.fallback_index, dtype=np.int32)
+    labels = np.full(validity.shape, ruleset.fallback.label, dtype=np.int32)
     # Later writes win, so first-match writes the rules in reverse order.
     rules = ruleset.rules if policy == "last-match" else reversed(ruleset.rules)
     for rule in rules:
@@ -475,7 +528,8 @@ class TestCompiledProgram:
     def test_constant_only_conjunction(self):
         expr = parse_expr("0.0 <= 0.0 AND 0.0 <= 0.0 AND 0.0 <= 0.0")
         ruleset = RuleSet(
-            (("b4", 0.83),), (Rule(1, "all", expr, (0, 0, 0)),), (), 2, "f", (0, 0, 0)
+            (("b4", 0.83),), (Rule(1, "all", expr, (0, 0, 0)),), (),
+            LegendEntry(2, "f", (0, 0, 0)),
         )
         planes = {"b4": np.array([[0.1, 0.2, 0.3]])}
         validity = np.array([[True, False, True]])
@@ -530,9 +584,7 @@ class TestCompiledProgram:
                 kind, children = "bool", node.children
             elif isinstance(node, Cmp):
                 kind, children = "cmp", (node.left, node.right)
-            elif isinstance(node, Ratio):
-                kind, children = "num", (node.num, node.den)
-            elif isinstance(node, (Sum, Diff)):
+            elif isinstance(node, Arith):
                 kind, children = "num", (node.left, node.right)
             else:
                 return
