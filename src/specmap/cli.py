@@ -278,10 +278,11 @@ def cmd_segment(map_path, image_path, out_prefix, adjacency, strip_height, as_js
         source = raster.open_image(image_path)
         rows = _strip_rows(strip_height, labels.width)
         # Pass A: ids, aura and the table.  Pass B: mean view and RMSE.
-        table = describe_segments(labels, source, rows, adjacency,
-                                  paths["segmentation"], paths["aura"])
-        stats = write_mean_view(table, source, rows, paths["segmentation"],
+        table, painter = describe_segments(labels, source, rows, adjacency,
+                                           paths["segmentation"], paths["aura"])
+        stats = write_mean_view(table, painter, source, rows,
                                 paths["reconstruction"], paths["rmse"])
+        del painter  # free the run records before the CSV writer's peak
         csv_path = paths["superpixels"]
         digests[csv_path] = write_superpixel_csv(table, csv_path)
         return {

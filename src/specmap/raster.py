@@ -14,7 +14,8 @@ Each format rule has one home that the writer and the reader both call, so
 a file is checked the same way on write as on read, and a reader only adds
 the file and header key to the message: ``_BAND_RULES`` for band metadata
 (``_nodata_fits`` for nodata), ``_check_sizes`` for the layout sizes, which
-must be at least 1, ``read_header``/``write_header`` for the header text,
+must be at least 1, ``_check_image_bands`` for an image's band count, which
+must be at least 2, ``read_header``/``write_header`` for the header text,
 which refuses a repeated key, ``open_map_raster`` for a map's kind,
 ``check_legend`` for legend labels and ``parse_color``/``format_color`` for
 ``#RRGGBB`` colour text, which rule files share.  Reading refuses a legend
@@ -163,6 +164,13 @@ def _calibrate_in_range(raw: np.ndarray, meta: BandMetadata, plane: np.ndarray,
     return True
 
 
+def _check_image_bands(nbands: int, header_path=None) -> None:
+    """The one band-count rule of an image; a file's refusal names its header."""
+    if nbands < 2:
+        error = DataError("an image needs at least 2 bands")
+        raise error.at(header_path) if header_path else error
+
+
 @dataclass
 class MultiSpectralImage:
     """Calibrated per-band raster.  Immutable by convention after load."""
@@ -181,8 +189,7 @@ class MultiSpectralImage:
                 f"{len(self.bands)} band descriptors for "
                 f"{self.samples.shape[0]} planes"
             )
-        if len(self.bands) < 2:
-            raise DataError("an image needs at least 2 bands")
+        _check_image_bands(len(self.bands))
         if self.validity.shape != self.samples.shape[1:]:
             raise DimensionMismatchError(
                 "validity mask shape differs from band planes"
@@ -487,6 +494,8 @@ class ImageWriter(RasterWriter):
     def __init__(self, header_path: Path | str, bands, height: int, width: int,
                  dtype_name: str):
         self.bands = tuple(bands)
+        _check_sizes(header_path, len(self.bands), height, width)  # first, as on read
+        _check_image_bands(len(self.bands), header_path)
         dt = _dtype_for(dtype_name)
         for meta in self.bands:
             # A nodata value reading cannot honour would lose the mask
@@ -618,7 +627,7 @@ class ImageSource:
 
     ``read_rows`` calibrates an image's rows.  ``read_raw_rows`` returns the
     stored samples of any raster; with ``calibrated=False`` the header needs
-    no band metadata, as a categorical map's has none.
+    no band metadata and may have one band, as a categorical map's does.
     """
 
     def __init__(self, header_path: Path | str, calibrated: bool = True):
@@ -628,6 +637,8 @@ class ImageSource:
             self.header_path, self.header
         )
         self.dtype_name = self.header.get("dtype", "f64")
+        if calibrated:
+            _check_image_bands(self.nbands, self.header_path)
         self.bands = tuple(
             _band_metadata_from_header(self.header, self.dtype_name, n, self.header_path)
             for n in range(1, self.nbands + 1)

@@ -26,6 +26,8 @@ magnitude falls below ``DIV_EPS`` gives NaN, which fails every comparison.
 A ``RuleSet``'s classes are ``raster.LegendEntry`` values: each rule's, the
 ruleless ``class`` entries and the fallback.  ``RuleSet.legend()`` lists them
 by label, and that legend is the one a ``classify`` map header carries.
+Building a ``RuleSet`` refuses a node of the wrong kind in any rule body,
+so ``compile_rules`` meets none; ``eval_expr`` and ``format_expr`` refuse it too.
 
 A ``requires(bK, clause)`` guard marks a clause as in use only when band bK
 is supplied.  When the band is absent the clause drops out of its enclosing
@@ -52,7 +54,7 @@ import importlib.resources
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
@@ -155,32 +157,40 @@ def make_or(children: Iterable) -> BoolExpr:
 
 
 def referenced_bands(expr) -> frozenset[str]:
-    """Every band symbol the expression mentions, guarded or not."""
-    out: set[str] = set()
-    _walk_bands(expr, out, required_only=False)
-    return frozenset(out)
+    """Every band symbol the boolean expression mentions, guarded or not."""
+    return frozenset(_bool_bands(expr, required_only=False))
 
 
 def required_bands(expr) -> frozenset[str]:
     """Band symbols referenced outside any requires() guard."""
-    out: set[str] = set()
-    _walk_bands(expr, out, required_only=True)
-    return frozenset(out)
+    return frozenset(_bool_bands(expr, required_only=True))
 
 
-def _walk_bands(node, out: set, required_only: bool) -> None:
-    if isinstance(node, BandRef):
-        out.add(node.symbol)
-    elif isinstance(node, (Arith, Cmp)):
-        _walk_bands(node.left, out, required_only)
-        _walk_bands(node.right, out, required_only)
+def _bool_bands(node, required_only: bool) -> Iterator[str]:
+    """The band symbols of a boolean node; a node of another kind is refused."""
+    if isinstance(node, Cmp):
+        yield from _num_bands(node.left)
+        yield from _num_bands(node.right)
     elif isinstance(node, (And, Or)):
         for c in node.children:
-            _walk_bands(c, out, required_only)
+            yield from _bool_bands(c, required_only)
     elif isinstance(node, RequiresBand):
         if not required_only:
-            out.add(node.symbol)
-            _walk_bands(node.child, out, required_only)
+            yield node.symbol
+            yield from _bool_bands(node.child, required_only)
+    else:
+        raise ConfigError(f"not a boolean expression node: {node!r}")
+
+
+def _num_bands(node) -> Iterator[str]:
+    """The band symbols of a numeric node; a node of another kind is refused."""
+    if isinstance(node, BandRef):
+        yield node.symbol
+    elif isinstance(node, Arith):
+        yield from _num_bands(node.left)
+        yield from _num_bands(node.right)
+    elif not isinstance(node, Const):
+        raise ConfigError(f"not a numeric expression node: {node!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +297,7 @@ class RuleSet:
                 )
 
     def required_bands(self) -> frozenset[str]:
-        out: set[str] = set()
-        for rule in self.rules:
-            out |= required_bands(rule.expr)
-        return frozenset(out)
+        return frozenset().union(*(required_bands(rule.expr) for rule in self.rules))
 
     def legend(self) -> tuple[LegendEntry, ...]:
         """Every class as a ``LegendEntry``, sorted by label."""
@@ -417,10 +424,8 @@ def compile_rules(ruleset: RuleSet, symbols: Iterable[str], policy: str) -> Rule
                 raise ConfigError(f"band {node.symbol} not supplied")
             slot = new_slot()
             bands.append((slot, node.symbol))
-        elif isinstance(node, Arith):
+        else:  # an Arith: ``RuleSet`` has refused any other node
             slot = emit(_NUM_FUNCS[node.op], (num(node.left), num(node.right)))
-        else:
-            raise ConfigError(f"not a numeric expression node: {node!r}")
         slots[node] = slot
         return slot
 
@@ -436,10 +441,8 @@ def compile_rules(ruleset: RuleSet, symbols: Iterable[str], policy: str) -> Rule
                 slot = emit(_FOLDS[type(node)], parts)
             else:
                 slot = parts[0] if parts else None
-        elif isinstance(node, RequiresBand):
+        else:  # a RequiresBand: ``RuleSet`` has refused any other node
             slot = boolean(node.child) if node.symbol in symbols else None
-        else:
-            raise ConfigError(f"not a boolean expression node: {node!r}")
         slots[node] = slot
         return slot
 

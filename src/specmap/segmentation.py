@@ -19,14 +19,15 @@ must be valid in the image, so no segment's mean or RMSE takes in a pixel
 without data: the fold refuses the first one that is not.
 ``describe_segments`` labels the map and (pass A) paints each strip's ids
 and cross-aura, writes both and folds the table, which must hold every
-labelled pixel; ``write_mean_view`` (pass B) reads the ids back, writes
-each strip's mean-view reconstruction and RMSE, and summarizes the RMSE
-with ``strip_rmse_stats``, whose bits equal ``RmseMap.stats``'s.
-Each pass reads the image once; the summary's second pass reads the written
-RMSE and ids only.  Both passes hold strips, O(runs) labeling state and
-O(segments) table state, never a whole plane.  The whole-image reference
-runs their code over one strip: ``build_superpixel_table`` is pass A's
-``_TableFold`` and ``reconstruct`` pass B's ``_mean_rows``.
+labelled pixel; ``write_mean_view`` (pass B) paints the ids again with the
+same ``SegmentPainter``, writes each strip's mean-view reconstruction and
+RMSE, and summarizes the RMSE with ``strip_rmse_stats``, whose bits equal
+``RmseMap.stats``'s.  Each pass reads the image once; the summary's second
+pass reads back the written RMSE only.  Both passes hold strips, O(runs)
+labeling state and O(segments) table state, never a whole plane.  The
+whole-image reference runs their code over one strip:
+``build_superpixel_table`` is pass A's ``_TableFold`` and ``reconstruct``
+pass B's ``_mean_rows``.
 """
 
 from __future__ import annotations
@@ -546,7 +547,7 @@ def describe_segments(
     adjacency: int,
     seg_path: Path | str,
     aura_path: Path | str,
-) -> SuperpixelTable:
+) -> tuple[SuperpixelTable, SegmentPainter]:
     """Label ``labels``, then pass A: write the segmentation and aura, and
     fold the superpixel table.
 
@@ -555,8 +556,8 @@ def describe_segments(
     aura counted from ``labels.rows`` with one halo row on each side; both
     are written as they are made.  A labelled pixel the image marks nodata
     is refused (``_TableFold.add``), and the writers then remove both files.
-    The table must hold every labelled pixel, or the run fails.  The run
-    records are freed on return, before pass B (``write_mean_view``).
+    The table must hold every labelled pixel, or the run fails.  Returns it
+    and the painter, whose run records pass B (``write_mean_view``) paints.
     """
     labeler = TwoPassLabeler(labels.width, adjacency)
     for r0, r1 in raster.strip_bounds(labels.height, strip_height):
@@ -585,7 +586,7 @@ def describe_segments(
     table = fold.table()
     if int(table.counts.sum(dtype=np.int64)) != painter.labelled_pixels:
         raise SpecmapError("pixel-count conservation violated")
-    return table
+    return table, painter
 
 
 #: Rows per write; bounds each record buffer, and so the bytes built at once.
@@ -818,37 +819,30 @@ def rmse_map(original: MultiSpectralImage, reconstruction: MultiSpectralImage) -
 
 def write_mean_view(
     table: SuperpixelTable,
+    painter: SegmentPainter,
     source: raster.ImageSource,
     strip_height: int,
-    seg_path: Path | str,
     recon_path: Path | str,
     rmse_path: Path | str,
 ) -> RmseStats:
     """Pass B: strip form of ``reconstruct``, ``rmse_map``, ``write_rmse`` and
-    ``RmseMap.stats``, for an image and segmentation on disk.
+    ``RmseMap.stats``, for what ``describe_segments`` returned for ``source``.
 
-    Reads the ids back from ``seg_path`` one image strip at a time, writes
-    the strip's mean view to ``recon_path`` with ``ImageWriter`` and its
-    RMSE to ``rmse_path``, and summarizes the RMSE of the table's pixels.
-    Files and summary equal the whole-image functions' outputs bit for bit.
-    A pixel's RMSE is valid where the segmentation is: ``describe_segments``
-    has refused a labelled pixel the image marks nodata.  ``ImageWriter``
-    refuses a table of another band count.
+    Paints each image strip's ids, writes its mean view to ``recon_path``
+    with ``ImageWriter`` and its RMSE to ``rmse_path``, and summarizes the
+    RMSE of the table's pixels, bit for bit as the whole-image functions.
+    A pixel's RMSE is valid where its id is above 0: pass A has refused a
+    labelled pixel the image marks nodata.  ``ImageWriter`` refuses a table
+    of another band count.
     """
-    segments = _segmentation_source(seg_path)
-    if (source.height, source.width) != (segments.height, segments.width):
-        raise DimensionMismatchError("image shape differs from segmentation shape")
-    count = raster._header_int(segments.header, "segments", seg_path)
-    if len(table) != count:
-        raise DataError(f"table has {len(table)} rows for {count} segments")
     return strip_rmse_stats(
         int(table.counts.sum(dtype=np.int64)),
-        _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_path),
-        _written_rmse(rmse_path, segments, strip_height),
+        _mean_view_strips(table, painter, source, strip_height, recon_path, rmse_path),
+        _written_rmse(rmse_path, painter, strip_height),
     )
 
 
-def _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_path):
+def _mean_view_strips(table, painter, source, strip_height, recon_path, rmse_path):
     """Write the reconstruction and RMSE strip by strip, yielding each strip's
     valid RMSE values; the files are complete once the generator is."""
     h, w = source.height, source.width
@@ -856,7 +850,7 @@ def _mean_view_strips(table, source, strip_height, segments, recon_path, rmse_pa
             raster.RasterWriter(rmse_path, _RMSE_HEADER, 1, h, w, "f64") as rmse_out:
         for strip in raster.stream_strips(source, strip_height):
             r0 = strip.core_start
-            ids = _read_ids(segments, r0, r0 + strip.core_validity.shape[0])
+            ids = painter.paint(r0, r0 + strip.core_validity.shape[0])
             labelled = ids > 0
             recon = _mean_rows(table, ids, labelled)
             recon_out.write(recon, labelled)
@@ -885,16 +879,13 @@ def _mean_rows(table: SuperpixelTable, ids: np.ndarray, labelled: np.ndarray) ->
     return out
 
 
-def _written_rmse(rmse_path, segments, strip_height):
-    """The valid values of a written RMSE plane, strip by strip.
-
-    The payload stores an invalid pixel as 0.0, which is also the valid RMSE
-    of a single-pixel segment, so validity is read from the segment ids: a
-    labelled pixel (id > 0) is valid in the image too.
-    """
+def _written_rmse(rmse_path, painter, strip_height):
+    """The valid values of a written RMSE plane, strip by strip: those the
+    painter labels (id > 0), as the payload stores an invalid pixel as 0.0,
+    which is also the valid RMSE of a single-pixel segment."""
     values = raster.ImageSource(rmse_path, calibrated=False)
     for r0, r1 in raster.strip_bounds(values.height, strip_height):
-        yield values.read_raw_rows(r0, r1)[0][_read_ids(segments, r0, r1) > 0]
+        yield values.read_raw_rows(r0, r1)[0][painter.paint(r0, r1) > 0]
 
 
 #: Most values one leaf of the summation tree takes: one ``np.add.reduce``
@@ -1013,19 +1004,10 @@ def write_segmentation(seg: SegmentationMap, header_path: Path | str) -> None:
     raster.write_raster(header_path, _segmentation_header(seg.segment_count), planes, "u32")
 
 
-def _segmentation_source(header_path: Path | str) -> raster.ImageSource:
-    return raster.open_map_raster(
-        header_path, "segmentation", "u32", "a segmentation is one band of u32 ids")
-
-
-def _read_ids(source: raster.ImageSource, row0: int, row1: int) -> np.ndarray:
-    """int32 ids of rows [row0, row1) of a segmentation this package wrote."""
-    return source.read_raw_rows(row0, row1)[0].view(np.int32)
-
-
 def read_segmentation(header_path: Path | str) -> SegmentationMap:
     """Read a segmentation; ids or a count int32 cannot hold are refused."""
-    source = _segmentation_source(header_path)
+    source = raster.open_map_raster(
+        header_path, "segmentation", "u32", "a segmentation is one band of u32 ids")
     count = raster._header_int(source.header, "segments", header_path)
     limit = np.iinfo(np.int32).max
     if not 0 <= count <= limit:

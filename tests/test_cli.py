@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specmap.cli
-from specmap import segmentation
+from specmap import raster, segmentation
 from specmap.cli import main
 from specmap.compare import read_aggregation, translate_legend
 from specmap.errors import ConfigError, DataError
@@ -33,6 +33,7 @@ from specmap.raster import (
     write_header,
     write_image,
     write_map,
+    write_raster,
 )
 from specmap.rules import load_specl, parse_rules
 from specmap.classify import bind_bands, classify
@@ -527,6 +528,28 @@ def test_deeply_nested_rule_exits_1_without_traceback(runner, tmp_path):
         assert isinstance(result.exception, SystemExit)  # no traceback
 
 
+@pytest.mark.parametrize("command", ["classify", "segment"])
+def test_one_band_image_exits_1_and_leaves_nothing(runner, tmp_path, command):
+    """An image needs at least 2 bands: a one-band image is refused on
+    opening, naming its header, so no map or mean view is published."""
+    image = synth_scene(12, 8, seed=1, block=4)
+    write_map(classify(image, load_specl()), tmp_path / "map.hdr")
+    hdr = tmp_path / "one.hdr"
+    write_raster(hdr, [("band.1.wavelength", "0.48")], image.samples[:1], "f64")
+    rules = tmp_path / "one.rules"
+    rules.write_text('bands: b1@0.48\nrule 1 "x" color #000000 { b1 <= 0.5 }\n'
+                     'fallback 2 "f"\n')
+    out = tmp_path / "out"
+    out.mkdir()
+    args = {
+        "classify": ["--rules", rules, "--in", hdr, "--out", out / "map.hdr"],
+        "segment": ["--in", tmp_path / "map.hdr", "--image", hdr,
+                    "--out-prefix", out / "seg"],
+    }[command]
+    assert_failure_leaves_nothing(
+        runner, out, f"error: {hdr}: an image needs at least 2 bands\n", command, *args)
+
+
 def test_raster_header_that_is_not_utf8_exits_1(runner, tmp_path):
     write_scene(tmp_path / "scene.hdr", 16, 16, seed=12, block=4)
     write_map(CategoricalMap(np.ones((16, 16), dtype=np.uint16), legend(1)),
@@ -732,6 +755,28 @@ class TestSegmentCommand:
                             "--out-prefix", tmp_path / "out", *stream)
             assert result.exit_code == 0, result.output
             assert sum(read) == 2 * payload, stream
+
+    def test_segmentation_is_not_read_back(self, runner, tmp_path, monkeypatch):
+        """Pass B and the RMSE summary paint the ids from the run records:
+        no header of the segmentation the run wrote is parsed again."""
+        write_scene(tmp_path / "scene.hdr", 37, 24, seed=18, block=16,
+                    nodata_fraction=0.02)
+        invoke(runner, "classify", "--rules", SPECL_PATH,
+               "--in", tmp_path / "scene.hdr", "--out", tmp_path / "map.hdr")
+        parsed = []
+        parse = raster.read_header
+
+        def recorded(path):
+            parsed.append(Path(path))
+            return parse(path)
+
+        monkeypatch.setattr(raster, "read_header", recorded)
+        result = invoke(runner, "segment", "--in", tmp_path / "map.hdr",
+                        "--image", tmp_path / "scene.hdr",
+                        "--out-prefix", tmp_path / "out", "--stream", 5)
+        assert result.exit_code == 0, result.output
+        assert tmp_path / "out.rmse.hdr" in parsed
+        assert tmp_path / "out.seg.hdr" not in parsed
 
     def test_default_run_holds_one_image_strip(self, runner, tmp_path):
         width = 512

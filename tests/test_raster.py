@@ -166,7 +166,8 @@ class TestImageIO:
 
     def test_single_band_image_refusal_names_the_header(self, tmp_path):
         hdr = _write_fixture(tmp_path, bytes(range(4)), bands="1")
-        assert open_image(hdr).nbands == 1
+        with pytest.raises(DataError, match=re.escape(f"{hdr}: an image needs at least 2 bands")):
+            open_image(hdr)
         with pytest.raises(DataError, match=re.escape(f"{hdr}: an image needs at least 2 bands")):
             read_image(hdr)
 
@@ -215,6 +216,12 @@ class TestImageIO:
     def test_image_writer_needs_a_band(self, tmp_path):
         with pytest.raises(FormatError, match="header key 'bands' must be at least 1, got 0"):
             ImageWriter(tmp_path / "out.hdr", (), 2, 2, "u8")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_image_writer_needs_two_bands(self, tmp_path):
+        hdr = tmp_path / "out.hdr"
+        with pytest.raises(DataError, match=re.escape(f"{hdr}: an image needs at least 2 bands")):
+            ImageWriter(hdr, (BandMetadata(1, 0.48),), 2, 2, "u8")
         assert list(tmp_path.iterdir()) == []
 
     def test_header_gains_match_planewise_calibration(self, tmp_path):

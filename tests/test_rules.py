@@ -429,6 +429,17 @@ class TestModelRefusals:
                            match=re.escape(f"not a {kind} expression node: {node!r}")):
             walk(expr)
 
+    @pytest.mark.parametrize("expr, kind, node", [
+        (Cmp(Arith("/", BandRef("b4"), "b4"), "<=", Const(1.0)), "numeric", "b4"),
+        (BandRef("b4"), "boolean", BandRef("b4")),
+        (And((_WATER, Const(1.0))), "boolean", Const(1.0)),
+    ], ids=["numeric", "boolean_body", "boolean_operand"])
+    def test_rule_set_refuses_a_node_of_the_wrong_kind(self, expr, kind, node):
+        """The model refuses what every walker would, before any of them runs."""
+        with pytest.raises(ConfigError,
+                           match=re.escape(f"not a {kind} expression node: {node!r}")):
+            _one_rule_set(expr)
+
 
 # -- random rule sets round-trip -------------------------------------------
 

@@ -36,7 +36,6 @@ from specmap.segmentation import (
     reconstruct,
     rmse_map,
     strip_rmse_stats,
-    write_mean_view,
     write_segmentation,
     write_superpixel_csv,
 )
@@ -367,23 +366,6 @@ class TestConnectedComponents:
         self._write_seg_file(path, [[1, 2]], segments)
         with pytest.raises(FormatError, match=re.escape(f"{path}: ") + f".*{message}"):
             read_segmentation(path)
-
-    @pytest.mark.parametrize("segments, message", [
-        ("one", "header key 'segments' is not an integer"),
-        (None, "missing header key 'segments'"),
-    ])
-    def test_mean_view_refuses_segment_count_it_cannot_read(self, tmp_path, segments,
-                                                            message):
-        cmap = cat([[1, 2]])
-        image = image_from_planes({"b1": [[0.25, 0.5]], "b2": [[0.5, 0.75]]})
-        table = build_superpixel_table(cmap, connected_components(cmap), image,
-                                       cross_aura(cmap))
-        raster.write_image(image, tmp_path / "img.hdr")
-        path = tmp_path / "s.hdr"
-        self._write_seg_file(path, [[1, 2]], segments)
-        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
-            write_mean_view(table, raster.open_image(tmp_path / "img.hdr"), 1, path,
-                            tmp_path / "recon.hdr", tmp_path / "rmse.hdr")
 
 
 class TestCrossAura:
