@@ -589,8 +589,11 @@ def describe_segments(
     return table, painter
 
 
-#: Rows per write; bounds each record buffer, and so the bytes built at once.
+#: Rows per write; bounds the record buffer, and so the bytes built at once.
 _CSV_CHUNK_ROWS = 1 << 13
+
+#: Sorted rows per block of ``_sorted_codes``' new-key mask and ranks.
+_SORT_BLOCK_ROWS = 1 << 16
 
 
 def _decimals(start: int, stop: int) -> np.ndarray:
@@ -639,8 +642,7 @@ def _float_fields(keys: np.ndarray) -> np.ndarray:
     """The ``repr`` of each u64 float64 bit pattern, as one ``S<w>`` array.
 
     Keys are formatted ``_CSV_CHUNK_ROWS`` at a time, so the Python floats
-    and strings of one block live at once, not those of the whole column:
-    this runs beside the next column's sort (``write_superpixel_csv``).
+    and strings of one block live at once, not those of the whole column.
     """
     values = keys.view(np.float64)
     blocks = [np.array([repr(v) for v in values[i:i + _CSV_CHUNK_ROWS].tolist()], dtype="S")
@@ -678,23 +680,33 @@ def _compactness_keys(table: SuperpixelTable) -> tuple[np.ndarray, np.ndarray]:
 def _sorted_codes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(values, return_inverse=True)`` with narrow codes.
 
-    One argsort orders the values; a value starts a new key where it differs
-    from the one before it in that order, and each row's code is the number
-    of keys started before its own.  The codes are u16 while the keys fit
-    it, else u32, and no int64 inverse is made.
+    One argsort orders the values, and its int64 order is narrowed to u32 at
+    once; a value starts a new key where it differs from the one before it
+    in that order, and each row's code is the number of keys started before
+    its own.  The mask and the codes are made ``_SORT_BLOCK_ROWS`` sorted
+    rows at a time, so no full-length sorted copy, rank array or int64
+    inverse is made.  The codes are u16 while the keys fit it, else u32.
     """
-    order = np.argsort(values)
-    ordered = values[order]
-    new = np.empty(len(values), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    keys = ordered[new]
-    del ordered
-    new[:1] = False
-    ranks = np.cumsum(new, dtype=np.uint16 if len(keys) <= 1 << 16 else np.uint32)
-    del new
-    codes = np.empty_like(ranks)
-    codes[order] = ranks
+    n = len(values)
+    order = np.argsort(values).astype(np.uint32 if n <= 1 << 32 else np.intp, copy=False)
+    blocks = [slice(b0, b0 + _SORT_BLOCK_ROWS) for b0 in range(0, n, _SORT_BLOCK_ROWS)]
+    new = np.empty(n, dtype=bool)
+    parts = []
+    for block in blocks:
+        ordered = values.take(order[block])
+        at = new[block]
+        at[0] = block.start == 0 or ordered[0] != values[order[block.start - 1]]
+        np.not_equal(ordered[1:], ordered[:-1], out=at[1:])
+        parts.append(ordered[at])
+    keys = np.concatenate(parts) if parts else values[:0]
+    new[:1] = False  # the first key counts for none
+    codes = np.empty(n, dtype=np.uint16 if len(keys) <= 1 << 16 else np.uint32)
+    before = 0
+    for block in blocks:
+        ranks = np.cumsum(new[block], dtype=codes.dtype)
+        ranks += before
+        before = int(ranks[-1])
+        codes.put(order[block], ranks)
     return keys, codes
 
 
@@ -705,70 +717,55 @@ def write_superpixel_csv(table: SuperpixelTable, path: Path | str) -> str:
     The bytes equal ``csv.writer`` output of those strings: no field can
     hold a delimiter, quote or line break, so none is quoted.  Each column
     is dictionary-encoded once into byte fields: ints by ``_encode_column``,
-    floats by ``_float_keys``, compactness by ``_compactness_keys``.  Each
-    chunk of rows gathers them into one of two record buffers with commas
-    and CRLF filled in advance; the segment ids are formatted per chunk.
-
-    One helper thread overlaps the GIL-bound work with this thread's numpy
-    work, which releases the GIL.  It ``repr``s each float column's keys
-    while this thread sorts the next column, and it drops a filled
-    buffer's NUL padding (no field is ASCII NUL), hashes it and writes it
-    while this thread fills the other buffer.  The sorts and buffers are
-    allocated in this thread: freed in the helper's malloc arena, the sort
-    buffers would stay resident.  An exception in the helper is raised
-    here, and the helper has ended when this returns.
+    floats by ``_float_keys``, compactness by ``_compactness_keys``; each
+    float column's keys are formatted (``_float_fields``) as soon as it is
+    sorted.  Each chunk of rows gathers them into one record buffer, a
+    ``bytearray`` with commas and CRLF filled in advance, and the segment
+    ids are formatted per chunk.  ``bytearray.translate`` drops the NUL
+    padding (no field is ASCII NUL), and the rest is hashed and written,
+    before the next chunk fills the buffer.  All of it runs in the calling
+    thread: a helper thread could overlap the GIL-bound ``repr``s and NUL
+    drop with the sorts and fills, but what it allocates stays resident in
+    its own malloc arena, above ``segment``'s other peaks.
     """
-    # Imported here: concurrent.futures loads logging and hashlib OpenSSL,
-    # which would add 10-20 ms and 5 ms to ``import specmap``.
+    # Imported here: hashlib's OpenSSL would add ~5 ms to ``import specmap``.
     import hashlib
-    from concurrent.futures import ThreadPoolExecutor
 
     n = len(table)
-    n_bands = table.sums.shape[0]
     header = [
         "segment_id", "label", "pixel_count", "min_row", "min_col",
         "max_row", "max_col", "perimeter", "compactness",
-    ] + [f"sum_b{b + 1}" for b in range(n_bands)]
+    ] + [f"sum_b{b + 1}" for b in range(table.sums.shape[0])]
+    encoded = [_encode_column(c) for c in (
+        table.labels, table.counts, table.min_row, table.min_col,
+        table.max_row, table.max_col, table.perimeter,
+    )] + [(_float_fields(keys), codes) for keys, codes in
+          itertools.chain([_compactness_keys(table)], map(_float_keys, table.sums))]
+    layout = [("id", f"S{len(str(n))}")]
+    for i, (fields, _) in enumerate(encoded):
+        layout += [(f"comma{i}", "S1"), (f"field{i}", fields.dtype)]
+    layout.append(("crlf", "S2"))
+    layout = np.dtype(layout)
+    record = bytearray(min(n, _CSV_CHUNK_ROWS) * layout.itemsize)
+    buffer = np.frombuffer(record, dtype=layout)
+    for i in range(len(encoded)):
+        buffer[f"comma{i}"] = b","
+    buffer["crlf"] = b"\r\n"
     digest = hashlib.sha256()
-    with open(path, "wb") as f, ThreadPoolExecutor(1) as helper:
+    with open(path, "wb") as f:
         def write(data) -> None:
             digest.update(data)
             f.write(data)
 
-        def flush(rows: np.ndarray) -> None:
-            raw = rows.view(np.uint8)
-            write(raw[raw != 0])
-
-        # Each float column is sorted here while the helper formats the
-        # keys of the one before.
-        floats = [(helper.submit(_float_fields, keys), codes) for keys, codes in
-                  itertools.chain([_compactness_keys(table)], map(_float_keys, table.sums))]
-        encoded = [_encode_column(c) for c in (
-            table.labels, table.counts, table.min_row, table.min_col,
-            table.max_row, table.max_col, table.perimeter,
-        )] + [(fields.result(), codes) for fields, codes in floats]
-        layout = [("id", f"S{len(str(n))}")]
-        for i, (fields, _) in enumerate(encoded):
-            layout += [(f"comma{i}", "S1"), (f"field{i}", fields.dtype)]
-        layout.append(("crlf", "S2"))
-        buffers = [np.zeros(min(n, _CSV_CHUNK_ROWS), dtype=layout) for _ in range(2)]
-        for buf in buffers:
-            for i in range(len(encoded)):
-                buf[f"comma{i}"] = b","
-            buf["crlf"] = b"\r\n"
         write((",".join(header) + "\r\n").encode("ascii"))
-        pending = []  # the flushes of the last two chunks, oldest first
-        for k, r0 in enumerate(range(0, n, _CSV_CHUNK_ROWS)):
-            if len(pending) == 2:
-                pending.pop(0).result()  # this chunk's buffer is free again
+        for r0 in range(0, n, _CSV_CHUNK_ROWS):
             r1 = min(r0 + _CSV_CHUNK_ROWS, n)
-            rows = buffers[k % 2][:r1 - r0]
+            rows = buffer[:r1 - r0]
             rows["id"] = _decimals(r0 + 1, r1 + 1)
             for i, (fields, codes) in enumerate(encoded):
                 np.take(fields, codes[r0:r1], out=rows[f"field{i}"], mode="clip")
-            pending.append(helper.submit(flush, rows))
-        for future in pending:
-            future.result()
+            filled = record if rows.nbytes == len(record) else record[:rows.nbytes]
+            write(filled.translate(None, b"\0"))
     return digest.hexdigest()
 
 

@@ -732,7 +732,8 @@ class TestSegmentCommand:
 
     def test_image_payload_is_read_twice(self, runner, tmp_path, monkeypatch):
         """Pass A and pass B read the image once each; the RMSE summary's
-        second pass reads the written RMSE and ids, not the image."""
+        second pass reads back only the written RMSE, and paints the ids
+        from the run records, not the image."""
         write_scene(tmp_path / "scene.hdr", 37, 24, seed=18, block=16,
                     nodata_fraction=0.02)
         invoke(runner, "classify", "--rules", SPECL_PATH,
@@ -921,14 +922,14 @@ class TestSegmentCommand:
 
     def test_failed_csv_write_leaves_no_output_and_no_thread(self, runner, tmp_path,
                                                             monkeypatch):
-        """The CSV's third chunk fails to write in the writer's helper thread:
-        the error reaches the command, which reports it, removes every
-        output, writes no manifest and leaves no thread behind."""
+        """The CSV's third chunk after the header fails to write: the error
+        reaches the command, which reports it, removes every output, writes
+        no manifest and leaves no thread behind."""
         _write_per_pixel_scene(tmp_path / "map.hdr", tmp_path / "img.hdr", 160, 256)
 
         class FailingFile:
             def __init__(self, f):
-                self.f, self.chunks = f, 0
+                self.f, self.writes = f, 0
 
             def __enter__(self):
                 return self
@@ -937,10 +938,9 @@ class TestSegmentCommand:
                 self.f.close()
 
             def write(self, data):
-                if threading.current_thread() is not threading.main_thread():
-                    self.chunks += 1
-                    if self.chunks == 3:
-                        raise OSError(errno.ENOSPC, "No space left on device")
+                self.writes += 1
+                if self.writes == 4:  # the header, two chunks, then the third
+                    raise OSError(errno.ENOSPC, "No space left on device")
                 return self.f.write(data)
 
         monkeypatch.setattr(segmentation, "open",

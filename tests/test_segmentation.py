@@ -3,7 +3,7 @@ import dataclasses
 import hashlib
 import math
 import re
-import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -811,21 +811,20 @@ class TestSuperpixelCsv:
         3 * _CSV_CHUNK_ROWS + 1,
     ])
     def test_pair_keyed_rows_around_chunk_boundaries(self, rng, monkeypatch, tmp_path, n):
-        """Both record buffers in turn, and a short last chunk in either."""
+        """The one record buffer refilled over one to three full chunks, with
+        and without a short last chunk after them, and a short chunk alone."""
         table = _pair_table(rng, n)
         assert self._compactness_path(table, monkeypatch) == "pair"
         self._assert_matches_reference(table, tmp_path)
 
-    def test_bytes_hold_under_fast_thread_switching(self, rng, tmp_path):
-        """The main thread refills a record buffer only after the helper has
-        written it; a switch interval of 1 us makes a missed wait show."""
-        table = _pair_table(rng, 6 * _CSV_CHUNK_ROWS + 7, 3)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self._assert_matches_reference(table, tmp_path)
-        finally:
-            sys.setswitchinterval(interval)
+    def test_writer_starts_no_thread(self, rng, monkeypatch, tmp_path):
+        """Sorts, ``repr``s, fills, hashing and writes all run in the calling
+        thread: with ``Thread.start`` refused, the bytes are the reference's."""
+        def refuse(thread):
+            raise AssertionError(f"the writer started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        self._assert_matches_reference(_pair_table(rng, 6 * _CSV_CHUNK_ROWS + 7, 3), tmp_path)
 
     @pytest.mark.parametrize("n", [
         0, 1, _CSV_CHUNK_ROWS - 1, _CSV_CHUNK_ROWS, _CSV_CHUNK_ROWS + 1,
@@ -887,7 +886,10 @@ class TestSuperpixelCsv:
     def test_writer_codes_memory_per_row(self, tmp_path):
         """The writer's traced peak above entry on the per-pixel table:
         80.5 bytes per row with int64 inverses narrowed afterwards and int
-        columns copied to codes; 48.1 with narrow codes written in place."""
+        columns copied to codes; 56.8 with narrow codes written in place, a
+        full-length int64 sort order and two record buffers; 44.2 with the
+        order narrowed to u32, the mask and ranks made in blocks and one
+        record buffer refilled in the calling thread."""
         table = build_superpixel_table(*_per_pixel_table_inputs())
         tracemalloc.start()
         try:
@@ -896,7 +898,7 @@ class TestSuperpixelCsv:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak / len(table) < 64
+        assert peak / len(table) < 54
 
     def test_direct_int_column_memory_per_row(self, rng):
         """The direct path's traced peak on a 200 000-row int32 column whose
@@ -932,6 +934,25 @@ class TestSuperpixelCsv:
         fields = _float_fields(bits)
         assert fields.tolist() == [repr(v).encode() for v in keys.view(np.float64).tolist()]
         assert codes.dtype == (np.uint16 if distinct <= 1 << 16 else np.uint32)
+        assert np.array_equal(codes, inverse)
+
+    @pytest.mark.parametrize("n, run", [
+        # runs of three equal values straddle sorted rows 65 536 and 131 072;
+        # runs of four start a new value at each
+        (200_000, 3), (200_000, 4),
+        # 65 536 distinct values keep u16 codes, 65 537 take u32; 65 537
+        # rows leave a last block of one row
+        (65_536, 1), (65_537, 1), (65_537, 2),
+    ])
+    def test_sorted_codes_across_blocks_equal_np_unique(self, rng, n, run):
+        """The new-key mask and the ranks are made one block of sorted rows
+        at a time; keys and codes still equal ``np.unique``'s."""
+        assert segmentation._SORT_BLOCK_ROWS == 65_536
+        values = rng.permutation(np.arange(n, dtype=np.int64) // run * 7 - 1000)
+        keys, inverse = np.unique(values, return_inverse=True)
+        got, codes = segmentation._sorted_codes(values)
+        assert np.array_equal(got, keys)
+        assert codes.dtype == (np.uint16 if len(keys) <= 1 << 16 else np.uint32)
         assert np.array_equal(codes, inverse)
 
     def test_direct_int_column_is_its_own_codes(self, rng):
